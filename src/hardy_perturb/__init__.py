@@ -6,17 +6,12 @@ from .core import (
     Subspace,
     ToleranceConfig,
     TruncatedVector,
-    inner_product,
     krylov_closure,
-    left_inverse,
-    mul_by_z,
     multiplication_by_z_matrix,
     numerical_rank,
     orthonormalize,
-    poly_apply,
     principal_angles,
     subspace_difference,
-    subspaces_equal,
 )
 from .inner import (
     BlaschkeProduct,
@@ -26,12 +21,10 @@ from .inner import (
     is_inner_numeric,
     is_outer_polynomial,
     rational_inner_from_taylor,
-    series_divide,
 )
 from .shifts import (
     NShift,
     TridiagonalKernel,
-    c_coeff,
     monomial_in_f_basis,
     shift_from_columns,
     shift_from_kernel,
@@ -58,7 +51,6 @@ from .commutant import (
 from .analysis import (
     CommutatorReport,
     essential_normality_witness,
-    gram_block,
     self_commutator,
 )
 

@@ -17,12 +17,11 @@ import numpy as np
 
 from .core import DEFAULT_TOL, ToleranceConfig, numerical_rank
 from .errors import TruncationError
-from .shifts import NShift, gram_columns
+from .shifts import NShift
 
 __all__ = [
     "CommutatorReport",
     "essential_normality_witness",
-    "gram_block",
     "self_commutator",
 ]
 
@@ -57,18 +56,6 @@ class CommutatorReport:
         }
 
 
-def _masked_commutator(shift: NShift) -> tuple[np.ndarray, str]:
-    s = shift.S.entries
-    nw = s.shape[0]
-    comm = s.conj().T @ s - s @ s.conj().T
-    note = (
-        f"corner entry ({nw - 1}, {nw - 1}) raised by 1: the truncated plain "
-        "shift loses its last column, which is absent from the true operator"
-    )
-    comm[nw - 1, nw - 1] += 1.0
-    return comm, note
-
-
 def self_commutator(shift: NShift, tol: ToleranceConfig | None = None) -> CommutatorReport:
     """Compute ``S*S - SS*``, mask the corner artifact, and classify.
 
@@ -82,7 +69,13 @@ def self_commutator(shift: NShift, tol: ToleranceConfig | None = None) -> Commut
         raise TruncationError(
             f"working order {nw} too small for perturbation support {support}"
         )
-    comm, note = _masked_commutator(shift)
+    s = shift.S.entries
+    comm = s.conj().T @ s - s @ s.conj().T
+    comm[nw - 1, nw - 1] += 1.0
+    note = (
+        f"corner entry ({nw - 1}, {nw - 1}) raised by 1: the truncated plain "
+        "shift loses its last column, which is absent from the true operator"
+    )
     herm_defect = float(np.abs(comm - comm.conj().T).max())
 
     mags = np.abs(comm)
@@ -109,19 +102,7 @@ def self_commutator(shift: NShift, tol: ToleranceConfig | None = None) -> Commut
     )
 
 
-def gram_block(shift: NShift, size: int) -> np.ndarray:
-    """Top-left ``size x size`` block of ``S*S``, exact from the stored columns."""
-    if size < 1:
-        raise ValueError("size must be >= 1")
-    return gram_columns(shift, size)
-
-
 def essential_normality_witness(shift: NShift) -> tuple[bool, int]:
-    """Minimal block size outside which the self-commutator vanishes."""
-    comm, _ = _masked_commutator(shift)
-    mags = np.abs(comm)
-    hits = np.nonzero(mags > _OUTSIDE_CUT)
-    k = int(max(hits[0].max(), hits[1].max())) + 1 if hits[0].size else 1
-    outside = mags.copy()
-    outside[:k, :k] = 0.0
-    return bool(outside.max() < _OUTSIDE_CUT), k
+    """Verdict and block size of :func:`self_commutator`, as a pair."""
+    rep = self_commutator(shift)
+    return rep.essentially_normal, rep.block_size

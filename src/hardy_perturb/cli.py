@@ -3,8 +3,9 @@
 Subcommands mirror the library surface: ``shift {build|verify|powers}``,
 ``subspace {build|check|extract|cyclic|codim}``, ``commutant
 {element|hyper|irreducible}``, ``analyze normality`` and ``demo paper``.
-Reports are JSON on stdout (optionally to ``--out``); matrices dump to CSV
-only with ``--dump-matrices``.  Exit codes: 0 all checks passed, 1 a check
+Reports are JSON on stdout (optionally to ``--out``); the commands that
+build a matrix dump it to CSV in the current directory with
+``--dump-matrices``.  Exit codes: 0 all checks passed, 1 a check
 failed, 2 configuration error.
 """
 
@@ -18,9 +19,20 @@ import click
 import numpy as np
 
 from . import __version__
-from .analysis import essential_normality_witness, self_commutator
-from .commutant import commutant_element, hyperinvariance_check, irreducibility_probe
-from .core import TruncatedVector, orthonormalize
+from .analysis import self_commutator
+from .commutant import (
+    commutant_element,
+    hyperinvariance_check,
+    irreducibility_probe,
+    verify_commutation,
+)
+from .core import (
+    TruncatedVector,
+    krylov_closure,
+    numerical_rank,
+    orthonormalize,
+    rank_report,
+)
 from .errors import HardyPerturbError
 from .inner import Polynomial
 from .invariant import (
@@ -94,8 +106,6 @@ def common_options(fn):
                   help="Random seed (default: HARDY_PERTURB_SEED or 0).")
     @click.option("--out", "out_path", type=click.Path(), default=None,
                   help="Also write the JSON report to this path.")
-    @click.option("--dump-matrices", is_flag=True, default=False,
-                  help="Dump operator matrices as CSV next to the report.")
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
@@ -111,6 +121,12 @@ def common_options(fn):
             sys.exit(1)
 
     return wrapper
+
+
+dump_option = click.option(
+    "--dump-matrices", is_flag=True, default=False,
+    help="Dump operator matrices as CSV files in the current directory.",
+)
 
 
 def _finish(passed: bool) -> None:
@@ -132,6 +148,7 @@ def shift():
 
 @shift.command("build")
 @common_options
+@dump_option
 def shift_build(config_path, truncation, seed, out_path, dump_matrices):
     """Build a shift from a kernel or explicit columns and report on it."""
     cfg = load_config(config_path, truncation, seed)
@@ -141,7 +158,7 @@ def shift_build(config_path, truncation, seed, out_path, dump_matrices):
         "n": s.n,
         "provenance": s.provenance,
         "validation": report.to_json(),
-        "perturbation_rank": int(np.linalg.matrix_rank(s.F.entries, tol=1e-10)),
+        "perturbation_rank": numerical_rank(s.F, cfg.tolerances),
         "kernel": kernel.to_json() if kernel else None,
     }
     if dump_matrices:
@@ -155,7 +172,7 @@ def shift_build(config_path, truncation, seed, out_path, dump_matrices):
 
 @shift.command("verify")
 @common_options
-def shift_verify(config_path, truncation, seed, out_path, dump_matrices):
+def shift_verify(config_path, truncation, seed, out_path):
     """Check the defining clauses of the configured perturbation."""
     cfg = load_config(config_path, truncation, seed)
     s, _ = resolve_shift(cfg, strict=False)
@@ -167,7 +184,7 @@ def shift_verify(config_path, truncation, seed, out_path, dump_matrices):
 @shift.command("powers")
 @click.option("--m-max", type=int, default=None, help="Largest power to check.")
 @common_options
-def shift_powers(m_max, config_path, truncation, seed, out_path, dump_matrices):
+def shift_powers(m_max, config_path, truncation, seed, out_path):
     """Verify the power identities of the configured shift."""
     cfg = load_config(config_path, truncation, seed)
     s, _ = resolve_shift(cfg)
@@ -203,6 +220,7 @@ def subspace():
 
 @subspace.command("build")
 @common_options
+@dump_option
 def subspace_build(config_path, truncation, seed, out_path, dump_matrices):
     """Build the subspace a model describes; report residuals."""
     cfg = load_config(config_path, truncation, seed)
@@ -221,7 +239,7 @@ def subspace_build(config_path, truncation, seed, out_path, dump_matrices):
 
 @subspace.command("check")
 @common_options
-def subspace_check(config_path, truncation, seed, out_path, dump_matrices):
+def subspace_check(config_path, truncation, seed, out_path):
     """Model structure residuals plus the wandering dimension."""
     cfg = load_config(config_path, truncation, seed)
     s, _ = _shift_for_subspace(cfg)
@@ -235,7 +253,7 @@ def subspace_check(config_path, truncation, seed, out_path, dump_matrices):
 
 @subspace.command("extract")
 @common_options
-def subspace_extract(config_path, truncation, seed, out_path, dump_matrices):
+def subspace_extract(config_path, truncation, seed, out_path):
     """Recover the classification data of an invariant subspace.
 
     The subspace comes from (in order of precedence) an explicit 'basis'
@@ -259,8 +277,6 @@ def subspace_extract(config_path, truncation, seed, out_path, dump_matrices):
             parse_complex_list(cfg.options["seed_vector"]), nw
         )
         depth = int(cfg.options.get("depth", 40))
-        from .core import krylov_closure
-
         space = krylov_closure(s, vec, depth, cfg.tolerances)
     else:
         model_in = _require_model(cfg)
@@ -277,7 +293,7 @@ def subspace_extract(config_path, truncation, seed, out_path, dump_matrices):
 
 @subspace.command("cyclic")
 @common_options
-def subspace_cyclic(config_path, truncation, seed, out_path, dump_matrices):
+def subspace_cyclic(config_path, truncation, seed, out_path):
     """Decide cyclicity of the modeled subspace (1-shifts)."""
     cfg = load_config(config_path, truncation, seed)
     s, _ = _shift_for_subspace(cfg)
@@ -291,7 +307,7 @@ def subspace_cyclic(config_path, truncation, seed, out_path, dump_matrices):
 
 @subspace.command("codim")
 @common_options
-def subspace_codim(config_path, truncation, seed, out_path, dump_matrices):
+def subspace_codim(config_path, truncation, seed, out_path):
     """Codimension of the modeled subspace."""
     cfg = load_config(config_path, truncation, seed)
     s, _ = _shift_for_subspace(cfg)
@@ -320,6 +336,7 @@ def _require_kernel(cfg: RunConfig):
 @click.option("--phi", "phi_text", type=str, default=None,
               help="Symbol coefficients, comma separated (e.g. '1,0,1').")
 @common_options
+@dump_option
 def commutant_element_cmd(phi_text, config_path, truncation, seed, out_path,
                           dump_matrices):
     """Build the commutant member for a polynomial symbol."""
@@ -333,8 +350,6 @@ def commutant_element_cmd(phi_text, config_path, truncation, seed, out_path,
         raise ConfigError("need --phi or an options 'phi' list")
     symbol = Polynomial(coeffs)
     element = commutant_element(symbol, kernel, cfg.truncation, cfg.tolerances, s)
-    from .commutant import verify_commutation
-
     resid = verify_commutation(element.X, s, cfg.tolerances)
     n_cols = element.N.entries[: min(cfg.truncation, 16), : kernel.n]
     spill = float(np.abs(element.N.entries[:, kernel.n:]).max()) if kernel.n < cfg.truncation else 0.0
@@ -358,7 +373,7 @@ def commutant_element_cmd(phi_text, config_path, truncation, seed, out_path,
 @commutant.command("hyper")
 @click.option("--trials", type=int, default=50, help="Random symbols to test.")
 @common_options
-def commutant_hyper(trials, config_path, truncation, seed, out_path, dump_matrices):
+def commutant_hyper(trials, config_path, truncation, seed, out_path):
     """Hyperinvariance residuals of a modeled subspace."""
     cfg = load_config(config_path, truncation, seed)
     s, kernel = _require_kernel(cfg)
@@ -374,7 +389,7 @@ def commutant_hyper(trials, config_path, truncation, seed, out_path, dump_matric
 
 @commutant.command("irreducible")
 @common_options
-def commutant_irreducible(config_path, truncation, seed, out_path, dump_matrices):
+def commutant_irreducible(config_path, truncation, seed, out_path):
     """Probe that no sampled invariant subspace reduces the shift."""
     cfg = load_config(config_path, truncation, seed)
     s, kernel = _require_kernel(cfg)
@@ -392,24 +407,22 @@ def analyze():
 
 @analyze.command("normality")
 @common_options
+@dump_option
 def analyze_normality(config_path, truncation, seed, out_path, dump_matrices):
     """Self-commutator block, rank, determinant, hyponormality."""
     cfg = load_config(config_path, truncation, seed)
     s, _ = resolve_shift(cfg)
     rep = self_commutator(s, cfg.tolerances)
-    ess, k = essential_normality_witness(s)
     body = rep.to_json()
-    body["witness_block_size"] = k
+    body["witness_block_size"] = rep.block_size
     # Rank ties near the cutoff are never rounded silently; the gap around
     # the cutoff travels with the verdict.
-    from .core import rank_report
-
     body["rank_diagnostics"] = rank_report(rep.block, cfg.tolerances)
     if dump_matrices:
         _dump_complex("commutator_block", rep.block)
         body["matrix_dumps"] = ["commutator_block_re.csv", "commutator_block_im.csv"]
     _report(cfg, "analyze normality", body, out_path)
-    _finish(ess)
+    _finish(rep.essentially_normal)
 
 
 # ------------------------------------------------------------------ demo --
@@ -421,7 +434,7 @@ def demo():
 
 @demo.command("paper")
 @common_options
-def demo_paper(config_path, truncation, seed, out_path, dump_matrices):
+def demo_paper(config_path, truncation, seed, out_path):
     """Run the full table of pinned reference claims."""
     cfg = load_config(config_path, truncation, seed)
     rows = reference_suite(cfg.truncation, cfg.seed, cfg.tolerances)

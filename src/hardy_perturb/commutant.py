@@ -98,10 +98,7 @@ def commutant_element(
     if shift is None:
         shift = shift_from_kernel(kernel, working_order, tol)
     element = CommutantElement(
-        symbol,
-        OperatorMatrix(x, "monomial"),
-        OperatorMatrix(t_mat, "monomial"),
-        OperatorMatrix(n_mat, "monomial", ("zero", working_order, kernel.n)),
+        symbol, OperatorMatrix(x), OperatorMatrix(t_mat), OperatorMatrix(n_mat)
     )
     resid = verify_commutation(element.X, shift, tol)
     if resid > tol.tau_res * scale:

@@ -6,8 +6,8 @@ wrapped in three small value types:
 * :class:`TruncatedVector` holds the monomial coefficients of a function up
   to a working order, together with a trusted order marking the prefix that
   is exact for the modeled infinite object.
-* :class:`OperatorMatrix` holds a dense matrix in a declared orthonormal
-  basis (column ``m`` is the image of the ``m``-th basis vector).
+* :class:`OperatorMatrix` holds a dense matrix in the monomial basis
+  (column ``m`` is the image of ``z**m``).
 * :class:`Subspace` holds an orthonormal basis of a finite-dimensional
   approximation of a closed subspace.
 
@@ -18,15 +18,10 @@ functions, so everything here is safe to evaluate concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    NotLeftInvertibleError,
-    TruncationError,
-)
+from .errors import DimensionMismatchError, TruncationError
 
 __all__ = [
     "ToleranceConfig",
@@ -36,19 +31,14 @@ __all__ = [
     "Subspace",
     "as_matrix",
     "band_spread",
-    "inner_product",
     "invariance_residual",
     "krylov_closure",
-    "left_inverse",
-    "mul_by_z",
     "multiplication_by_z_matrix",
     "numerical_rank",
     "orthonormalize",
-    "poly_apply",
     "principal_angles",
     "rank_report",
     "subspace_difference",
-    "subspaces_equal",
 ]
 
 
@@ -60,8 +50,6 @@ class ToleranceConfig:
     ----------
     tau_rank : float
         Relative singular-value cutoff for rank decisions.
-    tau_orth : float
-        Allowed deviation of an orthonormal basis from ``B*B = I``.
     tau_res : float
         Residual threshold for membership and invariance tests.
     tau_angle : float
@@ -69,12 +57,11 @@ class ToleranceConfig:
     """
 
     tau_rank: float = 1e-8
-    tau_orth: float = 1e-10
     tau_res: float = 1e-8
     tau_angle: float = 1e-6
 
     def __post_init__(self):
-        for name in ("tau_rank", "tau_orth", "tau_res", "tau_angle"):
+        for name in ("tau_rank", "tau_res", "tau_angle"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be strictly positive")
         if self.tau_rank >= 1.0:
@@ -83,7 +70,6 @@ class ToleranceConfig:
     def to_dict(self) -> dict:
         return {
             "tau_rank": self.tau_rank,
-            "tau_orth": self.tau_orth,
             "tau_res": self.tau_res,
             "tau_angle": self.tau_angle,
         }
@@ -95,6 +81,10 @@ class ToleranceConfig:
 
 
 DEFAULT_TOL = ToleranceConfig()
+
+# Relative singular-value cut for re-orthonormalizing row-restricted bases
+# before principal angles are taken.
+_REORTHONORMALIZE_CUT = 1e-10
 
 
 def _frozen_array(a) -> np.ndarray:
@@ -200,62 +190,22 @@ def band_spread(a: np.ndarray, rel_tol: float = 1e-12) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense matrix of an operator in a declared orthonormal basis.
+    """Dense matrix of an operator in the monomial basis.
 
-    Column ``m`` holds the image of the ``m``-th basis vector.  The basis is
-    either the monomial basis of the truncated Hardy space or the ``f``-basis
-    of a truncated tridiagonal kernel space.  ``finite_support`` optionally
-    declares ``(background, rows, cols)`` outside which the entries agree
-    with the named background pattern ("zero" or the plain forward "shift").
+    Column ``m`` holds the image of ``z**m``.
     """
 
     entries: np.ndarray
-    basis_tag: str = "monomial"
-    finite_support: tuple[str, int, int] | None = None
 
     def __post_init__(self):
         arr = _frozen_array(self.entries)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DimensionMismatchError("operator matrix must be square")
         object.__setattr__(self, "entries", arr)
-        if self.basis_tag not in ("monomial", "f-basis"):
-            raise ValueError("basis_tag must be 'monomial' or 'f-basis'")
 
     @property
     def working_order(self) -> int:
         return self.entries.shape[0]
-
-    def spread(self) -> tuple[int, int]:
-        return band_spread(self.entries)
-
-    def apply(self, f: TruncatedVector) -> TruncatedVector:
-        """Apply the operator to a vector.
-
-        The trusted order of the result shrinks by the band spread of the
-        matrix (maximum of the degree-raising and degree-lowering reach),
-        floored at zero.  The map is linear in ``f``.
-        """
-        if f.working_order != self.working_order:
-            raise DimensionMismatchError("operator and vector working orders differ")
-        below, above = self.spread()
-        loss = max(below, above)
-        trusted = max(0, f.trusted_order - loss)
-        return TruncatedVector(self.entries @ f.coeffs, trusted)
-
-    def check_finite_support(self, rel_tol: float = 1e-13) -> bool:
-        """Scan whether entries outside the declared support match the background."""
-        if self.finite_support is None:
-            return True
-        background, rows, cols = self.finite_support
-        n = self.working_order
-        ref = np.zeros((n, n), dtype=np.complex128)
-        if background == "shift":
-            ref += multiplication_by_z_matrix(n)
-        diff = np.abs(self.entries - ref)
-        scale = max(1.0, float(np.abs(self.entries).max()))
-        mask = np.ones((n, n), dtype=bool)
-        mask[:rows, :cols] = False
-        return bool((diff[mask] <= rel_tol * scale).all())
 
 
 def multiplication_by_z_matrix(working_order: int) -> np.ndarray:
@@ -323,60 +273,6 @@ class Subspace:
     def full(cls, working_order: int) -> "Subspace":
         return cls(np.eye(working_order, dtype=np.complex128), working_order)
 
-    def vector(self, i: int = 0) -> TruncatedVector:
-        return TruncatedVector(self.basis[:, i], self.trusted_order)
-
-
-def inner_product(f: TruncatedVector, g: TruncatedVector) -> complex:
-    """Hardy-space pairing ``<f, g> = sum_j f_j * conj(g_j)``."""
-    if f.working_order != g.working_order:
-        raise DimensionMismatchError("working orders differ")
-    return complex(np.vdot(g.coeffs, f.coeffs))
-
-
-def mul_by_z(f: TruncatedVector, k: int = 1) -> TruncatedVector:
-    """Multiply by ``z**k``: shift coefficients up, dropping overflow.
-
-    By the truncation contract the trusted order is reduced by ``k``
-    (floored at 0); the working order is preserved.
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    n = f.working_order
-    out = np.zeros(n, dtype=np.complex128)
-    if k < n:
-        out[k:] = f.coeffs[: n - k]
-    return TruncatedVector(out, max(0, f.trusted_order - k))
-
-
-def poly_apply(p: Sequence[complex], T, f: TruncatedVector) -> TruncatedVector:
-    """Evaluate ``p(T) f`` for a polynomial ``p`` given by its coefficients.
-
-    The trusted order of the result drops by ``deg(p)`` times the band
-    spread of ``T``; exhausting the trusted region raises
-    :class:`TruncationError`.
-    """
-    coeffs = np.asarray(getattr(p, "coeffs", p), dtype=np.complex128)
-    if coeffs.ndim != 1 or coeffs.size == 0:
-        raise ValueError("polynomial coefficients must form a nonempty sequence")
-    mat = as_matrix(T)
-    if mat.shape[0] != f.working_order:
-        raise DimensionMismatchError("operator and vector working orders differ")
-    deg = int(np.flatnonzero(coeffs)[-1]) if np.any(coeffs) else 0
-    below, above = band_spread(mat)
-    loss = deg * max(below, above)
-    if f.trusted_order - loss <= 0 and deg > 0:
-        raise TruncationError(
-            f"polynomial degree {deg} exhausts trusted order {f.trusted_order}"
-        )
-    acc = coeffs[0] * f.coeffs
-    power = f.coeffs
-    for k in range(1, deg + 1):
-        power = mat @ power
-        if coeffs[k] != 0:
-            acc = acc + coeffs[k] * power
-    return TruncatedVector(acc, max(0, f.trusted_order - loss))
-
 
 def _stack(vectors) -> tuple[np.ndarray, int]:
     """Stack vectors (TruncatedVector or arrays) into columns, tracking trust."""
@@ -421,26 +317,28 @@ def orthonormalize(
         a, inferred = _stack(vectors)
     trusted = inferred if trusted_order is None else trusted_order
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        basis = np.zeros((a.shape[0], 0), dtype=np.complex128)
-        return Subspace(basis, trusted, frontier, invariant_certified)
-    r = int(np.count_nonzero(s > tol.tau_rank * s[0]))
+    r, _ = _rank_cut(s, tol.tau_rank)
     return Subspace(u[:, :r], trusted, frontier, invariant_certified)
+
+
+def _rank_cut(s: np.ndarray, rel: float) -> tuple[int, float | None]:
+    """Rank and gap of descending singular values cut at ``rel`` times the largest.
+
+    The rank counts the values strictly above the cut; it is 0 for an empty
+    or all-zero spectrum.  The gap ratio is the last kept value over the
+    first dropped one, ``None`` when either is missing or the dropped one
+    is exactly zero.
+    """
+    if s.size == 0 or s[0] == 0.0:
+        return 0, None
+    rank = int(np.count_nonzero(s > rel * s[0]))
+    gap = float(s[rank - 1] / s[rank]) if rank < s.size and s[rank] > 0.0 else None
+    return rank, gap
 
 
 def numerical_rank(a, tol: ToleranceConfig | None = None) -> int:
     """Count of singular values above ``tau_rank`` times the largest."""
-    tol = tol or DEFAULT_TOL
-    if isinstance(a, Subspace):
-        mat = a.basis
-    else:
-        mat = as_matrix(a)
-    if mat.size == 0:
-        return 0
-    s = np.linalg.svd(mat, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol.tau_rank * s[0]))
+    return rank_report(a, tol)["rank"]
 
 
 def rank_report(a, tol: ToleranceConfig | None = None) -> dict:
@@ -452,16 +350,14 @@ def rank_report(a, tol: ToleranceConfig | None = None) -> dict:
     tol = tol or DEFAULT_TOL
     mat = a.basis if isinstance(a, Subspace) else as_matrix(a)
     s = np.linalg.svd(mat, compute_uv=False) if mat.size else np.zeros(0)
-    if s.size == 0 or s[0] == 0.0:
+    rank, gap = _rank_cut(s, tol.tau_rank)
+    if rank == 0:
         return {"rank": 0, "sigma_max": 0.0, "sigma_at_cut": None,
                 "sigma_below_cut": None, "gap_ratio": None}
-    cut = tol.tau_rank * s[0]
-    rank = int(np.count_nonzero(s > cut))
-    above = float(s[rank - 1]) if rank > 0 else None
     below = float(s[rank]) if rank < s.size else None
-    gap = (above / below) if (above and below) else None
-    return {"rank": rank, "sigma_max": float(s[0]), "sigma_at_cut": above,
-            "sigma_below_cut": below, "gap_ratio": gap}
+    return {"rank": rank, "sigma_max": float(s[0]),
+            "sigma_at_cut": float(s[rank - 1]), "sigma_below_cut": below,
+            "gap_ratio": gap}
 
 
 def subspace_difference(M: Subspace, T, tol: ToleranceConfig | None = None) -> Subspace:
@@ -481,10 +377,7 @@ def subspace_difference(M: Subspace, T, tol: ToleranceConfig | None = None) -> S
         raise TruncationError("trusted order exhausted")
     coords = M.basis.conj().T @ (mat @ M.basis)
     u, s, _ = np.linalg.svd(coords)
-    if s.size and s[0] > 0.0:
-        r = int(np.count_nonzero(s > tol.tau_rank * s[0]))
-    else:
-        r = 0
+    r, _ = _rank_cut(s, tol.tau_rank)
     comp = u[:, r:]
     below, above = band_spread(mat)
     trusted = max(0, M.trusted_order - above)
@@ -554,30 +447,12 @@ def principal_angles(M1: Subspace, M2: Subspace, rows: int | None = None) -> np.
     return np.sort(np.arccos(s))
 
 
-def _reorthonormalize(a: np.ndarray, rel_cut: float = 1e-10) -> np.ndarray:
+def _reorthonormalize(a: np.ndarray) -> np.ndarray:
     if a.shape[1] == 0:
         return a
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return a[:, :0]
-    r = int(np.count_nonzero(s > rel_cut * s[0]))
+    r, _ = _rank_cut(s, _REORTHONORMALIZE_CUT)
     return u[:, :r]
-
-
-def subspaces_equal(
-    M1: Subspace,
-    M2: Subspace,
-    tol: ToleranceConfig | None = None,
-    rows: int | None = None,
-) -> bool:
-    """Equality at truncation: equal dimensions and all angles below tau_angle."""
-    tol = tol or DEFAULT_TOL
-    if M1.dim != M2.dim:
-        return False
-    angles = principal_angles(M1, M2, rows=rows)
-    return bool(angles.size == min(M1.dim, M2.dim)) and bool(
-        (angles < tol.tau_angle).all()
-    )
 
 
 def invariance_residual(M: Subspace, T, rows: int | None = None) -> float:
@@ -597,38 +472,3 @@ def invariance_residual(M: Subspace, T, rows: int | None = None) -> float:
     if resid.size == 0:
         return 0.0
     return float(np.linalg.norm(resid, 2))
-
-
-def left_inverse(S, tol: ToleranceConfig | None = None) -> OperatorMatrix:
-    """Left inverse ``(S*S)^{-1} S*`` of a left-invertible banded operator.
-
-    ``S*S`` must equal the identity outside a finite top-left block; the
-    block is detected by scanning away from the truncation boundary and
-    inverted exactly, which avoids the spurious singularity the truncated
-    Gram matrix has in its bottom-right corner.
-    """
-    tol = tol or DEFAULT_TOL
-    mat = as_matrix(S)
-    n = mat.shape[0]
-    below, above = band_spread(mat)
-    safe = n - below - 1
-    if safe <= 0:
-        raise TruncationError("working order too small for band spread")
-    gram = mat.conj().T @ mat
-    dev = np.abs(gram[:safe, :safe] - np.eye(safe))
-    hits = np.nonzero(dev > 1e-13 * max(1.0, float(np.abs(gram).max())))
-    block = int(max(hits[0].max(), hits[1].max())) + 1 if hits[0].size else 0
-    if block + below > n:
-        raise TruncationError("perturbation block reaches the truncation boundary")
-    if block == 0:
-        return OperatorMatrix(mat.conj().T)
-    g = gram[:block, :block]
-    eigvals = np.linalg.eigvalsh((g + g.conj().T) / 2.0)
-    if eigvals[0] <= 1e-12 * max(1.0, eigvals[-1]):
-        raise NotLeftInvertibleError(
-            f"Gram block of size {block} is not positive definite "
-            f"(min eigenvalue {eigvals[0]:.3e})"
-        )
-    inv = np.eye(n, dtype=np.complex128)
-    inv[:block, :block] = np.linalg.inv(g)
-    return OperatorMatrix(inv @ mat.conj().T)

@@ -37,14 +37,6 @@ class DefinitionViolationError(HardyPerturbError):
         self.clauses = list(clauses or [])
 
 
-class DivisibilityError(HardyPerturbError):
-    """Raised when a power-series division has mismatched valuations."""
-
-
-class IllConditionedDivisionError(HardyPerturbError):
-    """Raised when a series divisor has a numerically negligible leading term."""
-
-
 class EvaluationError(HardyPerturbError):
     """Raised when evaluating a rational function at (or too near) a pole."""
 

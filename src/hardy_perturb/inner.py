@@ -1,4 +1,4 @@
-"""Finite Blaschke products, polynomial inner/outer tests, series division.
+"""Finite Blaschke products, their Taylor expansions, inner/outer tests.
 
 Finite Blaschke products are the only inner functions the package
 represents: they are the inner functions with a finite parameterization,
@@ -13,13 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TruncatedVector, ToleranceConfig, DEFAULT_TOL
-from .errors import (
-    DimensionMismatchError,
-    DivisibilityError,
-    EvaluationError,
-    ExtractionError,
-    IllConditionedDivisionError,
-)
+from .errors import EvaluationError, ExtractionError
 
 __all__ = [
     "BlaschkeProduct",
@@ -29,8 +23,6 @@ __all__ = [
     "is_inner_numeric",
     "is_outer_polynomial",
     "rational_inner_from_taylor",
-    "series_divide",
-    "series_multiply",
 ]
 
 # Roots on the unit circle are outer factors; this margin decides ties.
@@ -80,13 +72,6 @@ class Polynomial:
         if self.degree < 1:
             return np.zeros(0, dtype=np.complex128)
         return np.roots(self.coeffs[::-1])
-
-    def to_vector(self, working_order: int) -> TruncatedVector:
-        return TruncatedVector.from_coefficients(self.coeffs, working_order)
-
-    @classmethod
-    def one(cls) -> "Polynomial":
-        return cls(np.array([1.0 + 0.0j]))
 
     @classmethod
     def from_roots(cls, roots, leading: complex = 1.0) -> "Polynomial":
@@ -197,60 +182,6 @@ def _series_div_arrays(num: np.ndarray, den: np.ndarray, n: int) -> np.ndarray:
             acc = acc - np.dot(den[1 : top + 1], out[k - top : k][::-1])
         out[k] = acc / d0
     return out
-
-
-def series_multiply(f: TruncatedVector, g: TruncatedVector) -> TruncatedVector:
-    """Truncated Cauchy product; trusted order is the minimum of the inputs'."""
-    n = f.working_order
-    if g.working_order != n:
-        raise DimensionMismatchError("working orders differ")
-    prod = np.convolve(f.coeffs, g.coeffs)[:n]
-    return TruncatedVector(prod, min(f.trusted_order, g.trusted_order))
-
-
-def series_divide(
-    numerator: TruncatedVector,
-    divisor: TruncatedVector,
-    tol: ToleranceConfig | None = None,
-) -> TruncatedVector:
-    """Power-series quotient after stripping the divisor's z-valuation.
-
-    The divisor's exact valuation (count of leading coefficients below the
-    rank cutoff) is stripped from both operands; the numerator must vanish
-    to at least that order.  The quotient solves the triangular convolution
-    system; its trusted order is the numerator's minus the valuation.
-    """
-    tol = tol or DEFAULT_TOL
-    n = numerator.working_order
-    if divisor.working_order != n:
-        raise DimensionMismatchError("working orders differ")
-    dmax = float(np.abs(divisor.coeffs).max())
-    if dmax == 0.0:
-        raise IllConditionedDivisionError("division by the zero series")
-    # Only machine-level zeros count as exact valuation; a leading
-    # coefficient that is small but clearly nonzero cannot be told apart
-    # from dirt and makes the triangular solve meaningless.
-    v = divisor.valuation(1e-14 * dmax)
-    if v >= n:
-        raise IllConditionedDivisionError("divisor has no significant coefficient")
-    lead = divisor.coeffs[v]
-    if abs(lead) < tol.tau_rank * dmax:
-        raise IllConditionedDivisionError(
-            f"leading divisor coefficient {abs(lead):.3e} below the rank cutoff"
-        )
-    num_scale = float(np.abs(numerator.coeffs).max())
-    if num_scale > 0.0:
-        bad = np.abs(numerator.coeffs[:v]) > tol.tau_rank * num_scale
-        if bad.any():
-            raise DivisibilityError(
-                f"numerator valuation is below the divisor valuation {v}"
-            )
-    m = n - v
-    quot = _series_div_arrays(numerator.coeffs[v:], divisor.coeffs[v:], m)
-    out = np.zeros(n, dtype=np.complex128)
-    out[:m] = quot
-    trusted = max(0, min(numerator.trusted_order, divisor.trusted_order) - v)
-    return TruncatedVector(out, trusted)
 
 
 def is_inner_numeric(

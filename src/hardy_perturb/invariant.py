@@ -93,9 +93,6 @@ class SubspaceModel:
         vec[: qc.size] -= qc[:working_order]
         return TruncatedVector(vec, working_order)
 
-    def phi_vectors(self, working_order: int) -> list:
-        return [self.phi(i, working_order) for i in range(self.n)]
-
     def component_scaled(self, i: int, c: complex) -> "SubspaceModel":
         """Rescale the i-th component jointly: phi_i, p_i, q_i all scale by c."""
         p = list(self.p)

@@ -40,7 +40,6 @@ __all__ = [
     "NShift",
     "ShiftValidationReport",
     "TridiagonalKernel",
-    "c_coeff",
     "monomial_in_f_basis",
     "shift_from_columns",
     "shift_from_kernel",
@@ -128,16 +127,6 @@ class NShift:
         return int(rows.max()) if rows.size else -1
 
 
-def c_coeff(kernel: TridiagonalKernel, m: int, p: int) -> complex:
-    """The difference coefficient ``c_{m,p} = b_m - b_{m+p}``.
-
-    Vanishes for every ``m >= n`` because the ``b`` pattern has died out.
-    """
-    if m < 0 or p < 1:
-        raise ValueError("need m >= 0 and p >= 1")
-    return kernel.b_at(m) - kernel.b_at(m + p)
-
-
 def monomial_in_f_basis(
     kernel: TridiagonalKernel, m: int, working_order: int
 ) -> np.ndarray:
@@ -200,12 +189,7 @@ def shift_from_kernel(
     s[np.abs(s) < 1e-14 * max(1.0, float(np.abs(s).max()))] = 0.0
     mz = multiplication_by_z_matrix(working_order)
     f = s - mz
-    shift = NShift(
-        kernel.n,
-        OperatorMatrix(s, "monomial", ("shift", kernel.n + 2, kernel.n)),
-        OperatorMatrix(f, "monomial", ("zero", kernel.n + 2, kernel.n)),
-        provenance="kernel",
-    )
+    shift = NShift(kernel.n, OperatorMatrix(s), OperatorMatrix(f), provenance="kernel")
     report = validate_n_shift(shift, tol)
     if not report.clause_iii:
         raise NotLeftInvertibleError(
@@ -249,12 +233,7 @@ def shift_from_columns(
     if fdeg + 2 > working_order:
         raise TruncationError("perturbation support reaches the working order")
     s = multiplication_by_z_matrix(working_order) + f
-    shift = NShift(
-        n,
-        OperatorMatrix(s, "monomial", ("shift", fdeg + 1, n)),
-        OperatorMatrix(f, "monomial", ("zero", fdeg + 1, n)),
-        provenance="explicit",
-    )
+    shift = NShift(n, OperatorMatrix(s), OperatorMatrix(f), provenance="explicit")
     report = validate_n_shift(shift, tol)
     if strict and report.failures:
         raise DefinitionViolationError(

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .analysis import essential_normality_witness, gram_block, self_commutator
-from .commutant import commutant_element, hyperinvariance_check
+from .analysis import self_commutator
+from .commutant import _random_symbol, commutant_element, hyperinvariance_check
 from .core import (
     DEFAULT_TOL,
     Subspace,
@@ -37,6 +37,7 @@ from .invariant import (
 from .shifts import (
     NShift,
     TridiagonalKernel,
+    gram_columns,
     shift_from_columns,
     shift_from_kernel,
     validate_n_shift,
@@ -86,7 +87,7 @@ def _rank_one_shift(a0: complex, b0: complex, nw: int) -> NShift:
 def check_two_perturbation_block(nw: int, tol: ToleranceConfig) -> list:
     rows = []
     shift = _two_perturbation_example(nw)
-    block = gram_block(shift, 2)
+    block = gram_columns(shift, 2)
     expected = np.array([[2.0, 2.0], [2.0, 4.0]])
     err = float(np.abs(block - expected).max())
     rows.append(_row("2-perturbation: S*S top block [[2,2],[2,4]]",
@@ -125,7 +126,7 @@ def check_self_commutator(nw: int, tol: ToleranceConfig) -> list:
                              rep.min_eigenvalue < -0.05, nw))
             rows.append(_row("not hyponormal", False, rep.hyponormal, 0,
                              rep.hyponormal is False, nw))
-            ess, k = essential_normality_witness(shift)
+            ess, k = rep.essentially_normal, rep.block_size
             rows.append(_row("essentially normal with 3x3 block",
                              (True, 3), (ess, k), 0, ess and k == 3, nw))
     return rows
@@ -282,10 +283,7 @@ def check_commutant_suite(nw: int, tol: ToleranceConfig, seed: int) -> list:
     for kernel in kernels:
         shift = shift_from_kernel(kernel, nw, tol)
         for _ in range(50):
-            deg = int(rng.integers(1, 9))
-            radii = np.sqrt(rng.uniform(0.0, 1.0, deg + 1))
-            phases = rng.uniform(0.0, 2 * np.pi, deg + 1)
-            symbol = Polynomial(radii * np.exp(1j * phases))
+            symbol = _random_symbol(rng, 8)
             element = commutant_element(symbol, kernel, nw, tol, shift)
             comm = element.X.entries @ shift.S.entries - shift.S.entries @ element.X.entries
             worst_comm = max(worst_comm, float(np.abs(comm[: nw - 4, : nw - 4]).max()))

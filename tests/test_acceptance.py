@@ -19,7 +19,6 @@ from hardy_perturb import (
     commutant_element,
     essential_normality_witness,
     extract_model,
-    gram_block,
     hyperinvariance_check,
     krylov_closure,
     multiplication_by_z_matrix,
@@ -35,7 +34,10 @@ from hardy_perturb import (
     verify_model,
     wandering_dimension,
 )
+from hardy_perturb.shifts import gram_columns
 from hardy_perturb.suite import sample_conditioned_trial
+
+from conftest import rank_one_shift, theta_span, two_perturbation
 
 NW = 128
 THETA_HALF = BlaschkeProduct(1.0, (0.5,))
@@ -45,27 +47,9 @@ def _announce(number, text):
     print(f"PASS criterion {number}: {text}")
 
 
-def two_perturbation():
-    return shift_from_columns(2, [[0, 0, 1.0], [0, 0, 1.0]], NW)
-
-
-def rank_one(a0=1.0, b0=1.0):
-    return shift_from_columns(1, [[0.0, a0 - 1.0, b0]], NW)
-
-
-def theta_span(theta, count):
-    taylor = blaschke_taylor(theta, NW).coeffs
-    cols = []
-    for k in range(count):
-        c = np.zeros(NW, dtype=np.complex128)
-        c[k:] = taylor[: NW - k]
-        cols.append(c)
-    return orthonormalize(np.column_stack(cols))
-
-
 def test_criterion_1_two_perturbation_block():
-    shift = two_perturbation()
-    block = gram_block(shift, 2)
+    shift = two_perturbation(NW)
+    block = gram_columns(shift, 2)
     assert np.abs(block - np.array([[2.0, 2.0], [2.0, 4.0]])).max() < 1e-12
     assert numerical_rank(shift.F) == 1
     _announce(1, "2-perturbation Gram block [[2,2],[2,4]] and rank-1 F")
@@ -73,7 +57,7 @@ def test_criterion_1_two_perturbation_block():
 
 def test_criterion_2_self_commutator():
     for a0, b0, det in ((1.0, 1.0, -1.0), (1.0, 0.5, -0.25)):
-        rep = self_commutator(rank_one(a0, b0))
+        rep = self_commutator(rank_one_shift(a0, b0, NW))
         displayed = np.array([
             [abs(a0) ** 2 + abs(b0) ** 2, np.conj(b0), 0.0],
             [b0, 1.0 - abs(a0) ** 2, -a0 * np.conj(b0)],
@@ -85,7 +69,7 @@ def test_criterion_2_self_commutator():
             assert rep.rank == 3
             assert rep.min_eigenvalue < -0.05
             assert not rep.hyponormal
-            ess, k = essential_normality_witness(rank_one(a0, b0))
+            ess, k = essential_normality_witness(rank_one_shift(a0, b0, NW))
             assert ess and k == 3
     _announce(2, "self-commutator block, rank 3, determinant, non-hyponormality")
 
@@ -107,7 +91,7 @@ def test_criterion_4_subspace_pipeline():
     assert wandering_dimension(space, shift) == 1
     recovered = extract_model(space, shift)
     angle = principal_angles(
-        theta_span(model.theta, 60), theta_span(recovered.theta, 60)
+        theta_span(model.theta, 60, NW), theta_span(recovered.theta, 60, NW)
     ).max()
     assert angle < 1e-6
     cyc, witness = check_cyclic(space, model, shift)
@@ -119,7 +103,7 @@ def test_criterion_4_subspace_pipeline():
 
 def test_criterion_5_power_identities():
     mz = multiplication_by_z_matrix(NW)
-    for shift in (two_perturbation(), rank_one(1.0, 1.0)):
+    for shift in (two_perturbation(NW), rank_one_shift(1.0, 1.0, NW)):
         s = shift.S.entries
         n = shift.n
         s_n = np.linalg.matrix_power(s, n)
@@ -186,7 +170,7 @@ def test_criterion_7_commutant_suite():
 
 def test_criterion_8_baselines():
     # Unperturbed pipeline collapses to the classical picture.
-    span = theta_span(THETA_HALF, 60)
+    span = theta_span(THETA_HALF, 60, NW)
     wander = subspace_difference(span, multiplication_by_z_matrix(NW))
     theta_line = orthonormalize(blaschke_taylor(THETA_HALF, NW).coeffs[:, None])
     assert wander.dim == 1
@@ -204,7 +188,7 @@ def test_criterion_8_baselines():
 
 
 def test_criterion_9_restriction_isometry_witness():
-    shift = rank_one(1.0, 1.0)
+    shift = rank_one_shift(1.0, 1.0, NW)
     phi = s1_model(1.0, 1.0, THETA_HALF).phi(0, NW)
     ratio = np.linalg.norm(shift.S.entries @ phi.coeffs) / phi.norm()
     assert abs(ratio - 1.0) > 1e-3

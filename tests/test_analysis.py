@@ -4,11 +4,11 @@ import pytest
 from hardy_perturb import (
     TridiagonalKernel,
     essential_normality_witness,
-    gram_block,
     self_commutator,
     shift_from_kernel,
 )
 from hardy_perturb.errors import TruncationError
+from hardy_perturb.shifts import gram_columns
 
 from conftest import NW, rank_one_shift
 
@@ -77,16 +77,16 @@ class TestSelfCommutator:
 
 class TestGramBlock:
     def test_two_perturbation(self, two_perturbation_shift):
-        block = gram_block(two_perturbation_shift, 2)
+        block = gram_columns(two_perturbation_shift, 2)
         assert np.abs(block - np.array([[2.0, 2.0], [2.0, 4.0]])).max() < 1e-12
 
     def test_unperturbed_identity(self):
         kernel = TridiagonalKernel(1, (1.0,), (0.0,))
-        block = gram_block(shift_from_kernel(kernel, NW), 5)
+        block = gram_columns(shift_from_kernel(kernel, NW), 5)
         assert np.abs(block - np.eye(5)).max() < 1e-14
 
     def test_weighted_shift(self, weighted_shift):
-        assert gram_block(weighted_shift, 1)[0, 0] == pytest.approx(4.0)
+        assert gram_columns(weighted_shift, 1)[0, 0] == pytest.approx(4.0)
 
 
 class TestEssentialNormality:

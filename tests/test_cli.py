@@ -88,6 +88,19 @@ class TestShiftCommands:
         assert dumped.shape == (64, 64)
         assert dumped[2, 0] == 1.0  # the z^2 image of the constant
 
+    @pytest.mark.parametrize("tolerances,rank", [({}, 1), ({"tau_rank": 1e-12}, 2)],
+                             ids=["default", "tau_rank_1e-12"])
+    def test_build_perturbation_rank_uses_the_relative_cut(self, runner, tmp_path,
+                                                           tolerances, rank):
+        # Singular values 1 and 1e-9: below the default relative cut 1e-8,
+        # above 1e-12.
+        cfg = tmp_path / "cfg.json"
+        write(cfg, {"truncation": 64, "tolerances": tolerances,
+                    "input": {"n": 2, "columns": [[0, 1], [0, 0, 1e-9]]}})
+        result = invoke(runner, ["shift", "build", "--config", str(cfg)])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["report"]["perturbation_rank"] == rank
+
 
 class TestSubspaceCommands:
     def test_build(self, runner, tmp_path):
@@ -267,6 +280,21 @@ class TestConfigHandling:
         on_disk = json.loads(out.read_text())
         assert on_disk["report"]["passed"] is True
         assert on_disk["tool"] == "hardy-perturb"
+
+    def test_unknown_tolerance_rejected(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        write(cfg, {"input": TWO_PERTURBATION["input"], "truncation": 64,
+                    "tolerances": {"tau_orth": 1e-10}})
+        result = runner.invoke(main, ["shift", "verify", "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert "bad tolerances" in result.stderr
+
+    def test_dump_matrices_only_where_honoured(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        write(cfg, RANK_ONE)
+        result = runner.invoke(main, ["subspace", "codim", "--config", str(cfg),
+                                      "--dump-matrices"])
+        assert result.exit_code == 2
 
     def test_model_payload_where_shift_expected(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"

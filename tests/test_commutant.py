@@ -78,9 +78,7 @@ class TestCommutantElement:
     def test_correction_lower_block_closed_form(self):
         # Oracle: in rows at and beyond n, the correction matrix carries the
         # difference coefficients times the symbol, entry (t, m) being
-        # c_{m, t-m-1} alpha_{t-m-1}.
-        from hardy_perturb import c_coeff
-
+        # c_{m, t-m-1} alpha_{t-m-1} with c_{m, p} = b_m - b_{m+p}.
         kernel = TridiagonalKernel(2, (1.0, 1.0), (0.45, -0.3 + 0.2j))
         alpha = np.array([0.3, -0.2 + 0.1j, 0.7, 0.05j, -0.4, 0.22])
         element = commutant_element(Polynomial(alpha), kernel, NW)
@@ -89,7 +87,8 @@ class TestCommutantElement:
                 k = t - m - 1
                 if k < 1:
                     continue
-                expected = c_coeff(kernel, m, k) * (alpha[k] if k < alpha.size else 0.0)
+                c = kernel.b_at(m) - kernel.b_at(m + k)
+                expected = c * (alpha[k] if k < alpha.size else 0.0)
                 assert abs(element.N.entries[t, m] - expected) < 1e-14
 
     def test_correction_support(self, kernels):

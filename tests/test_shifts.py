@@ -3,7 +3,6 @@ import pytest
 
 from hardy_perturb import (
     TridiagonalKernel,
-    c_coeff,
     monomial_in_f_basis,
     multiplication_by_z_matrix,
     numerical_rank,
@@ -43,18 +42,19 @@ class TestKernelData:
 
 
 class TestCCoeff:
+    # The lagged differences c_{m,p} = b_m - b_{m+p} of the kernel data.
     def test_direct_difference(self):
         k = TridiagonalKernel(2, (1.0, 1.0), (0.5, 0.2))
-        assert c_coeff(k, 0, 1) == pytest.approx(0.3)
+        assert k.b_at(0) - k.b_at(1) == pytest.approx(0.3)
 
     def test_vanishes_beyond_truncation(self):
         k = TridiagonalKernel(2, (1.0, 1.0), (0.5, 0.2))
-        assert c_coeff(k, 2, 1) == 0.0
-        assert c_coeff(k, 5, 3) == 0.0
+        assert k.b_at(2) - k.b_at(3) == 0.0
+        assert k.b_at(5) - k.b_at(8) == 0.0
 
     def test_long_lag(self):
         k = TridiagonalKernel(1, (1.0,), (0.7,))
-        assert c_coeff(k, 0, 2) == pytest.approx(0.7)
+        assert k.b_at(0) - k.b_at(2) == pytest.approx(0.7)
 
 
 class TestMonomialInFBasis:
@@ -112,13 +112,15 @@ class TestShiftFromKernel:
 
     def test_closed_form_oracle_for_unit_a(self):
         # Independent construction of the shift columns from the closed-form
-        # monomial expansion: z f_m = f_{m+1} + c_{m,1} (z^{m+2} in f-basis).
+        # monomial expansion: z f_m = f_{m+1} + c_{m,1} (z^{m+2} in f-basis)
+        # with the difference coefficient c_{m,1} = b_m - b_{m+1}.
         k = TridiagonalKernel(2, (1.0, 1.0), (0.45, -0.3 + 0.2j))
         s = shift_from_kernel(k, NW)
         for m in range(6):
             expected = np.zeros(NW, dtype=complex)
             expected[m + 1] = 1.0
-            expected += c_coeff(k, m, 1) * monomial_in_f_basis(k, m + 2, NW)
+            c = k.b_at(m) - k.b_at(m + 1)
+            expected += c * monomial_in_f_basis(k, m + 2, NW)
             assert np.abs(s.S.entries[:, m] - expected).max() < 1e-14
 
     def test_perturbation_columns_confined(self):
