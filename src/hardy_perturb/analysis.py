@@ -7,6 +7,10 @@ truncated plain shift carries a spurious ``-1`` in the bottom-right corner
 of ``S*S`` (its last column loses the pushed-out coefficient), absent from
 the true operator.  That single entry is corrected and the correction is
 recorded in every report.
+
+Only the leading window of ``[S*, S]`` that covers the finite block of
+``S`` is formed: outside it the commutator is the plain shift's, which is
+zero once the corner artifact is masked.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_TOL, ToleranceConfig, numerical_rank
-from .errors import TruncationError
-from .shifts import NShift
+from .errors import PreconditionError, TruncationError
+from .shifts import Z_SYMBOL, NShift
 
 __all__ = [
     "CommutatorReport",
@@ -25,6 +29,9 @@ __all__ = [
     "self_commutator",
 ]
 
+# Entries of the masked commutator above this magnitude count as nonzero:
+# they set the block size, and any outside the block breaks essential
+# normality.
 _OUTSIDE_CUT = 1e-12
 
 
@@ -41,6 +48,7 @@ class CommutatorReport:
     hyponormal: bool
     hermitian_defect: float
     mask_note: str
+    hyponormal_tolerance: float
 
     def to_json(self) -> dict:
         return {
@@ -53,6 +61,8 @@ class CommutatorReport:
             "hyponormal": self.hyponormal,
             "hermitian_defect": self.hermitian_defect,
             "mask_note": self.mask_note,
+            "hyponormal_tolerance": self.hyponormal_tolerance,
+            "outside_cut": _OUTSIDE_CUT,
         }
 
 
@@ -60,7 +70,10 @@ def self_commutator(shift: NShift, tol: ToleranceConfig | None = None) -> Commut
     """Compute ``S*S - SS*``, mask the corner artifact, and classify.
 
     Requires the working order to clear twice the perturbation support so
-    the finite block sits away from the truncation boundary.
+    the finite block sits away from the truncation boundary.  The
+    commutator is formed on the leading window two past the block of ``S``
+    (the whole matrix when ``S`` is a plain array); ``S`` must be ``M_z``
+    outside its block for the rest to vanish.
     """
     tol = tol or DEFAULT_TOL
     nw = shift.working_order
@@ -69,9 +82,15 @@ def self_commutator(shift: NShift, tol: ToleranceConfig | None = None) -> Commut
         raise TruncationError(
             f"working order {nw} too small for perturbation support {support}"
         )
-    s = shift.S.entries
-    comm = s.conj().T @ s - s @ s.conj().T
-    comm[nw - 1, nw - 1] += 1.0
+    s = shift.S
+    w = min(nw, s.block_size + 2)
+    if w < nw and not np.array_equal(s.symbol, Z_SYMBOL):
+        raise PreconditionError("S must be M_z outside its finite block")
+    cols = s.window(s.reach(w), w)
+    top = cols[:w]
+    comm = cols.conj().T @ cols - top @ top.conj().T
+    if w == nw:
+        comm[nw - 1, nw - 1] += 1.0
     note = (
         f"corner entry ({nw - 1}, {nw - 1}) raised by 1: the truncated plain "
         "shift loses its last column, which is absent from the true operator"
@@ -99,6 +118,7 @@ def self_commutator(shift: NShift, tol: ToleranceConfig | None = None) -> Commut
         hyponormal=bool(min_eig >= -tol.tau_res),
         hermitian_defect=herm_defect,
         mask_note=note,
+        hyponormal_tolerance=tol.tau_res,
     )
 
 

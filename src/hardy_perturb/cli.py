@@ -189,6 +189,8 @@ def shift_powers(m_max, config_path, truncation, seed, out_path):
     cfg = load_config(config_path, truncation, seed)
     s, _ = resolve_shift(cfg)
     m_top = m_max if m_max is not None else int(cfg.options.get("m_max", s.n + 4))
+    if m_top < 1:
+        raise ConfigError(f"m_max must be at least 1, got {m_top}")
     rep = verify_power_identities(s, m_top, cfg.tolerances, seed=cfg.seed)
     _report(cfg, "shift powers", rep, out_path)
     _finish(rep["passed"])

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     DEFAULT_TOL,
@@ -26,14 +25,13 @@ from .core import (
 )
 from .errors import HardyPerturbError, PreconditionError
 from .inner import Polynomial
-from .shifts import NShift, TridiagonalKernel, f_basis_matrix, shift_from_kernel
+from .shifts import NShift, TridiagonalKernel, relabeled_window, shift_from_kernel
 
 __all__ = [
     "CommutantElement",
     "commutant_element",
     "hyperinvariance_check",
     "irreducibility_probe",
-    "toeplitz_matrix",
     "verify_commutation",
 ]
 
@@ -52,16 +50,6 @@ class CommutantElement:
         return self.X.working_order
 
 
-def toeplitz_matrix(symbol: Polynomial, working_order: int) -> np.ndarray:
-    """Lower-triangular Toeplitz matrix of multiplication by a polynomial."""
-    col = np.zeros(working_order, dtype=np.complex128)
-    c = symbol.coeffs
-    col[: min(c.size, working_order)] = c[:working_order]
-    row = np.zeros(working_order, dtype=np.complex128)
-    row[0] = col[0]
-    return scipy.linalg.toeplitz(col, row)
-
-
 def commutant_element(
     symbol: Polynomial,
     kernel: TridiagonalKernel,
@@ -72,7 +60,8 @@ def commutant_element(
     """Build the commutant member with a given polynomial symbol.
 
     The multiplication matrix in f-basis coordinates comes from the same
-    triangular change-of-basis solve as the shift construction; relabeling
+    triangular change-of-basis solve as the shift construction, on the
+    leading ``n + deg + 2`` window where it differs from ``T``; relabeling
     to the monomial basis gives ``X``, the Toeplitz part is read off the
     symbol directly, and ``N = X - T``.  The structural invariants
     (``N`` supported in the first ``n`` columns, ``X`` commuting with the
@@ -82,24 +71,20 @@ def commutant_element(
     tol = tol or DEFAULT_TOL
     if symbol.degree >= working_order - kernel.n - 2:
         raise PreconditionError("symbol degree too close to the working order")
-    g = f_basis_matrix(kernel, working_order)
-    t_mat = toeplitz_matrix(symbol, working_order)
-    x = scipy.linalg.solve_triangular(g, t_mat @ g, lower=True)
-    x[np.abs(x) < 1e-14 * max(1.0, float(np.abs(x).max()))] = 0.0
-    n_mat = x - t_mat
-    scale = max(1.0, float(np.abs(x).max()))
-    if kernel.n < working_order:
-        spill = float(np.abs(n_mat[:, kernel.n :]).max())
-        if spill > tol.tau_res * scale:
-            raise HardyPerturbError(
-                f"internal consistency: N has column support beyond n "
-                f"(max magnitude {spill:.3e})"
-            )
+    width = kernel.n + symbol.degree + 2
+    x = relabeled_window(kernel, symbol.coeffs, width, working_order)
+    t = OperatorMatrix.toeplitz(symbol.coeffs, working_order)
+    n_op = OperatorMatrix(x.block - t.window(width), size=working_order)
+    scale = max(1.0, x.max_abs())
+    spill = n_op.max_abs(cols=slice(kernel.n, None))
+    if spill > tol.tau_res * scale:
+        raise HardyPerturbError(
+            f"internal consistency: N has column support beyond n "
+            f"(max magnitude {spill:.3e})"
+        )
     if shift is None:
         shift = shift_from_kernel(kernel, working_order, tol)
-    element = CommutantElement(
-        symbol, OperatorMatrix(x), OperatorMatrix(t_mat), OperatorMatrix(n_mat)
-    )
+    element = CommutantElement(symbol, x, t, n_op)
     resid = verify_commutation(element.X, shift, tol)
     if resid > tol.tau_res * scale:
         raise HardyPerturbError(
@@ -109,16 +94,18 @@ def commutant_element(
 
 
 def verify_commutation(X, shift: NShift, tol: ToleranceConfig | None = None) -> float:
-    """Max-norm of ``XS - SX`` away from the truncation boundary."""
-    x = X.entries if isinstance(X, OperatorMatrix) else np.asarray(X, dtype=np.complex128)
-    s = shift.S.entries
-    if x.shape != s.shape:
+    """Max-norm of ``XS - SX`` away from the truncation boundary.
+
+    ``X`` is an :class:`OperatorMatrix` or a square array.
+    """
+    x = X if isinstance(X, OperatorMatrix) else OperatorMatrix(X)
+    s = shift.S
+    if x.size != s.size:
         raise PreconditionError("operator and shift working orders differ")
-    nw = s.shape[0]
     guard = max(band_spread(x)[0], band_spread(s)[0], 1) + 1
     comm = x @ s - s @ x
-    r = nw - guard
-    return float(np.abs(comm[:r, :r]).max()) if r > 0 else 0.0
+    r = s.size - guard
+    return comm.max_abs(slice(None, r), slice(None, r)) if r > 0 else 0.0
 
 
 def _random_symbol(rng: np.random.Generator, max_degree: int) -> Polynomial:
@@ -188,7 +175,7 @@ def irreducibility_probe(
     if subspaces is None:
         rng = np.random.default_rng(seed)
         subspaces = []
-        depth = min((nw - 2) // max(band_spread(shift.S.entries)[0], 1), nw // 2)
+        depth = min((nw - 2) // max(band_spread(shift.S)[0], 1), nw // 2)
         for _ in range(3):
             deg = int(rng.integers(1, 5))
             coeffs = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
@@ -202,7 +189,7 @@ def irreducibility_probe(
             samples.append({"dimension": M.dim, "skipped": "trivial"})
             continue
         rows = M.frontier if M.frontier is not None else M.trusted_order
-        rows = max(1, rows - band_spread(shift.S.entries)[0] - 1)
+        rows = max(1, rows - band_spread(shift.S)[0] - 1)
         escape = invariance_residual(M, adjoint, rows=rows)
         is_reducing = escape <= tol.tau_res
         reducing_found = reducing_found or is_reducing

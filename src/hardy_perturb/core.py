@@ -6,8 +6,9 @@ wrapped in three small value types:
 * :class:`TruncatedVector` holds the monomial coefficients of a function up
   to a working order, together with a trusted order marking the prefix that
   is exact for the modeled infinite object.
-* :class:`OperatorMatrix` holds a dense matrix in the monomial basis
-  (column ``m`` is the image of ``z**m``).
+* :class:`OperatorMatrix` holds an operator in the monomial basis (column
+  ``m`` is the image of ``z**m``) as a lower Toeplitz symbol plus a finite
+  leading block; its dense matrix is built only when ``entries`` is read.
 * :class:`Subspace` holds an orthonormal basis of a finite-dimensional
   approximation of a closed subspace.
 
@@ -17,6 +18,7 @@ functions, so everything here is safe to evaluate concurrently.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,46 +168,172 @@ class TruncatedVector:
         return cls(np.zeros(working_order, dtype=np.complex128), working_order)
 
 
-def band_spread(a: np.ndarray, rel_tol: float = 1e-12) -> tuple[int, int]:
+def band_spread(a, rel_tol: float = 1e-12) -> tuple[int, int]:
     """Index spread of a matrix band around the diagonal.
 
     Returns ``(below, above)`` where ``below`` is the largest ``i - j`` and
     ``above`` the largest ``j - i`` over entries with magnitude exceeding
     ``rel_tol`` times the largest magnitude.  ``below`` measures how far an
     operator raises degree; ``above`` how far it lowers it.  Both are 0 for
-    the zero matrix.
+    the zero matrix.  ``a`` is an array or an :class:`OperatorMatrix`, whose
+    Toeplitz diagonals are read off its symbol.
     """
-    a = np.asarray(a)
-    mags = np.abs(a)
-    top = mags.max() if mags.size else 0.0
-    if top == 0.0:
+    if isinstance(a, OperatorMatrix):
+        block, present = a.block, a._present()
+        diags, diag_mags = np.flatnonzero(present), np.abs(a.symbol[present])
+    else:
+        block, diags, diag_mags = np.asarray(a), np.zeros(0, int), np.zeros(0)
+    mags = np.abs(block)
+    cut = rel_tol * max(mags.max(initial=0.0), diag_mags.max(initial=0.0))
+    rows, cols = np.nonzero(mags > cut)
+    kept = np.concatenate([rows - cols, diags[diag_mags > cut]])
+    if kept.size == 0:
         return 0, 0
-    rows, cols = np.nonzero(mags > rel_tol * top)
-    if rows.size == 0:
-        return 0, 0
-    below = int(max(0, (rows - cols).max()))
-    above = int(max(0, (cols - rows).max()))
-    return below, above
+    return int(max(0, kept.max())), int(max(0, -kept.min()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Dense matrix of an operator in the monomial basis.
+    """An operator in the monomial basis: lower Toeplitz part plus a finite block.
 
-    Column ``m`` holds the image of ``z**m``.
+    Column ``m`` holds the image of ``z**m``.  On the ``size`` x ``size``
+    truncation, entry ``(i, j)`` is ``block[i, j]`` inside the leading
+    ``k`` x ``k`` block (``k = block_size``) and ``symbol[i - j]`` outside
+    it (zero above the diagonal and beyond the symbol).  ``M_z`` is the
+    symbol ``[0, 1]``, ``T_phi`` carries the coefficients of ``phi``, and a
+    plain array is the degenerate case: no symbol, the whole matrix as the
+    block.
+
+    Window-exactness rule: outside a leading window that covers the blocks
+    of the operands plus the symbol degree of the left factor, a product or
+    difference of two such operators is exactly the Toeplitz matrix of the
+    convolved (or subtracted) symbols.  Products, differences, max-norms and
+    images of vectors therefore work on that window and on the symbols, and
+    cost nothing of order ``size**2`` unless a block is that large.
+    ``entries``, the dense matrix, is built on first access and cached
+    read-only.
     """
 
-    entries: np.ndarray
+    block: np.ndarray
+    symbol: np.ndarray = ()
+    size: int | None = None
 
     def __post_init__(self):
-        arr = _frozen_array(self.entries)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        blk = _frozen_array(self.block)
+        if blk.ndim != 2 or blk.shape[0] != blk.shape[1]:
             raise DimensionMismatchError("operator matrix must be square")
-        object.__setattr__(self, "entries", arr)
+        size = blk.shape[0] if self.size is None else int(self.size)
+        if size < blk.shape[0]:
+            raise DimensionMismatchError("block exceeds the working order")
+        sym = _frozen_array(np.asarray(self.symbol, dtype=np.complex128).ravel()[:size])
+        object.__setattr__(self, "block", blk)
+        object.__setattr__(self, "symbol", sym)
+        object.__setattr__(self, "size", size)
+
+    @classmethod
+    def toeplitz(cls, symbol, size: int) -> "OperatorMatrix":
+        """Lower Toeplitz matrix of multiplication by the given coefficients."""
+        return cls(np.zeros((0, 0), dtype=np.complex128), symbol, size)
 
     @property
     def working_order(self) -> int:
-        return self.entries.shape[0]
+        return self.size
+
+    @property
+    def block_size(self) -> int:
+        return self.block.shape[0]
+
+    @functools.cached_property
+    def entries(self) -> np.ndarray:
+        if self.block_size == self.size:
+            return self.block
+        dense = self.window(self.size)
+        dense.setflags(write=False)
+        return dense
+
+    def window(self, rows: int, cols: int | None = None) -> np.ndarray:
+        """The dense leading ``rows`` x ``cols`` part of the matrix (a new array)."""
+        cols = rows if cols is None else cols
+        out = np.zeros((rows, cols), dtype=np.complex128)
+        for d, c in enumerate(self.symbol[:rows]):
+            i = np.arange(d, min(rows, cols + d))
+            out[i, i - d] = c
+        k = self.block_size
+        out[: min(rows, k), : min(cols, k)] = self.block[:rows, :cols]
+        return out
+
+    def reach(self, cols: int) -> int:
+        """Number of leading rows holding every entry of the first ``cols`` columns."""
+        if cols <= 0:
+            return 0
+        return min(self.size, max(self.block_size, cols + self._degree))
+
+    @property
+    def _degree(self) -> int:
+        return max(self.symbol.shape[0] - 1, 0)
+
+    def _present(self) -> np.ndarray:
+        """Mask of the symbol diagonals with an entry outside the block."""
+        d = np.arange(self.symbol.shape[0])
+        return np.maximum(d, self.block_size) < self.size
+
+    def last_nonzero_row(self) -> int:
+        """Largest row index carrying a nonzero entry (-1 for the zero matrix)."""
+        if (self.symbol[self._present()] != 0).any():
+            return self.size - 1
+        rows = np.flatnonzero(np.abs(self.block).max(axis=1, initial=0.0) > 0)
+        return int(rows.max()) if rows.size else -1
+
+    def max_abs(self, rows: slice = slice(None), cols: slice = slice(None)) -> float:
+        """Largest entry magnitude over ``matrix[rows, cols]`` (0 when empty)."""
+        r0, r1, _ = rows.indices(self.size)
+        c0, c1, _ = cols.indices(self.size)
+        k = self.block_size
+        part = self.block[r0:min(r1, k), c0:min(c1, k)]
+        out = float(np.abs(part).max()) if part.size else 0.0
+        # Diagonal d holds (i, i - d); outside the block means i >= k.
+        d = np.arange(self.symbol.shape[0])
+        hit = np.maximum(max(r0, k), c0 + d) < np.minimum(r1, c1 + d)
+        if hit.any():
+            out = max(out, float(np.abs(self.symbol[hit]).max()))
+        return out
+
+    def _check_size(self, other: "OperatorMatrix") -> None:
+        if not isinstance(other, OperatorMatrix):
+            raise TypeError("operand must be an OperatorMatrix")
+        if other.size != self.size:
+            raise DimensionMismatchError("working orders differ")
+
+    def __matmul__(self, other):
+        """Product with another operator, or the image of a coefficient vector."""
+        if isinstance(other, np.ndarray) and other.ndim == 1:
+            if other.shape[0] != self.size:
+                raise DimensionMismatchError("vector length differs from working order")
+            k = self.block_size
+            out = np.zeros(self.size, dtype=np.complex128)
+            out[:k] = self.block @ other[:k]
+            if self.symbol.size:
+                out[k:] = np.convolve(self.symbol, other)[k: self.size]
+            return out
+        self._check_size(other)
+        # With A = T_a + D_a (D_a inside A's block), T_a D_b spills deg(a) rows
+        # below the block of B; D_a T_b and D_a D_b stay inside the block of A
+        # because both Toeplitz parts are lower triangular.
+        w = max(self.block_size, other.block_size + self._degree if other.block_size else 0)
+        w = min(w, self.size)
+        block = self.window(w) @ other.window(w)
+        symbol = ()
+        if self.symbol.size and other.symbol.size:
+            symbol = np.convolve(self.symbol, other.symbol)
+        return OperatorMatrix(block, symbol, self.size)
+
+    def __sub__(self, other):
+        self._check_size(other)
+        w = max(self.block_size, other.block_size)
+        symbol = np.zeros(max(self.symbol.size, other.symbol.size), dtype=np.complex128)
+        symbol[: self.symbol.size] += self.symbol
+        symbol[: other.symbol.size] -= other.symbol
+        return OperatorMatrix(self.window(w) - other.window(w), symbol, self.size)
 
 
 def multiplication_by_z_matrix(working_order: int) -> np.ndarray:

@@ -25,13 +25,13 @@ from .core import (
     ToleranceConfig,
     DEFAULT_TOL,
     band_spread,
-    multiplication_by_z_matrix,
 )
 from .errors import (
     DefinitionViolationError,
     DimensionMismatchError,
     InvalidKernelError,
     NotLeftInvertibleError,
+    PreconditionError,
     TruncationError,
     UnsupportedConfigurationError,
 )
@@ -46,6 +46,16 @@ __all__ = [
     "validate_n_shift",
     "verify_power_identities",
 ]
+
+# Symbol of M_z, the Toeplitz part of every n-shift.
+Z_SYMBOL = (0.0, 1.0)
+# Entries of a window solve below this fraction of its largest magnitude
+# (at least 1) are structural zeros carrying roundoff; they are snapped to 0.
+_STRUCTURAL_ZERO = 1e-14
+# Clause (iii) holds when the Gram block's smallest eigenvalue exceeds this.
+_CLAUSE_III_FLOOR = 1e-12
+# The power identities pass when every worst residual stays below this.
+_POWERS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -123,8 +133,7 @@ class NShift:
 
     def perturbation_degree(self) -> int:
         """Largest row index carrying a nonzero entry of F (-1 when F = 0)."""
-        rows = np.nonzero(np.abs(self.F.entries).max(axis=1) > 0)[0]
-        return int(rows.max()) if rows.size else -1
+        return self.F.last_nonzero_row()
 
 
 def monomial_in_f_basis(
@@ -166,6 +175,26 @@ def f_basis_matrix(kernel: TridiagonalKernel, working_order: int) -> np.ndarray:
     return g
 
 
+def relabeled_window(
+    kernel: TridiagonalKernel, symbol, width: int, working_order: int
+) -> OperatorMatrix:
+    """Multiplication by a polynomial symbol in f-basis coordinates.
+
+    The matrix is ``G^{-1} T G`` with ``G`` the lower-bidiagonal f-basis
+    columns and ``T`` the Toeplitz matrix of the symbol; relabeling
+    ``f_m -> z^m`` reads it on the monomial basis.  ``f_m = z^m`` for
+    ``m >= n``, so the product differs from ``T`` only in the first ``n``
+    columns, down to row ``n + deg``; a ``width`` covering that is exact,
+    and only that window is solved.  Structural zeros are snapped.
+    """
+    t = OperatorMatrix.toeplitz(symbol, working_order)
+    g = f_basis_matrix(kernel, width)
+    x = scipy.linalg.solve_triangular(g, t.window(width) @ g, lower=True)
+    scale = max(1.0, OperatorMatrix(x, t.symbol, working_order).max_abs())
+    x[np.abs(x) < _STRUCTURAL_ZERO * scale] = 0.0
+    return OperatorMatrix(x, t.symbol, working_order)
+
+
 def shift_from_kernel(
     kernel: TridiagonalKernel,
     working_order: int,
@@ -177,19 +206,15 @@ def shift_from_kernel(
     change-of-basis solve (the columns ``f_m`` form a banded lower-triangular
     invertible matrix since every ``a_s`` is nonzero); relabeling
     ``f_m -> z^m`` turns it into the shift matrix on the monomial basis.
+    Only the leading ``n + 2`` window differs from ``M_z``, so only that
+    window is solved.
     """
     tol = tol or DEFAULT_TOL
     if working_order < kernel.n + 3:
         raise TruncationError("working order too small for this kernel")
-    g = f_basis_matrix(kernel, working_order)
-    zg = multiplication_by_z_matrix(working_order) @ g
-    s = scipy.linalg.solve_triangular(g, zg, lower=True)
-    # Entries of the solve are exact zeros only up to roundoff; snap the
-    # structural zeros so support scans stay exact.
-    s[np.abs(s) < 1e-14 * max(1.0, float(np.abs(s).max()))] = 0.0
-    mz = multiplication_by_z_matrix(working_order)
-    f = s - mz
-    shift = NShift(kernel.n, OperatorMatrix(s), OperatorMatrix(f), provenance="kernel")
+    s = relabeled_window(kernel, Z_SYMBOL, kernel.n + 2, working_order)
+    mz = OperatorMatrix.toeplitz(Z_SYMBOL, working_order)
+    shift = NShift(kernel.n, s, s - mz, provenance="kernel")
     report = validate_n_shift(shift, tol)
     if not report.clause_iii:
         raise NotLeftInvertibleError(
@@ -223,17 +248,19 @@ def shift_from_columns(
             f"expected exactly {n} perturbation columns, got {len(cols)}",
             clauses=["(i)"],
         )
-    f = np.zeros((working_order, working_order), dtype=np.complex128)
+    if n > working_order or any(c.shape[0] > working_order for c in cols):
+        raise DimensionMismatchError("perturbation columns exceed the working order")
+    width = max([n] + [c.shape[0] for c in cols])
+    f = np.zeros((width, width), dtype=np.complex128)
     for m, c in enumerate(cols):
-        if c.shape[0] > working_order:
-            raise DimensionMismatchError("column longer than working order")
         f[: c.shape[0], m] = c
     fdeg_rows = np.nonzero(np.abs(f).max(axis=1) > 0)[0]
     fdeg = int(fdeg_rows.max()) + 1 if fdeg_rows.size else 0
     if fdeg + 2 > working_order:
         raise TruncationError("perturbation support reaches the working order")
-    s = multiplication_by_z_matrix(working_order) + f
-    shift = NShift(n, OperatorMatrix(s), OperatorMatrix(f), provenance="explicit")
+    mz = OperatorMatrix.toeplitz(Z_SYMBOL, working_order)
+    s = OperatorMatrix(mz.window(width) + f, Z_SYMBOL, working_order)
+    shift = NShift(n, s, OperatorMatrix(f, size=working_order), provenance="explicit")
     report = validate_n_shift(shift, tol)
     if strict and report.failures:
         raise DefinitionViolationError(
@@ -275,6 +302,7 @@ class ShiftValidationReport:
             "clause_iii": self.clause_iii,
             "min_eigenvalue": self.min_eigenvalue,
             "block_size": self.block_size,
+            "min_eigenvalue_floor": _CLAUSE_III_FLOOR,
             "passed": self.passed,
         }
 
@@ -283,13 +311,14 @@ def gram_columns(shift: NShift, size: int) -> np.ndarray:
     """Exact top-left block of ``S*S`` from the stored shift columns.
 
     Exact as long as the requested columns keep their full image inside the
-    working order, i.e. ``size + band spread <= working order``.
+    working order, i.e. ``size + band spread <= working order``.  Only the
+    rows those columns reach are formed.
     """
-    mat = shift.S.entries
-    below, _ = band_spread(mat)
-    if size + below > mat.shape[0]:
+    s = shift.S
+    below, _ = band_spread(s)
+    if size + below > s.size:
         raise TruncationError("gram block reaches the truncation boundary")
-    cols = mat[:, :size]
+    cols = s.window(s.reach(size), size)
     return cols.conj().T @ cols
 
 
@@ -302,18 +331,16 @@ def validate_n_shift(shift: NShift, tol: ToleranceConfig | None = None) -> Shift
     block size because ``S*S`` differs from the identity only there.
     """
     tol = tol or DEFAULT_TOL
-    f = shift.F.entries
-    nw = f.shape[0]
+    f = shift.F
+    nw = f.size
     n = shift.n
-    clause_i = bool(np.abs(f[:, n:]).max() == 0.0) if n < nw else True
-    clause_ii = True
-    for m in range(min(n, nw)):
-        if np.abs(f[: m + 1, m]).max(initial=0.0) > 0.0:
-            clause_ii = False
-            break
+    clause_i = f.max_abs(cols=slice(n, None)) == 0.0
+    clause_ii = all(
+        f.max_abs(slice(None, m + 1), slice(m, m + 1)) == 0.0 for m in range(min(n, nw))
+    )
     fdeg = shift.perturbation_degree()
     block = max(n, fdeg + 1)
-    block = min(block, nw - max(band_spread(shift.S.entries)[0], 1))
+    block = min(block, nw - max(band_spread(shift.S)[0], 1))
     gram = gram_columns(shift, block) if block > 0 else np.zeros((0, 0))
     if block > 0:
         herm = (gram + gram.conj().T) / 2.0
@@ -321,7 +348,7 @@ def validate_n_shift(shift: NShift, tol: ToleranceConfig | None = None) -> Shift
         min_eig = float(min(eigs[0], 1.0))
     else:
         min_eig = 1.0
-    clause_iii = bool(min_eig > 1e-12)
+    clause_iii = bool(min_eig > _CLAUSE_III_FLOOR)
     return ShiftValidationReport(clause_i, clause_ii, clause_iii, min_eig, block)
 
 
@@ -342,25 +369,31 @@ def verify_power_identities(
     * ``p_degree`` and ``p_tail``: the polynomial ``p`` with
       ``S^m f = z^m (f + p)`` recovered by shifting down, with the residual
       beyond the recovered degree.
+
+    The powers are structured operators, so every max-norm covers the whole
+    truncated matrix at the cost of a window of size ``n + m_max``.  The
+    report passes when each worst residual stays below ``tolerance``.
     """
     tol = tol or DEFAULT_TOL
-    s = shift.S.entries
-    nw = s.shape[0]
+    if m_max < 1:
+        raise PreconditionError(f"m_max must be at least 1, got {m_max}")
+    s = shift.S
+    nw = s.size
     n = shift.n
     below, _ = band_spread(s)
     if m_max * max(below, 1) >= nw - 2:
         raise TruncationError("m_max too large for the working order")
-    mz = multiplication_by_z_matrix(nw)
+    mz = OperatorMatrix.toeplitz(Z_SYMBOL, nw)
     rng = np.random.default_rng(seed)
     fvec = rng.standard_normal(nw) + 1j * rng.standard_normal(nw)
     fvec /= np.linalg.norm(fvec)
 
-    s_pow = np.eye(nw, dtype=np.complex128)
+    s_pow = OperatorMatrix.toeplitz((1.0,), nw)
     s_powers = [s_pow]
     for _ in range(m_max):
         s_pow = s @ s_pow
         s_powers.append(s_pow)
-    mz_pow = np.eye(nw, dtype=np.complex128)
+    mz_pow = OperatorMatrix.toeplitz((1.0,), nw)
     mz_powers = [mz_pow]
     for _ in range(m_max + n):
         mz_pow = mz @ mz_pow
@@ -371,12 +404,12 @@ def verify_power_identities(
     for m in range(1, m_max + 1):
         row = {"m": m}
         img = s_powers[m] @ fvec
-        row["low_rows"] = float(np.abs(img[:m]).max()) if m > 0 else 0.0
+        row["low_rows"] = float(np.abs(img[:m]).max())
         if m >= n + 1:
             diff = s_powers[m] - mz_powers[m - n] @ s_powers[n]
-            row["factor"] = float(np.abs(diff).max())
+            row["factor"] = diff.max_abs()
         diff2 = mz_powers[m + n] - s_powers[m] @ mz_powers[n]
-        row["commute"] = float(np.abs(diff2).max())
+        row["commute"] = diff2.max_abs()
         # S^m f = z^m (f + p): shift down by m and subtract f.
         shifted = img[m:]
         p = shifted - fvec[: nw - m]
@@ -393,4 +426,5 @@ def verify_power_identities(
         "commute": max(c["commute"] for c in checks),
     }
     return {"m_max": m_max, "checks": checks, "worst": worst,
-            "passed": all(v < 1e-12 for v in worst.values())}
+            "tolerance": _POWERS_TOL,
+            "passed": all(v < _POWERS_TOL for v in worst.values())}

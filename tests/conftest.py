@@ -4,10 +4,9 @@ import pytest
 from hardy_perturb import (
     BlaschkeProduct,
     TridiagonalKernel,
-    blaschke_taylor,
-    orthonormalize,
     shift_from_columns,
     shift_from_kernel,
+    suite,
 )
 
 NW = 96
@@ -48,23 +47,17 @@ def weighted_shift():
 
 def two_perturbation(nw=NW):
     """The rank-one 2-perturbation sending both 1 and z to z^2."""
-    return shift_from_columns(2, [[0, 0, 1.0], [0, 0, 1.0]], nw)
+    return suite._two_perturbation_example(nw)
 
 
 def rank_one_shift(a0, b0, nw=NW):
     """The 1-shift sending 1 to a0 z + b0 z^2 via explicit columns."""
-    return shift_from_columns(1, [[0.0, a0 - 1.0, b0]], nw)
+    return suite._rank_one_shift(a0, b0, nw)
 
 
 def theta_span(theta, count, nw=NW):
     """Orthonormal basis of span{theta, z theta, ..., z^(count-1) theta}."""
-    taylor = blaschke_taylor(theta, nw).coeffs
-    cols = []
-    for k in range(count):
-        c = np.zeros(nw, dtype=np.complex128)
-        c[k:] = taylor[: nw - k]
-        cols.append(c)
-    return orthonormalize(np.column_stack(cols))
+    return suite._theta_span(theta, nw, count, None)
 
 
 def theta_half_taylor_oracle(nw):

@@ -73,6 +73,34 @@ class TestShiftCommands:
         doc = json.loads(result.output)
         assert all(v < 1e-12 for v in doc["report"]["worst"].values())
 
+    @pytest.mark.parametrize("m_max", ["0", "-2"])
+    def test_powers_m_max_below_one_is_a_config_error(self, runner, tmp_path, m_max):
+        cfg = tmp_path / "cfg.json"
+        write(cfg, RANK_ONE)
+        result = runner.invoke(main, ["shift", "powers", "--config", str(cfg),
+                                      "--m-max", m_max])
+        assert result.exit_code == 2
+        assert "m_max must be at least 1" in result.stderr
+
+    def test_powers_config_m_max_below_one_is_a_config_error(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        write(cfg, {**RANK_ONE, "m_max": 0})
+        result = runner.invoke(main, ["shift", "powers", "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert "m_max must be at least 1" in result.stderr
+
+    def test_reports_echo_their_thresholds(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        write(cfg, RANK_ONE)
+        verify = json.loads(invoke(runner, ["shift", "verify", "--config", str(cfg)]).stdout)
+        assert verify["report"]["min_eigenvalue_floor"] == 1e-12
+        powers = json.loads(invoke(runner, ["shift", "powers", "--config", str(cfg)]).stdout)
+        assert powers["report"]["tolerance"] == 1e-12
+        normality = json.loads(
+            invoke(runner, ["analyze", "normality", "--config", str(cfg)]).stdout)
+        assert normality["report"]["outside_cut"] == 1e-12
+        assert normality["report"]["hyponormal_tolerance"] == 1e-8
+
     def test_build_writes_matrices(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
         write(cfg, TWO_PERTURBATION)

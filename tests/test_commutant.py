@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hardy_perturb import (
+    OperatorMatrix,
     Polynomial,
     TridiagonalKernel,
     TruncatedVector,
@@ -15,7 +16,6 @@ from hardy_perturb import (
     shift_from_kernel,
     verify_commutation,
 )
-from hardy_perturb.commutant import toeplitz_matrix
 from hardy_perturb.errors import PreconditionError
 
 from conftest import NW
@@ -191,7 +191,7 @@ class TestIrreducibility:
 
 
 def test_toeplitz_matrix_shape():
-    t = toeplitz_matrix(Polynomial([1.0, 2.0]), 5)
+    t = OperatorMatrix.toeplitz(Polynomial([1.0, 2.0]).coeffs, 5).entries
     assert np.array_equal(np.diagonal(t), np.ones(5))
     assert np.array_equal(np.diagonal(t, -1), 2.0 * np.ones(4))
     assert np.abs(np.triu(t, 1)).max() == 0.0
