@@ -236,7 +236,7 @@ def subspace_build(config_path, truncation, seed, out_path, dump_matrices):
         body["matrix_dumps"] = ["subspace_basis_re.csv", "subspace_basis_im.csv"]
     _report(cfg, "subspace build", body, out_path)
     _finish(report["invariance_residual"] < cfg.tolerances.tau_res
-            and report["max_residual"] < 1e-6)
+            and report["max_residual"] < report["condition_limit"])
 
 
 @subspace.command("check")
@@ -250,7 +250,8 @@ def subspace_check(config_path, truncation, seed, out_path):
     body = dict(report)
     body["wandering_dimension"] = wandering_dimension(space, s, cfg.tolerances)
     _report(cfg, "subspace check", body, out_path)
-    _finish(body["wandering_dimension"] == 1 and report["max_residual"] < 1e-6)
+    _finish(body["wandering_dimension"] == 1
+            and report["max_residual"] < report["condition_limit"])
 
 
 @subspace.command("extract")
@@ -290,7 +291,7 @@ def subspace_extract(config_path, truncation, seed, out_path):
         "residuals": {k: v for k, v in residuals.items() if k != "phi_norms"},
     }
     _report(cfg, "subspace extract", body, out_path)
-    _finish(residuals["max_residual"] < 1e-6)
+    _finish(residuals["max_residual"] < residuals["condition_limit"])
 
 
 @subspace.command("cyclic")
@@ -380,8 +381,7 @@ def commutant_hyper(trials, config_path, truncation, seed, out_path):
     cfg = load_config(config_path, truncation, seed)
     s, kernel = _require_kernel(cfg)
     model = _require_model(cfg)
-    space, _ = build_subspace(model, s, cfg.truncation, cfg.tolerances)
-    rep = hyperinvariance_check(space, s, kernel, trials, cfg.tolerances,
+    rep = hyperinvariance_check(model, s, kernel, trials, cfg.tolerances,
                                 seed=cfg.seed)
     body = dict(rep)
     body["hyperinvariance_max_residual"] = rep["max_residual"]

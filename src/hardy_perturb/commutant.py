@@ -16,7 +16,6 @@ import numpy as np
 from .core import (
     DEFAULT_TOL,
     OperatorMatrix,
-    Subspace,
     ToleranceConfig,
     band_spread,
     invariance_residual,
@@ -25,6 +24,7 @@ from .core import (
 )
 from .errors import HardyPerturbError, PreconditionError
 from .inner import Polynomial
+from .invariant import SubspaceModel, _compress, _escape, _model_space, verify_model
 from .shifts import NShift, TridiagonalKernel, relabeled_window, shift_from_kernel
 
 __all__ = [
@@ -117,7 +117,7 @@ def _random_symbol(rng: np.random.Generator, max_degree: int) -> Polynomial:
 
 
 def hyperinvariance_check(
-    M: Subspace,
+    model: SubspaceModel,
     shift: NShift,
     kernel: TridiagonalKernel,
     trials: int,
@@ -125,28 +125,31 @@ def hyperinvariance_check(
     seed: int = 0,
     max_degree: int = 8,
 ) -> dict:
-    """Check that every sampled commutant member maps ``M`` into itself.
+    """Check that every sampled commutant member maps the modeled subspace into itself.
 
-    Random polynomial symbols with coefficients uniform in the unit disc
-    (seeded for reproducibility) are turned into commutant members; the
-    report carries the largest escape residual of ``M`` under them and
-    passes when it stays below ``tau_res``.
+    The model must pass :func:`verify_model` against ``shift``, else
+    :class:`PreconditionError`.  Random polynomial symbols with coefficients
+    uniform in the unit disc (seeded for reproducibility) are turned into
+    commutant members ``X``; the report carries the largest escape of the
+    subspace under them, computed on the finite model space like the
+    invariance certificate, and passes when it stays below ``tau_res``.
     """
     tol = tol or DEFAULT_TOL
-    if not M.invariant_certified:
-        resid = invariance_residual(M, shift)
-        if resid > 10 * tol.tau_res:
-            raise PreconditionError(
-                f"subspace is not invariant at truncation (residual {resid:.3e})"
-            )
+    checks = verify_model(model, shift, shift.working_order, tol)
+    resid = checks["invariance_residual"]
+    if checks["max_residual"] > checks["condition_limit"] or resid > 10 * tol.tau_res:
+        raise PreconditionError(f"model describes no invariant subspace (condition residual "
+                                f"{checks['max_residual']:.3e}, invariance residual {resid:.3e})")
+    basis, _, _, perp = _model_space(model, tol, kernel.n + max_degree + 2)
     rng = np.random.default_rng(seed)
     worst = 0.0
     degrees = []
     for _ in range(trials):
         symbol = _random_symbol(rng, max_degree)
         degrees.append(symbol.degree)
-        element = commutant_element(symbol, kernel, M.working_order, tol, shift)
-        worst = max(worst, invariance_residual(M, element.X))
+        x = commutant_element(symbol, kernel, shift.working_order, tol, shift).X
+        x = OperatorMatrix(x.block, x.symbol, basis.shape[0])
+        worst = max(worst, _escape(perp, _compress(basis, x)))
     return {
         "trials": trials,
         "seed": seed,

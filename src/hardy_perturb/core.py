@@ -84,6 +84,8 @@ class ToleranceConfig:
 
 DEFAULT_TOL = ToleranceConfig()
 
+# Largest entry of ``B* B - I`` a Subspace basis ``B`` may carry.
+_ORTHONORMALITY_LIMIT = 1e-7
 # Relative singular-value cut for re-orthonormalizing row-restricted bases
 # before principal angles are taken.
 _REORTHONORMALIZE_CUT = 1e-10
@@ -386,7 +388,7 @@ class Subspace:
             raise DimensionMismatchError("subspace dimension exceeds working order")
         if arr.shape[1]:
             gram = arr.conj().T @ arr
-            if np.abs(gram - np.eye(arr.shape[1])).max() > 1e-7:
+            if np.abs(gram - np.eye(arr.shape[1])).max() > _ORTHONORMALITY_LIMIT:
                 raise ValueError("basis columns are not orthonormal")
 
     @property

@@ -60,9 +60,6 @@ class Polynomial:
             return 0.0 + 0.0j
         return complex(np.polyval(self.coeffs[::-1], w))
 
-    def scale(self, c: complex) -> "Polynomial":
-        return Polynomial(c * self.coeffs)
-
     def multiply(self, other: "Polynomial") -> "Polynomial":
         if self.is_zero or other.is_zero:
             return Polynomial(np.zeros(0))

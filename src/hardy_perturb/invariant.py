@@ -18,22 +18,26 @@ from dataclasses import dataclass
 import warnings
 
 import numpy as np
+import scipy.linalg
 
 from .core import (
     DEFAULT_TOL,
+    OperatorMatrix,
     Subspace,
     ToleranceConfig,
     TruncatedVector,
+    _ORTHONORMALITY_LIMIT,
+    _rank_cut,
     band_spread,
     invariance_residual,
     krylov_closure,
     multiplication_by_z_matrix,
-    numerical_rank,
     orthonormalize,
     principal_angles,
     subspace_difference,
 )
 from .errors import (
+    DimensionMismatchError,
     ExtractionError,
     ModelInconsistencyError,
     PreconditionError,
@@ -61,6 +65,17 @@ __all__ = [
     "verify_model",
     "wandering_dimension",
 ]
+
+# A model condition fails when its relative residual exceeds this.
+_CONDITION_LIMIT = 1e-6
+_CONDITIONS = ("phi_orthogonality", "phi_vs_tail", "chain", "last_chain")
+# The model space is expanded until the largest zero modulus to the power of
+# the extra rows falls below this, so every dropped tail sits under roundoff.
+_TAIL = 1e-17
+# Longest expansion of the model space; zeros closer to the circle raise.
+_MAX_LENGTH = 1 << 16
+# Slack between the Krylov depth and the generator depth of the cyclicity witness.
+_CYCLIC_GAP = 24
 
 
 @dataclass(frozen=True)
@@ -93,14 +108,6 @@ class SubspaceModel:
         vec[: qc.size] -= qc[:working_order]
         return TruncatedVector(vec, working_order)
 
-    def component_scaled(self, i: int, c: complex) -> "SubspaceModel":
-        """Rescale the i-th component jointly: phi_i, p_i, q_i all scale by c."""
-        p = list(self.p)
-        q = list(self.q)
-        p[i] = p[i].scale(c)
-        q[i] = q[i].scale(c)
-        return SubspaceModel(self.n, self.theta, tuple(p), tuple(q))
-
     def to_json(self) -> dict:
         return {
             "n": self.n,
@@ -108,19 +115,6 @@ class SubspaceModel:
             "p": [[[c.real, c.imag] for c in poly.coeffs] for poly in self.p],
             "q": [[[c.real, c.imag] for c in poly.coeffs] for poly in self.q],
         }
-
-    @classmethod
-    def from_json(cls, d: dict) -> "SubspaceModel":
-        theta = BlaschkeProduct.from_json(d["theta"])
-        p = tuple(
-            Polynomial(np.array([complex(x[0], x[1]) for x in poly], dtype=np.complex128))
-            for poly in d["p"]
-        )
-        q = tuple(
-            Polynomial(np.array([complex(x[0], x[1]) for x in poly], dtype=np.complex128))
-            for poly in d["q"]
-        )
-        return cls(int(d["n"]), theta, p, q)
 
 
 def s1_model(a0: complex, b0: complex, theta: BlaschkeProduct) -> SubspaceModel:
@@ -176,75 +170,116 @@ def default_tail_depth(model: SubspaceModel, working_order: int) -> int:
     return max(4, min(slack - 40, slack - 4))
 
 
+def _split(a: np.ndarray, rel: float) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases of the numerical range of ``a`` and of its complement."""
+    u, s, _ = np.linalg.svd(a)
+    r, _ = _rank_cut(s, rel)
+    return u[:, :r], u[:, r:]
+
+
+def _model_space(model: SubspaceModel, tol: ToleranceConfig, reach: int) -> tuple:
+    """``(E, phi, closing, perp)`` for the model space ``K = H^2 (-) z^n theta H^2``.
+
+    ``E``: orthonormal basis of ``K`` (``1..z^{n-1}``, then ``z^n`` times the
+    Takenaka-Malmquist basis of ``K_theta``); ``phi``: the model vectors;
+    ``closing``: ``z^n p_{n-1} theta``; ``perp``: orthonormal basis of
+    ``M^perp = K (-) span{phi_i}`` in ``E`` coordinates.  Columns run past
+    the data and ``reach`` operator rows until ``max|zero|**rows < _TAIL``;
+    all are rational over theta's denominator: one banded solve.
+    """
+    n, zeros, d = model.n, model.theta.zeros, model.theta.degree
+    top = max(map(abs, zeros), default=0.0)
+    length = n + d + max(c.coeffs.size for c in model.p + model.q) + reach
+    length += int(np.ceil(np.log(_TAIL) / np.log(top))) if top > 0.0 else 0
+    if length > _MAX_LENGTH:
+        raise TruncationError(f"the model space needs {length} Taylor coefficients, more "
+                              f"than {_MAX_LENGTH}: a zero of modulus {top:.6g} is too close")
+    num, den = model.theta.numerator(), model.theta.denominator()
+    rhs = np.zeros((length, d + n + 1), dtype=np.complex128)
+    for j, a in enumerate(zeros):
+        tm = Polynomial.from_roots(zeros[:j]).multiply(
+            BlaschkeProduct(1.0, zeros[j + 1 :]).denominator()
+        ).coeffs
+        rhs[n : n + tm.size, j] = np.sqrt(1.0 - abs(a) ** 2) * tm
+    for i, (p, q) in enumerate(zip(model.p, model.q)):
+        head, low = p.multiply(num).coeffs, q.multiply(den).coeffs
+        rhs[i : i + head.size, d + i] = head
+        rhs[: low.size, d + i] -= low
+    closing = model.p[n - 1].multiply(num).coeffs
+    rhs[n : n + closing.size, -1] = closing
+    banded = np.array([np.pad(np.full(length - k, c), (0, k)) for k, c in enumerate(den.coeffs)])
+    cols = scipy.linalg.solve_banded((len(banded) - 1, 0), banded, rhs)
+    basis = np.eye(length, n + d, dtype=np.complex128)
+    basis[:, n:] = cols[:, :d]
+    phi = cols[:, d : d + n]
+    norms = np.linalg.norm(phi, axis=0)
+    _, perp = _split(basis.conj().T @ phi / np.where(norms > 0.0, norms, 1.0), tol.tau_rank)
+    return basis, phi, cols[:, -1], perp
+
+
+def _compress(basis: np.ndarray, op: OperatorMatrix) -> np.ndarray:
+    """``E* op E``, whose adjoint is ``op*`` on ``K``: exactly so for ``S`` and every
+    commutant member, since both map ``z^n theta H^2`` into itself."""
+    return basis.conj().T @ np.column_stack([op @ col for col in basis.T])
+
+
+def _escape(perp: np.ndarray, compressed: np.ndarray) -> float:
+    """How far ``op*`` moves ``M^perp`` out of itself: ``norm((I - P_M) op P_M)``."""
+    moved = compressed.conj().T @ perp
+    moved -= perp @ (perp.conj().T @ moved)
+    return float(np.linalg.norm(moved, 2)) if moved.size else 0.0
+
+
 def verify_model(
     model: SubspaceModel,
     shift: NShift,
     working_order: int,
     tol: ToleranceConfig | None = None,
-    depth: int | None = None,
 ) -> dict:
     """Residuals of the model structure conditions against a given shift.
 
-    Returns relative residuals for: mutual orthogonality of the ``phi_i``,
-    orthogonality of each ``phi_i`` to the tail space, the chain inclusions
-    ``S phi_j in span{phi_{j+1}..} (+) tail``, and the closing identity
-    ``S phi_{n-1} = z^n p_{n-1} theta``.
+    Computed on the model space ``K = H^2 (-) z^n theta H^2`` of dimension
+    ``n + deg theta``, independent of ``working_order`` (the shift's).
+    Relative residuals of: mutual orthogonality of the ``phi_i``, their
+    distance from ``K`` (``phi_vs_tail``), the chain ``S phi_j in
+    span{phi_{j+1}..} (+) z^n theta H^2`` and ``S phi_{n-1} = z^n p_{n-1}
+    theta`` (``last_chain``); each fails above ``condition_limit``.
+    ``invariance_residual`` is how far ``S*`` moves ``M^perp`` out of itself.
     """
     tol = tol or DEFAULT_TOL
-    n = model.n
-    if depth is None:
-        depth = default_tail_depth(model, working_order)
-    s = shift.S.entries
-    theta = blaschke_taylor(model.theta, working_order)
-    phis = [model.phi(i, working_order) for i in range(n)]
-    norms = [v.norm() for v in phis]
-    report: dict = {"depth": depth, "phi_norms": norms}
-    report["phi_min_norm"] = min(norms)
-
-    ortho = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if norms[i] > 0 and norms[j] > 0:
-                ip = abs(np.vdot(phis[j].coeffs, phis[i].coeffs))
-                ortho = max(ortho, ip / (norms[i] * norms[j]))
-    report["phi_orthogonality"] = ortho
-
-    tails = np.column_stack(
-        [_shifted_taylor(theta.coeffs, n + k) for k in range(depth + 1)]
-    )
-    tail_res = 0.0
-    for i in range(n):
-        if norms[i] > 0:
-            overlap = np.abs(tails.conj().T @ phis[i].coeffs).max()
-            tail_res = max(tail_res, overlap / norms[i])
-    report["phi_vs_tail"] = tail_res
-
-    # Chain: S phi_j must fall into span{phi_{j+1}..} plus the tail space.
+    if working_order != shift.working_order:
+        raise DimensionMismatchError(f"working order {working_order} is not the shift's")
+    if model.n != shift.n:
+        raise PreconditionError(f"model has n = {model.n}, shift has n = {shift.n}")
+    basis, phi, closing, perp = _model_space(model, tol, shift.S.block_size)
+    s = OperatorMatrix(shift.S.block, shift.S.symbol, basis.shape[0])
+    coords = basis.conj().T @ phi
+    norms = np.linalg.norm(phi, axis=0)
+    unit = np.where(norms > 0.0, norms, 1.0)
+    gram = np.abs(phi.conj().T @ phi) / np.outer(unit, unit)
+    s_phi = np.column_stack([s @ col for col in phi.T])
+    s_norms = np.maximum(np.linalg.norm(s_phi, axis=0), 1e-300)
+    compressed = _compress(basis, s)
+    # The chain in K coordinates: the projection of S phi_j onto K must lie
+    # in the span of the projections of the later phi's.
+    images = compressed @ coords
     chain = 0.0
-    for j in range(n - 1):
-        img = s @ phis[j].coeffs
-        others = [phis[k].coeffs for k in range(j + 1, n)]
-        basis = orthonormalize(np.column_stack(others + [tails]), tol)
-        resid = img - basis.basis @ (basis.basis.conj().T @ img)
-        frontier = n + depth
-        denom = np.linalg.norm(img)
-        if denom > 0:
-            chain = max(chain, float(np.linalg.norm(resid[:frontier]) / denom))
-    report["chain"] = chain
-
-    closing = (
-        s @ phis[n - 1].coeffs
-        - _shifted_taylor(
-            np.convolve(model.p[n - 1].coeffs, theta.coeffs)[:working_order]
-            if model.p[n - 1].coeffs.size
-            else np.zeros(working_order),
-            n,
-        )
-    )
-    guard = working_order - max(band_spread(s)[0], 1) - model.p[n - 1].coeffs.size
-    denom = max(np.linalg.norm(s @ phis[n - 1].coeffs), 1e-300)
-    report["last_chain"] = float(np.linalg.norm(closing[:guard]) / denom)
-    report["max_residual"] = max(ortho, tail_res, chain, report["last_chain"])
+    for j in range(model.n - 1):
+        later, _ = _split(coords[:, j + 1 :], tol.tau_rank)
+        resid = images[:, j] - later @ (later.conj().T @ images[:, j])
+        chain = max(chain, float(np.linalg.norm(resid) / s_norms[j]))
+    report = {
+        "length": basis.shape[0],
+        "phi_norms": norms.tolist(),
+        "phi_min_norm": float(norms.min()),
+        "phi_orthogonality": float(np.triu(gram, 1).max()),
+        "phi_vs_tail": float((np.linalg.norm(phi - basis @ coords, axis=0) / unit).max()),
+        "chain": chain,
+        "last_chain": float(np.linalg.norm(s_phi[:, -1] - closing) / s_norms[-1]),
+        "invariance_residual": _escape(perp, compressed),
+        "condition_limit": _CONDITION_LIMIT,
+    }
+    report["max_residual"] = max(report[name] for name in _CONDITIONS)
     return report
 
 
@@ -253,40 +288,35 @@ def build_subspace(
     shift: NShift,
     working_order: int,
     tol: ToleranceConfig | None = None,
-    depth: int | None = None,
 ) -> tuple[Subspace, dict]:
     """Orthonormal basis for the subspace a model describes, plus a report.
 
     The model structure conditions are checked first (raising
-    :class:`ModelInconsistencyError` naming the failed condition); the
-    report carries the invariance residual of the result under the shift,
-    restricted to rows below the generator frontier.
+    :class:`ModelInconsistencyError` naming the failed condition).  The
+    basis is the orthonormalized generator stack ``phi_i, z^n theta, ...``
+    at the default tail depth; the report carries the verdicts of
+    :func:`verify_model` (``invariance_residual`` is its exact certificate)
+    and the orthonormality limit every basis is checked against.
     """
     tol = tol or DEFAULT_TOL
-    if model.n != shift.n:
-        raise PreconditionError(f"model has n = {model.n}, shift has n = {shift.n}")
-    if depth is None:
-        depth = default_tail_depth(model, working_order)
-    checks = verify_model(model, shift, working_order, tol, depth)
-    if checks["phi_min_norm"] <= tol.tau_rank:
-        raise ModelInconsistencyError(
-            "some phi_i is numerically zero", condition="phi_nonzero"
-        )
-    for name in ("phi_orthogonality", "phi_vs_tail", "chain", "last_chain"):
-        if checks[name] > 1e-6:
+    report = verify_model(model, shift, working_order, tol)
+    if report["phi_min_norm"] <= tol.tau_rank:
+        raise ModelInconsistencyError("some phi_i is numerically zero", condition="phi_nonzero")
+    for name in _CONDITIONS:
+        if report[name] > _CONDITION_LIMIT:
             raise ModelInconsistencyError(
-                f"model condition {name} has residual {checks[name]:.3e}",
-                condition=name,
+                f"model condition {name} has residual {report[name]:.3e}", condition=name
             )
+    depth = default_tail_depth(model, working_order)
     gens, frontier = model_generators(model, working_order, depth)
     space = orthonormalize(
         gens, tol, trusted_order=working_order, frontier=frontier,
         invariant_certified=True,
     )
-    report = dict(checks)
+    report["depth"] = depth
     report["dimension"] = space.dim
     report["frontier"] = frontier
-    report["invariance_residual"] = invariance_residual(space, shift)
+    report["orthonormality_limit"] = _ORTHONORMALITY_LIMIT
     return space, report
 
 
@@ -504,62 +534,47 @@ def check_cyclic(
     model: SubspaceModel,
     shift: NShift,
     tol: ToleranceConfig | None = None,
-    gap: int = 24,
-    empirical: bool = False,
 ) -> tuple[bool, dict]:
     """Decide whether the subspace is the cyclic closure of its wandering vector.
 
-    For 1-shifts the verdict is the outer test on ``p_0``; the decision is
-    cross-validated by staggered-depth principal-angle containments between
-    the model subspace and the cyclic closure of ``phi_0``.  For ``n > 1``
-    no criterion is available and the operation refuses unless ``empirical``
-    is set, in which case only the numeric containment verdict is reported.
+    For 1-shifts the verdict is the outer test on ``p_0`` of the model (which
+    :func:`build_subspace` checks; it is not re-checked here), cross-validated
+    by staggered-depth principal-angle containments between the model's
+    generator stack and the cyclic closure of ``phi_0``.  For ``n > 1`` no
+    criterion is available and the operation refuses.
     """
     tol = tol or DEFAULT_TOL
-    if model.n != 1 and not empirical:
-        raise UnsupportedConfigurationError(
-            "cyclicity is only characterized for 1-shifts; "
-            "pass empirical=True for a numeric-only verdict"
-        )
+    if model.n != 1 or shift.n != 1:
+        raise UnsupportedConfigurationError("cyclicity is only characterized for 1-shifts")
     nw = M.working_order
-    s = shift.S.entries
-    spread = max(band_spread(s)[0], 1)
-    deg_p = max((p.degree for p in model.p), default=0)
+    spread = max(band_spread(shift.S)[0], 1)
+    deg_p = model.p[0].degree
     max_depth = (nw - 2) // spread
-    k_build = max_depth - gap - max(deg_p, 1)
+    k_build = max_depth - _CYCLIC_GAP - max(deg_p, 1)
     if k_build < 2:
-        raise TruncationError(
-            "working order leaves no room for staggered-depth comparison"
-        )
+        raise TruncationError("working order leaves no room for staggered-depth comparison")
     phi0 = model.phi(0, nw)
-    space, _ = build_subspace(model, shift, nw, tol, depth=k_build)
-    forward = principal_angles(
-        space, krylov_closure(shift, phi0, max_depth, tol)
-    )
+    gens, frontier = model_generators(model, nw, k_build)
+    space = orthonormalize(gens, tol, trusted_order=nw, frontier=frontier,
+                           invariant_certified=True)
+    forward = principal_angles(space, krylov_closure(shift, phi0, max_depth, tol))
     reverse = principal_angles(
         krylov_closure(shift, phi0, max(1, k_build - deg_p - 1), tol), space
     )
-    numeric = bool(
-        forward.size
-        and reverse.size
-        and forward.max() < tol.tau_angle
-        and reverse.max() < tol.tau_angle
-    )
+    numeric = bool(forward.size and reverse.size
+                   and max(forward.max(), reverse.max()) < tol.tau_angle)
+    outer = is_outer_polynomial(model.p[0])
     witness: dict = {
         "forward_max_angle": float(forward.max()) if forward.size else None,
         "reverse_max_angle": float(reverse.max()) if reverse.size else None,
         "build_depth": k_build,
         "krylov_depth": max_depth,
         "numeric_cyclic": numeric,
+        "outer_polynomial": outer,
+        "p0_roots": [complex(r) for r in model.p[0].roots()],
+        "consistent": outer == numeric,
+        "verdict_basis": "outer-test",
     }
-    if empirical and model.n != 1:
-        witness["verdict_basis"] = "empirical"
-        return numeric, witness
-    outer = is_outer_polynomial(model.p[0])
-    witness["outer_polynomial"] = outer
-    witness["p0_roots"] = [complex(r) for r in model.p[0].roots()]
-    witness["consistent"] = outer == numeric
-    witness["verdict_basis"] = "outer-test"
     return outer, witness
 
 
@@ -570,27 +585,8 @@ def finite_codimension(
 ) -> int:
     """Codimension of the modeled subspace; equals the Blaschke degree.
 
-    The tail space ``z^n theta H^2`` has codimension ``n + deg(theta)`` and
-    the ``n`` wandering vectors claw back ``n`` of it.  The model value is
-    cross-checked by a saturation count: stacking generators all the way to
-    the working boundary leaves exactly ``deg(theta)`` numerically dead
-    directions (those singular values decay like ``|zero|^N``), so the count
-    must be stable across two block sizes.  An unstable count (zeros too
-    close to the circle for this truncation) raises.
+    It is ``dim M^perp`` for ``M^perp = K (-) span{phi_i}`` inside the model
+    space ``K = H^2 (-) z^n theta H^2`` of dimension ``n + deg(theta)``,
+    read off the model alone (``M``, the built subspace, is not consulted).
     """
-    tol = tol or DEFAULT_TOL
-    nw = M.working_order
-    expected = model.theta.degree
-    counts = []
-    for rows in (nw, nw - 16):
-        if rows < model.n + expected + 8:
-            raise TruncationError("working order too small for a codimension count")
-        gens, _ = model_generators(model, rows, rows - model.n - 1)
-        counts.append(rows - numerical_rank(gens, tol))
-    if counts[0] != counts[1] or counts[0] != expected:
-        raise TruncationError(
-            f"codimension not resolved at this truncation "
-            f"(counts {counts}, Blaschke degree {expected}); zeros too close "
-            "to the circle need a larger working order"
-        )
-    return counts[0]
+    return _model_space(model, tol or DEFAULT_TOL, 0)[3].shape[1]

@@ -3,14 +3,23 @@
 These are the straightforward constructions on full truncated matrices:
 triangular solves of order N, N x N products and a full SVD.  The library
 builds the same objects as "lower Toeplitz + finite block"; the
-differential tests compare the two.  Everything here takes and returns
+differential tests compare the two.  The operator oracles take and return
 plain arrays.
+
+The model-side oracles (``verify_model``, ``finite_codimension``,
+``hyperinvariance_check``) check a subspace model on depth-truncated
+generator stacks of N rows, where the library works on the finite model
+space ``H^2 (-) z^n theta H^2``; they take the library's model, shift and
+subspace types.
 """
 
 import numpy as np
 import scipy.linalg
 
-from hardy_perturb.errors import TruncationError
+from hardy_perturb import DEFAULT_TOL, blaschke_taylor, commutant
+from hardy_perturb.core import invariance_residual, numerical_rank, orthonormalize
+from hardy_perturb.errors import PreconditionError, TruncationError
+from hardy_perturb.invariant import _shifted_taylor, default_tail_depth, model_generators
 
 
 def band_spread(a, rel_tol=1e-12):
@@ -134,3 +143,74 @@ def self_commutator(s, tau_rank=1e-8, tau_res=1e-8, outside_cut=1e-12):
         "essentially_normal": bool(outside.max() < outside_cut),
         "hyponormal": bool(min_eig >= -tau_res),
     }
+
+
+def verify_model(model, shift, nw, tol=DEFAULT_TOL, depth=None):
+    """Model condition residuals on a tail stack ``z^n theta .. z^{n+depth} theta``."""
+    n = model.n
+    if depth is None:
+        depth = default_tail_depth(model, nw)
+    s = shift.S.entries
+    theta = blaschke_taylor(model.theta, nw)
+    phis = [model.phi(i, nw).coeffs for i in range(n)]
+    norms = [float(np.linalg.norm(v)) for v in phis]
+    report = {"phi_min_norm": min(norms)}
+    ortho = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            if norms[i] > 0 and norms[j] > 0:
+                ortho = max(ortho, abs(np.vdot(phis[j], phis[i])) / (norms[i] * norms[j]))
+    report["phi_orthogonality"] = ortho
+    tails = np.column_stack([_shifted_taylor(theta.coeffs, n + k) for k in range(depth + 1)])
+    report["phi_vs_tail"] = max(
+        (np.abs(tails.conj().T @ phis[i]).max() / norms[i] for i in range(n) if norms[i] > 0),
+        default=0.0,
+    )
+    chain = 0.0
+    for j in range(n - 1):
+        img = s @ phis[j]
+        basis = orthonormalize(np.column_stack(phis[j + 1:] + [tails]), tol).basis
+        resid = img - basis @ (basis.conj().T @ img)
+        denom = np.linalg.norm(img)
+        if denom > 0:
+            chain = max(chain, float(np.linalg.norm(resid[: n + depth]) / denom))
+    report["chain"] = chain
+    p_last = model.p[n - 1].coeffs
+    prod = np.convolve(p_last, theta.coeffs)[:nw] if p_last.size else np.zeros(nw)
+    closing = s @ phis[n - 1] - _shifted_taylor(prod, n)
+    guard = nw - max(band_spread(s)[0], 1) - p_last.size
+    denom = max(np.linalg.norm(s @ phis[n - 1]), 1e-300)
+    report["last_chain"] = float(np.linalg.norm(closing[:guard]) / denom)
+    report["max_residual"] = max(report["phi_orthogonality"], report["phi_vs_tail"],
+                                 report["chain"], report["last_chain"])
+    return report
+
+
+def finite_codimension(model, nw, tol=DEFAULT_TOL):
+    """Saturation count: generator stacks to the boundary at two block sizes."""
+    expected = model.theta.degree
+    counts = []
+    for rows in (nw, nw - 16):
+        if rows < model.n + expected + 8:
+            raise TruncationError("working order too small for a codimension count")
+        gens, _ = model_generators(model, rows, rows - model.n - 1)
+        counts.append(rows - numerical_rank(gens, tol))
+    if counts[0] != counts[1] or counts[0] != expected:
+        raise TruncationError(f"codimension not resolved (counts {counts})")
+    return counts[0]
+
+
+def hyperinvariance_check(space, shift, kernel, trials, tol=DEFAULT_TOL, seed=0,
+                          max_degree=8):
+    """Largest escape ``norm((I - P) X P)`` of the built subspace under sampled ``X``."""
+    if not space.invariant_certified:
+        resid = invariance_residual(space, shift)
+        if resid > 10 * tol.tau_res:
+            raise PreconditionError(f"subspace is not invariant (residual {resid:.3e})")
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        symbol = commutant._random_symbol(rng, max_degree)
+        element = commutant.commutant_element(symbol, kernel, space.working_order, tol, shift)
+        worst = max(worst, invariance_residual(space, element.X.entries))
+    return {"max_residual": worst, "passed": worst < tol.tau_res}

@@ -162,8 +162,7 @@ def test_criterion_7_commutant_suite():
     assert np.abs(element.N.entries[:, 1:]).max() < 1e-12
 
     model = s1_model(1.0, 1.0, THETA_HALF)
-    space, _ = build_subspace(model, shift, NW)
-    hyper = hyperinvariance_check(space, shift, kernel, 50, seed=0)
+    hyper = hyperinvariance_check(model, shift, kernel, 50, seed=0)
     assert hyper["max_residual"] < 1e-8
     _announce(7, "commutation, N-support, correction action, hyperinvariance")
 

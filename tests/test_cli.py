@@ -100,6 +100,14 @@ class TestShiftCommands:
             invoke(runner, ["analyze", "normality", "--config", str(cfg)]).stdout)
         assert normality["report"]["outside_cut"] == 1e-12
         assert normality["report"]["hyponormal_tolerance"] == 1e-8
+        build = json.loads(invoke(runner, ["subspace", "build", "--config", str(cfg)]).stdout)
+        assert build["report"]["condition_limit"] == 1e-6
+        assert build["report"]["orthonormality_limit"] == 1e-7
+        check = json.loads(invoke(runner, ["subspace", "check", "--config", str(cfg)]).stdout)
+        assert check["report"]["condition_limit"] == 1e-6
+        extract = json.loads(
+            invoke(runner, ["subspace", "extract", "--config", str(cfg)]).stdout)
+        assert extract["report"]["residuals"]["condition_limit"] == 1e-6
 
     def test_build_writes_matrices(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -176,7 +184,7 @@ class TestSubspaceCommands:
         nw = 96
         shift = shift_from_kernel(TridiagonalKernel(1, (1.0,), (1.0,)), nw)
         model = s1_model(1.0, 1.0, BlaschkeProduct(1.0, (0.5,)))
-        space, _ = build_subspace(model, shift, nw, depth=40)
+        space, _ = build_subspace(model, shift, nw)
         payload = json.loads(json.dumps(RANK_ONE))
         payload["truncation"] = nw
         payload["basis"] = [[[v.real, v.imag] for v in space.basis[:, j]]

@@ -139,20 +139,21 @@ class TestHyperinvariance:
         from hardy_perturb import SubspaceModel
 
         model = SubspaceModel(1, theta_half, (Polynomial([1.0]),), (Polynomial([]),))
-        space, _ = build_subspace(model, shift, NW)
-        rep = hyperinvariance_check(space, shift, kernel, 20, seed=1)
+        rep = hyperinvariance_check(model, shift, kernel, 20, seed=1)
         assert rep["passed"] and rep["max_residual"] < 1e-10
 
     def test_model_subspace(self, one_plus_z_kernel, one_plus_z_shift, theta_half):
         model = s1_model(1.0, 1.0, theta_half)
-        space, _ = build_subspace(model, one_plus_z_shift, NW)
-        rep = hyperinvariance_check(space, one_plus_z_shift, one_plus_z_kernel, 50, seed=3)
+        rep = hyperinvariance_check(model, one_plus_z_shift, one_plus_z_kernel, 50, seed=3)
         assert rep["passed"] and rep["max_residual"] < 1e-8
 
-    def test_non_invariant_subspace_rejected(self, one_plus_z_kernel, one_plus_z_shift):
-        line = orthonormalize([TruncatedVector.monomial(0, NW)])
+    def test_non_invariant_subspace_rejected(self, one_plus_z_kernel, one_plus_z_shift,
+                                             theta_half):
+        # The model of the b0 = 1/2 shift describes no invariant subspace of
+        # the b0 = 1 shift.
+        wrong = s1_model(1.0, 0.5, theta_half)
         with pytest.raises(PreconditionError):
-            hyperinvariance_check(line, one_plus_z_shift, one_plus_z_kernel, 3)
+            hyperinvariance_check(wrong, one_plus_z_shift, one_plus_z_kernel, 3)
 
 
 class TestIrreducibility:

@@ -1,0 +1,226 @@
+"""Model-side verdicts on the finite model space ``K = H^2 (-) z^n theta H^2``.
+
+``verify_model``, ``finite_codimension`` and ``hyperinvariance_check`` work
+on ``K``, expanded to a length set by the zeros of theta, where
+``dense_oracle`` checks the same models on depth-truncated generator stacks
+of N rows.  The differential inputs are exact 1-shift models and models
+extracted from conditioned Krylov closures (n = 1..3), all with zeros in the
+disc of radius 0.8, where the stacks resolve at N = 128.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import dense_oracle as oracle
+from hardy_perturb import (
+    BlaschkeProduct,
+    Polynomial,
+    SubspaceModel,
+    TridiagonalKernel,
+    build_subspace,
+    extract_model,
+    finite_codimension,
+    hyperinvariance_check,
+    krylov_closure,
+    orthonormalize,
+    s1_model,
+    shift_from_kernel,
+    verify_model,
+)
+from hardy_perturb.errors import ModelInconsistencyError, TruncationError
+from hardy_perturb.invariant import default_tail_depth, model_generators
+from hardy_perturb.suite import sample_conditioned_trial
+
+from conftest import two_perturbation
+
+CONDITIONS = ("phi_orthogonality", "phi_vs_tail", "chain", "last_chain")
+LIMIT = 1e-6
+DIFF_NW = 128
+
+
+def kernel_1(b0):
+    return TridiagonalKernel(1, (1.0,), (b0,))
+
+
+def bumped_q0(model, index, delta):
+    """The model with ``delta`` added to coefficient ``index`` of ``q_0``."""
+    q = np.zeros(max(index + 1, model.q[0].coeffs.size), dtype=np.complex128)
+    q[: model.q[0].coeffs.size] = model.q[0].coeffs
+    q[index] += delta
+    return SubspaceModel(model.n, model.theta, model.p, (Polynomial(q),) + model.q[1:])
+
+
+@pytest.mark.parametrize("nw", [96, 512])
+@pytest.mark.parametrize("zeros", [(0.97,), (0.5, -0.3 + 0.4j, 0.97)])
+def test_verdicts_do_not_depend_on_the_working_order(zeros, nw):
+    theta = BlaschkeProduct(1.0, zeros)
+    model = s1_model(1.0, 1.0, theta)
+    shift = shift_from_kernel(kernel_1(1.0), nw)
+    space, report = build_subspace(model, shift, nw)
+    assert report["max_residual"] < 1e-10
+    assert report["invariance_residual"] < 1e-10
+    assert verify_model(model, shift, nw) == {
+        k: v for k, v in report.items()
+        if k not in ("depth", "dimension", "frontier", "orthonormality_limit")
+    }
+    assert finite_codimension(space, model) == theta.degree
+
+
+def test_zeros_too_close_to_the_circle_name_the_length():
+    model = s1_model(1.0, 1.0, BlaschkeProduct(1.0, (0.99999,)))
+    shift = shift_from_kernel(kernel_1(1.0), 96)
+    with pytest.raises(TruncationError, match=r"needs \d+ Taylor coefficients"):
+        verify_model(model, shift, 96)
+
+
+def test_build_subspace_returns_the_default_depth_generator_stack():
+    nw = 128
+    model = s1_model(1.0, 0.7j, BlaschkeProduct(1.0, (0.5, -0.4j)))
+    space, report = build_subspace(model, shift_from_kernel(kernel_1(0.7j), nw), nw)
+    gens, frontier = model_generators(model, nw, default_tail_depth(model, nw))
+    stack = orthonormalize(gens, trusted_order=nw, frontier=frontier,
+                           invariant_certified=True)
+    assert np.array_equal(space.basis, stack.basis)
+    assert report["frontier"] == space.frontier == frontier
+
+
+# ------------------------------------------------------ negative controls --
+
+@pytest.mark.parametrize("index,condition", [(0, "last_chain"), (1, "phi_vs_tail")])
+def test_perturbed_q_names_the_condition(one_plus_z_shift, theta_half, nw, index,
+                                         condition):
+    bad = bumped_q0(s1_model(1.0, 1.0, theta_half), index, 1e-3)
+    with pytest.raises(ModelInconsistencyError) as err:
+        build_subspace(bad, one_plus_z_shift, nw)
+    assert err.value.condition == condition
+
+
+def test_model_of_another_shift_fails_last_chain_and_the_certificate(
+        one_plus_z_shift, theta_half, nw):
+    report = verify_model(s1_model(1.0, 0.5, theta_half), one_plus_z_shift, nw)
+    assert report["last_chain"] > 1e-3
+    assert report["invariance_residual"] > 1e-3
+
+
+def test_swapped_n2_data_fails_the_chain(nw):
+    # For the 2-shift sending 1 and z to z^2 (S1 = z + z^2, Sz = 2 z^2),
+    # z H^2 is the model phi_0 = z, phi_1 = z^2 with theta = z.
+    shift = two_perturbation(nw)
+    theta = BlaschkeProduct(-1.0, (0.0,))
+    p = (Polynomial([2.0]), Polynomial([1.0]))
+    q = (Polynomial([0.0, 1.0]), Polynomial([]))
+    good = verify_model(SubspaceModel(2, theta, p, q), shift, nw)
+    swapped = verify_model(SubspaceModel(2, theta, p[::-1], q[::-1]), shift, nw)
+    assert good["max_residual"] < 1e-14
+    assert swapped["chain"] > 1e-3
+
+
+def test_model_side_builds_no_square_array():
+    # A zero at 0.98 expands K to about 2000 coefficients; one dense
+    # operator at that length would take 64 MB.
+    nw = 256
+    kernel = kernel_1(0.6)
+    shift = shift_from_kernel(kernel, nw)
+    model = s1_model(1.0, 0.6, BlaschkeProduct(1.0, (0.98, 0.3j)))
+    tracemalloc.start()
+    try:
+        report = verify_model(model, shift, nw)
+        codim = finite_codimension(None, model)
+        hyper = hyperinvariance_check(model, shift, kernel, 5, seed=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report["length"] > 1900
+    assert report["max_residual"] < 1e-10 and codim == 2 and hyper["passed"]
+    assert peak < 4 * 2**20
+    assert "entries" not in vars(shift.S)
+
+
+# ---------------------------------------------------- differential oracle --
+
+def _disc(rng, radius):
+    return complex(np.sqrt(rng.uniform()) * radius * np.exp(2j * np.pi * rng.uniform()))
+
+
+def differential_cases():
+    """``(model, kernel, exact)``: exact 1-shift models, then extracted ones."""
+    rng = np.random.default_rng(2024)
+    cases = []
+    for degree in (1, 2, 3, 1, 2, 3):
+        b0 = _disc(rng, 1.0)
+        theta = BlaschkeProduct(np.exp(2j * np.pi * rng.uniform()),
+                                tuple(_disc(rng, 0.8) for _ in range(degree)))
+        cases.append((s1_model(1.0, b0, theta), kernel_1(b0), True))
+    wanted = {1: 2, 2: 2, 3: 2}
+    while any(wanted.values()):
+        kernel, shift, seed_vec = sample_conditioned_trial(rng, DIFF_NW, 40)
+        model = extract_model(krylov_closure(shift, seed_vec, 40), shift)
+        if wanted[model.n] and max(map(abs, model.theta.zeros), default=0.0) <= 0.8:
+            wanted[model.n] -= 1
+            cases.append((model, kernel, False))
+    return cases
+
+
+@pytest.mark.parametrize("case", differential_cases(),
+                         ids=lambda c: f"n{c[0].n}-deg{c[0].theta.degree}-"
+                                       f"{'exact' if c[2] else 'extracted'}")
+def test_model_verdicts_match_the_dense_oracle(case):
+    model, kernel, exact = case
+    shift = shift_from_kernel(kernel, DIFF_NW)
+    reports = []
+    for candidate in (model, bumped_q0(model, 0, 1e-3)):
+        new = verify_model(candidate, shift, DIFF_NW)
+        old = oracle.verify_model(candidate, shift, DIFF_NW)
+        assert [new[c] > LIMIT for c in CONDITIONS] == [old[c] > LIMIT for c in CONDITIONS]
+        reports.append((new, old))
+    (new, old), (bumped, _) = reports
+    if exact:
+        assert max(new["max_residual"], old["max_residual"]) < 1e-10
+        assert bumped["max_residual"] > LIMIT
+    space, report = build_subspace(model, shift, DIFF_NW)
+    assert report["invariance_residual"] < 1e-10
+    assert finite_codimension(space, model) == oracle.finite_codimension(model, DIFF_NW)
+    hyper = hyperinvariance_check(model, shift, kernel, 4, seed=1)
+    dense = oracle.hyperinvariance_check(space, shift, kernel, 4, seed=1)
+    assert hyper["passed"] == dense["passed"]
+    assert hyper["max_residual"] < 1e-10
+
+
+# ------------------------------------------------------------- properties --
+
+def _point(max_modulus):
+    return st.builds(lambda r, t: complex(r * np.exp(1j * t)),
+                     st.floats(0.0, max_modulus), st.floats(0.0, 2 * np.pi))
+
+
+@settings(max_examples=40, deadline=None)
+@given(b0=st.builds(lambda r, t: complex(r * np.exp(1j * t)),
+                    st.floats(1e-6, 1.0), st.floats(0.0, 2 * np.pi)),
+       zeros=st.lists(_point(0.97), min_size=1, max_size=3),
+       edit=st.sampled_from([("p", 1), ("q", 0), ("q", 1)]),
+       phase=st.floats(0.0, 2 * np.pi))
+def test_s1_models_pass_and_a_small_edit_fails(b0, zeros, edit, phase):
+    # Changing p_0(0) is left out: it adds a multiple of theta, which lies in
+    # K, and moves S phi_0 only by theta(0) b0 z^2, which can be arbitrarily
+    # small.  Every other coefficient edit moves phi_0 off K or breaks the
+    # closing identity by at least a fixed fraction of its size.
+    nw = 96
+    theta = BlaschkeProduct(1.0, tuple(zeros))
+    model = s1_model(1.0, b0, theta)
+    shift = shift_from_kernel(kernel_1(b0), nw)
+    report = verify_model(model, shift, nw)
+    assert report["max_residual"] < 1e-10
+    assert finite_codimension(None, model) == theta.degree
+    which, index = edit
+    delta = 1e-6 * np.exp(1j * phase)
+    if which == "q":
+        edited = bumped_q0(model, index, delta)
+    else:
+        p = np.zeros(2, dtype=np.complex128)
+        p[: model.p[0].coeffs.size] = model.p[0].coeffs
+        p[index] += delta
+        edited = SubspaceModel(1, theta, (Polynomial(p),), model.q)
+    assert verify_model(edited, shift, nw)["max_residual"] > 1e-8
