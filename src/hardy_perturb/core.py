@@ -555,26 +555,30 @@ def krylov_closure(
     )
 
 
-def principal_angles(M1: Subspace, M2: Subspace, rows: int | None = None) -> np.ndarray:
+def principal_angles(M1: Subspace, M2: Subspace) -> np.ndarray:
     """Principal angles between two subspaces, in radians, ascending.
 
-    The singular values of ``B1* B2`` are clamped to ``[0, 1]`` and turned
-    into angles.  Comparison is restricted to rows below the common trusted
-    order (or an explicit ``rows``); bases restricted that way are
-    re-orthonormalized before the angles are taken.
+    With ``A`` the larger basis, angles below ``pi/4`` come from the singular
+    values of ``(I - P_A) B`` (their sines), the rest from those of ``A* B``
+    (their cosines): ``arccos`` alone cannot resolve angles below about
+    1.5e-8.  Comparison is restricted to rows below the common trusted
+    order; bases restricted that way are re-orthonormalized first.
     """
     if M1.working_order != M2.working_order:
         raise DimensionMismatchError("working orders differ")
-    r = min(M1.trusted_order, M2.trusted_order) if rows is None else rows
+    r = min(M1.trusted_order, M2.trusted_order)
     a, b = M1.basis, M2.basis
     if r < M1.working_order:
         a = _reorthonormalize(a[:r, :])
         b = _reorthonormalize(b[:r, :])
     if a.shape[1] == 0 or b.shape[1] == 0:
         return np.zeros(0)
-    s = np.linalg.svd(a.conj().T @ b, compute_uv=False)
-    s = np.clip(s, 0.0, 1.0)
-    return np.sort(np.arccos(s))
+    if a.shape[1] < b.shape[1]:
+        a, b = b, a
+    cross = a.conj().T @ b
+    cosines = np.clip(np.linalg.svd(cross, compute_uv=False), 0.0, 1.0)
+    sines = np.clip(np.linalg.svd(b - a @ cross, compute_uv=False)[::-1], 0.0, 1.0)
+    return np.sort(np.where(sines < np.sqrt(0.5), np.arcsin(sines), np.arccos(cosines)))
 
 
 def _reorthonormalize(a: np.ndarray) -> np.ndarray:

@@ -28,12 +28,9 @@ from .core import (
     TruncatedVector,
     _ORTHONORMALITY_LIMIT,
     _rank_cut,
-    band_spread,
     invariance_residual,
-    krylov_closure,
     multiplication_by_z_matrix,
     orthonormalize,
-    principal_angles,
     subspace_difference,
 )
 from .errors import (
@@ -45,6 +42,7 @@ from .errors import (
     UnsupportedConfigurationError,
 )
 from .inner import (
+    _BOUNDARY_MARGIN,
     BlaschkeProduct,
     Polynomial,
     blaschke_taylor,
@@ -74,8 +72,6 @@ _CONDITIONS = ("phi_orthogonality", "phi_vs_tail", "chain", "last_chain")
 _TAIL = 1e-17
 # Longest expansion of the model space; zeros closer to the circle raise.
 _MAX_LENGTH = 1 << 16
-# Slack between the Krylov depth and the generator depth of the cyclicity witness.
-_CYCLIC_GAP = 24
 
 
 @dataclass(frozen=True)
@@ -165,9 +161,18 @@ def model_generators(
 
 
 def default_tail_depth(model: SubspaceModel, working_order: int) -> int:
-    """Tail-generator depth leaving a comfortable margin below the boundary."""
+    """Tail-generator depth: a third of the span the working order leaves.
+
+    Extraction reads theta from a window of about ``depth - 8`` coefficients,
+    which must hold theta's mass (the inner-test screen wants
+    ``r**(2 window) <= 1e-3`` for the largest zero modulus ``r``); the slack
+    ``N - frontier`` must keep the truncation leak under the rank cut
+    (``r**(2 slack) <= tau_rank = 1e-8``).  Both fail at the same ``r`` when
+    window : slack is about 3 : 8, a depth of about 0.27 (N - n - deg theta);
+    a third of that span is within the measured optimum.
+    """
     slack = working_order - model.n - max(model.theta.degree, 1)
-    return max(4, min(slack - 40, slack - 4))
+    return max(4, min((working_order - model.n - model.theta.degree) // 3, slack - 40))
 
 
 def _split(a: np.ndarray, rel: float) -> tuple[np.ndarray, np.ndarray]:
@@ -324,23 +329,38 @@ def wandering_dimension(
     M: Subspace,
     shift: NShift,
     tol: ToleranceConfig | None = None,
-    rows: int | None = None,
 ) -> int:
     """Dimension of ``M`` minus ``S M``; 1 for every invariant subspace.
 
     The invariance of ``M`` (restricted below the generator frontier) is a
-    precondition, not an outcome: a non-invariant input raises.
+    precondition, not an outcome: a non-invariant input raises, and so does
+    a certified invariant one whose truncation leaves no wandering vector.
     """
     tol = tol or DEFAULT_TOL
     if M.dim == 0:
         raise PreconditionError("subspace must be nonzero")
+    _require_invariant(M, shift, tol)
+    return _wandering_space(M, shift, tol).dim
+
+
+def _require_invariant(M: Subspace, shift: NShift, tol: ToleranceConfig) -> None:
     if not M.invariant_certified:
-        resid = invariance_residual(M, shift, rows=rows)
+        resid = invariance_residual(M, shift)
         if resid > 10 * tol.tau_res:
             raise PreconditionError(
                 f"subspace is not invariant at truncation (residual {resid:.3e})"
             )
-    return subspace_difference(M, shift, tol).dim
+
+
+def _wandering_space(M: Subspace, shift: NShift, tol: ToleranceConfig) -> Subspace:
+    """``M (-) S M``; empty on a certified invariant ``M`` only through truncation."""
+    wander = subspace_difference(M, shift, tol)
+    if wander.dim == 0 and M.invariant_certified:
+        slack = 0 if M.frontier is None else M.working_order - M.frontier
+        raise TruncationError(f"no wandering vector at working order {M.working_order}: {slack} "
+                              "rows of slack (N - frontier) do not hold the truncated tail; "
+                              "raise --truncation")
+    return wander
 
 
 def _normalize_direction(vec: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
@@ -443,7 +463,9 @@ def extract_model(
     ``q_i = z^i p_i theta - phi_i``).
 
     The wandering vector at each stage must be one-dimensional; anything
-    else signals inadequate truncation or a non-invariant input.  Each
+    else signals inadequate truncation or a non-invariant input, and an
+    empty one on a certified invariant input raises
+    :class:`TruncationError`.  Each
     ``phi_i`` is normalized to unit norm with its first significant
     coefficient positive real; the returned polynomials inherit that
     scaling.
@@ -452,17 +474,12 @@ def extract_model(
     n = shift.n
     nw = M.working_order
     s = shift.S.entries
-    if not M.invariant_certified:
-        resid = invariance_residual(M, shift)
-        if resid > 10 * tol.tau_res:
-            raise PreconditionError(
-                f"subspace is not invariant at truncation (residual {resid:.3e})"
-            )
+    _require_invariant(M, shift, tol)
 
     current = M
     phi_dirs = []
     for j in range(n):
-        wander = subspace_difference(current, shift, tol)
+        wander = _wandering_space(current, shift, tol)
         if wander.dim != 1:
             raise ExtractionError(
                 f"wandering dimension {wander.dim} != 1 while peeling stage {j}; "
@@ -537,45 +554,53 @@ def check_cyclic(
 ) -> tuple[bool, dict]:
     """Decide whether the subspace is the cyclic closure of its wandering vector.
 
-    For 1-shifts the verdict is the outer test on ``p_0`` of the model (which
-    :func:`build_subspace` checks; it is not re-checked here), cross-validated
-    by staggered-depth principal-angle containments between the model's
-    generator stack and the cyclic closure of ``phi_0``.  For ``n > 1`` no
-    criterion is available and the operation refuses.
+    For 1-shifts ``S phi_0 = z p_0 theta``, so ``[phi_0] = C phi_0 (+) z theta
+    B H^2`` with ``B`` the Blaschke product of the roots of ``p_0`` in the disc
+    (Beurling): the model ``(1, theta B, p_0 / B, q_0)``.  The verdict is the
+    outer test on ``p_0``.  The witness angles ``arcsin norm(P_{[phi_0]^perp}
+    P_M)`` (forward) and ``arcsin norm(P_{M^perp} P_{[phi_0]})`` (reverse) are
+    exact, in the coordinates of ``K_{z theta B}``; ``closure_codimension`` is
+    the codimension of ``[phi_0]`` in ``M``.  ``M`` is not consulted.  For
+    ``n > 1`` no criterion is available and the operation refuses.
     """
     tol = tol or DEFAULT_TOL
     if model.n != 1 or shift.n != 1:
         raise UnsupportedConfigurationError("cyclicity is only characterized for 1-shifts")
-    nw = M.working_order
-    spread = max(band_spread(shift.S)[0], 1)
-    deg_p = model.p[0].degree
-    max_depth = (nw - 2) // spread
-    k_build = max_depth - _CYCLIC_GAP - max(deg_p, 1)
-    if k_build < 2:
-        raise TruncationError("working order leaves no room for staggered-depth comparison")
-    phi0 = model.phi(0, nw)
-    gens, frontier = model_generators(model, nw, k_build)
-    space = orthonormalize(gens, tol, trusted_order=nw, frontier=frontier,
-                           invariant_certified=True)
-    forward = principal_angles(space, krylov_closure(shift, phi0, max_depth, tol))
-    reverse = principal_angles(
-        krylov_closure(shift, phi0, max(1, k_build - deg_p - 1), tol), space
-    )
-    numeric = bool(forward.size and reverse.size
-                   and max(forward.max(), reverse.max()) < tol.tau_angle)
-    outer = is_outer_polynomial(model.p[0])
+    p0 = model.p[0]
+    roots = p0.roots()
+    inside = np.abs(roots) < 1.0 - _BOUNDARY_MARGIN
+    closure = model
+    if inside.any():
+        # B = prod (z - a) / (1 - conj(a) z): p_0 / B trades each root a inside for 1 - conj(a) z.
+        b = BlaschkeProduct((-1.0) ** inside.sum(), tuple(roots[inside]))
+        p_b = Polynomial.from_roots(roots[~inside], p0.coeffs[-1]).multiply(b.denominator())
+        theta_b = BlaschkeProduct(model.theta.constant * b.constant, model.theta.zeros + b.zeros)
+        closure = SubspaceModel(1, theta_b, (p_b,), model.q)
+    basis, phi, _, closure_perp = _model_space(closure, tol, 0)
+    perp = closure_perp if closure is model else _model_space(model, tol, 0)[3]
+    # theta's zeros come first in theta B, so K_{z theta}, which holds M^perp,
+    # is spanned by the first 1 + deg theta basis vectors of K_{z theta B}.
+    m_perp = np.zeros((basis.shape[1], perp.shape[1]), dtype=np.complex128)
+    m_perp[: perp.shape[0]] = perp
+    forward = _arcsin_norm(closure_perp.conj().T @ _split(m_perp, tol.tau_rank)[1])
+    reverse = _arcsin_norm(m_perp.conj().T @ basis.conj().T @ phi / np.linalg.norm(phi))
+    numeric = max(forward, reverse) < tol.tau_angle
+    outer = is_outer_polynomial(p0)
     witness: dict = {
-        "forward_max_angle": float(forward.max()) if forward.size else None,
-        "reverse_max_angle": float(reverse.max()) if reverse.size else None,
-        "build_depth": k_build,
-        "krylov_depth": max_depth,
+        "forward_max_angle": forward,
+        "reverse_max_angle": reverse,
+        "closure_codimension": closure_perp.shape[1] - perp.shape[1],
         "numeric_cyclic": numeric,
         "outer_polynomial": outer,
-        "p0_roots": [complex(r) for r in model.p[0].roots()],
+        "p0_roots": [complex(r) for r in roots],
         "consistent": outer == numeric,
         "verdict_basis": "outer-test",
     }
     return outer, witness
+
+
+def _arcsin_norm(a: np.ndarray) -> float:
+    return float(np.arcsin(min(1.0, np.linalg.norm(a, 2)))) if a.size else 0.0
 
 
 def finite_codimension(

@@ -7,18 +7,21 @@ differential tests compare the two.  The operator oracles take and return
 plain arrays.
 
 The model-side oracles (``verify_model``, ``finite_codimension``,
-``hyperinvariance_check``) check a subspace model on depth-truncated
-generator stacks of N rows, where the library works on the finite model
-space ``H^2 (-) z^n theta H^2``; they take the library's model, shift and
-subspace types.
+``hyperinvariance_check``, ``check_cyclic``) check a subspace model on
+depth-truncated generator stacks and Krylov closures of N rows, where the
+library works on the finite model space ``H^2 (-) z^n theta H^2``; they take
+the library's model, shift and subspace types.
 """
 
 import numpy as np
 import scipy.linalg
 
 from hardy_perturb import DEFAULT_TOL, blaschke_taylor, commutant
-from hardy_perturb.core import invariance_residual, numerical_rank, orthonormalize
+from hardy_perturb.core import (
+    invariance_residual, krylov_closure, numerical_rank, orthonormalize, principal_angles,
+)
 from hardy_perturb.errors import PreconditionError, TruncationError
+from hardy_perturb.inner import is_outer_polynomial
 from hardy_perturb.invariant import _shifted_taylor, default_tail_depth, model_generators
 
 
@@ -214,3 +217,39 @@ def hyperinvariance_check(space, shift, kernel, trials, tol=DEFAULT_TOL, seed=0,
         element = commutant.commutant_element(symbol, kernel, space.working_order, tol, shift)
         worst = max(worst, invariance_residual(space, element.X.entries))
     return {"max_residual": worst, "passed": worst < tol.tau_res}
+
+
+# Slack between the Krylov depth and the generator depth of the cyclicity witness.
+CYCLIC_GAP = 24
+
+
+def check_cyclic(model, shift, tol=DEFAULT_TOL):
+    """Outer test on ``p_0`` against staggered-depth principal angles.
+
+    The model's generator stack is compared with Krylov closures of
+    ``phi_0`` a little deeper (forward) and a little shallower (reverse).
+    """
+    nw = shift.working_order
+    spread = max(band_spread(shift.S.entries)[0], 1)
+    deg_p = model.p[0].degree
+    max_depth = (nw - 2) // spread
+    k_build = max_depth - CYCLIC_GAP - max(deg_p, 1)
+    if k_build < 2:
+        raise TruncationError("working order leaves no room for staggered-depth comparison")
+    phi0 = model.phi(0, nw)
+    gens, frontier = model_generators(model, nw, k_build)
+    space = orthonormalize(gens, tol, trusted_order=nw, frontier=frontier,
+                           invariant_certified=True)
+    forward = principal_angles(space, krylov_closure(shift, phi0, max_depth, tol))
+    reverse = principal_angles(
+        krylov_closure(shift, phi0, max(1, k_build - deg_p - 1), tol), space
+    )
+    numeric = bool(forward.size and reverse.size
+                   and max(forward.max(), reverse.max()) < tol.tau_angle)
+    outer = is_outer_polynomial(model.p[0])
+    return outer, {
+        "forward_max_angle": float(forward.max()) if forward.size else None,
+        "reverse_max_angle": float(reverse.max()) if reverse.size else None,
+        "numeric_cyclic": numeric,
+        "consistent": outer == numeric,
+    }

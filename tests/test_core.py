@@ -164,7 +164,30 @@ class TestPrincipalAngles:
     def test_self_comparison(self):
         rng = np.random.default_rng(3)
         a = orthonormalize(rng.standard_normal((NW, 5)))
-        assert principal_angles(a, a).max() < 1e-7
+        assert principal_angles(a, a).max() < 1e-14
+
+    @pytest.mark.parametrize("angle", [1e-10, 1e-7, 0.3, np.pi / 4, 1.2, np.pi / 2 - 1e-9])
+    def test_known_angle_is_resolved(self, angle):
+        # Below about 1.5e-8 an arccos of the cosine returns 0.
+        rng = np.random.default_rng(5)
+        q, _ = np.linalg.qr(rng.standard_normal((NW, 2)) + 1j * rng.standard_normal((NW, 2)))
+        line = orthonormalize(q[:, 0])
+        tilted = orthonormalize(np.cos(angle) * q[:, 0] + np.sin(angle) * q[:, 1])
+        found = principal_angles(line, tilted)
+        assert found.size == 1
+        assert abs(found[0] - angle) < 1e-6 * angle
+
+    def test_unequal_dimensions(self):
+        # A line at angle t from a 3-plane, and two lines inside a 3-plane.
+        angle = 1e-9
+        plane = orthonormalize([vec([1]), vec([0, 1]), vec([0, 0, 1])])
+        line = orthonormalize([vec([0, np.cos(angle), 0, 0, 0, np.sin(angle)])])
+        pair = orthonormalize([vec([1, 1]), vec([0, 0, 1])])
+        for a, b in ((plane, line), (line, plane)):
+            found = principal_angles(a, b)
+            assert found.size == 1 and abs(found[0] - angle) < 1e-6 * angle
+        assert principal_angles(plane, pair).max() < 1e-15
+        assert principal_angles(pair, plane).size == 2
 
     def test_orthogonal_lines(self):
         one = orthonormalize([vec([1])])

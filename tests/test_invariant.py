@@ -27,6 +27,7 @@ from hardy_perturb.jsonio import model_from_payload
 from hardy_perturb.errors import (
     ModelInconsistencyError,
     PreconditionError,
+    TruncationError,
     UnsupportedConfigurationError,
 )
 from hardy_perturb.suite import sample_conditioned_trial
@@ -196,6 +197,38 @@ class TestExtractModel:
         report = verify_model(model, two_perturbation_shift, NW)
         assert report["max_residual"] < 1e-6
 
+    @staticmethod
+    def near_circle(modulus, nw=256):
+        """The s1 model with b0 = 1/2 and zeros {modulus e^{0.7i}, 0.3}, built at ``nw``."""
+        theta = BlaschkeProduct(1.0, (modulus * np.exp(0.7j), 0.3))
+        shift = shift_from_kernel(TridiagonalKernel(1, (1.0,), (0.5,)), nw)
+        space, _ = build_subspace(s1_model(1.0, 0.5, theta), shift, nw)
+        return theta, shift, space
+
+    def test_zero_at_0_955_round_trips_at_256(self):
+        # The generator stack stops a third of the way to the boundary, so
+        # the slack below the working order holds the truncated tail.
+        theta, shift, space = self.near_circle(0.955)
+        assert wandering_dimension(space, shift) == 1
+        rec = extract_model(space, shift)
+        assert len(rec.theta.zeros) == 2
+        for a in theta.zeros:
+            assert min(abs(a - b) for b in rec.theta.zeros) < 1e-6
+
+    def test_zero_at_0_975_is_a_truncation_error(self):
+        _, shift, space = self.near_circle(0.975)
+        with pytest.raises(TruncationError, match=r"\d+ rows of slack .*raise --truncation"):
+            wandering_dimension(space, shift)
+        with pytest.raises(TruncationError, match="raise --truncation"):
+            extract_model(space, shift)
+        # Without the invariance certificate the same basis meets the
+        # norm-based precondition, which the truncated tail fails.
+        raw = Subspace(space.basis, space.trusted_order, space.frontier)
+        with pytest.raises(PreconditionError):
+            wandering_dimension(raw, shift)
+        with pytest.raises(PreconditionError):
+            extract_model(raw, shift)
+
     def test_raw_basis_must_be_invariant(self, one_plus_z_shift):
         rng = np.random.default_rng(0)
         junk = orthonormalize(rng.standard_normal((NW, 4)))
@@ -235,7 +268,7 @@ class TestCheckCyclic:
         verdict, witness = check_cyclic(space, model, shift)
         assert not verdict
         assert witness["consistent"]
-        assert witness["forward_max_angle"] > 0.5  # krylov closure strictly smaller
+        assert witness["forward_max_angle"] > 0.5  # the closure of phi_0 is strictly smaller
         assert max(abs(r) for r in witness["p0_roots"]) < 1.0
 
     def test_refuses_higher_n(self, two_perturbation_shift, theta_half):

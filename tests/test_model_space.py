@@ -1,11 +1,12 @@
 """Model-side verdicts on the finite model space ``K = H^2 (-) z^n theta H^2``.
 
-``verify_model``, ``finite_codimension`` and ``hyperinvariance_check`` work
-on ``K``, expanded to a length set by the zeros of theta, where
-``dense_oracle`` checks the same models on depth-truncated generator stacks
-of N rows.  The differential inputs are exact 1-shift models and models
-extracted from conditioned Krylov closures (n = 1..3), all with zeros in the
-disc of radius 0.8, where the stacks resolve at N = 128.
+``verify_model``, ``finite_codimension``, ``hyperinvariance_check`` and
+``check_cyclic`` work on ``K``, expanded to a length set by the zeros of
+theta, where ``dense_oracle`` checks the same models on depth-truncated
+generator stacks and Krylov closures of N rows.  The differential inputs are
+exact 1-shift models and models extracted from conditioned Krylov closures
+(n = 1..3), all with zeros in the disc of radius 0.8, where the stacks
+resolve at N = 128.
 """
 
 import tracemalloc
@@ -21,15 +22,18 @@ from hardy_perturb import (
     SubspaceModel,
     TridiagonalKernel,
     build_subspace,
+    check_cyclic,
     extract_model,
     finite_codimension,
     hyperinvariance_check,
     krylov_closure,
     orthonormalize,
     s1_model,
+    shift_from_columns,
     shift_from_kernel,
     verify_model,
 )
+from hardy_perturb.inner import is_outer_polynomial
 from hardy_perturb.errors import ModelInconsistencyError, TruncationError
 from hardy_perturb.invariant import default_tail_depth, model_generators
 from hardy_perturb.suite import sample_conditioned_trial
@@ -224,3 +228,67 @@ def test_s1_models_pass_and_a_small_edit_fails(b0, zeros, edit, phase):
         p[index] += delta
         edited = SubspaceModel(1, theta, (Polynomial(p),), model.q)
     assert verify_model(edited, shift, nw)["max_residual"] > 1e-8
+
+
+# -------------------------------------------------------------- cyclicity --
+
+def non_cyclic_case(nw):
+    """The 1-shift sending 1 to z + 4 z^3 and its model C 1 (+) z H^2 (p_0 = 1 + 4 z^2)."""
+    shift = shift_from_columns(1, [[0.0, 0.0, 0.0, 4.0]], nw)
+    model = SubspaceModel(1, BlaschkeProduct(1.0, ()), (Polynomial([1.0, 0.0, 4.0]),),
+                          (Polynomial([0.0, 0.0, 4.0]),))
+    return model, shift
+
+
+def cyclic_cases():
+    """``(model, shift)``: s1 models with |b0| <= 0.5, then the non-cyclic one."""
+    rng = np.random.default_rng(77)
+    cases = []
+    for degree in (1, 2, 3, 1, 2, 3):
+        b0 = _disc(rng, 0.5)
+        theta = BlaschkeProduct(np.exp(2j * np.pi * rng.uniform()),
+                                tuple(_disc(rng, 0.8) for _ in range(degree)))
+        cases.append((s1_model(1.0, b0, theta), shift_from_kernel(kernel_1(b0), DIFF_NW)))
+    return cases + [non_cyclic_case(DIFF_NW)]
+
+
+@pytest.mark.parametrize("case", cyclic_cases(),
+                         ids=lambda c: f"deg{c[0].theta.degree}-p{c[0].p[0].degree}")
+def test_cyclic_witness_matches_the_dense_oracle(case):
+    model, shift = case
+    verdict, witness = check_cyclic(None, model, shift)
+    old_verdict, old = oracle.check_cyclic(model, shift)
+    assert verdict == old_verdict
+    assert witness["numeric_cyclic"] == old["numeric_cyclic"]
+    assert witness["consistent"] and old["consistent"]
+    for key in ("forward_max_angle", "reverse_max_angle"):
+        if old[key] < 1e-6:
+            assert witness[key] < 1e-12
+    assert witness["closure_codimension"] == (0 if verdict else 2)
+
+
+def _root_off_the_circle():
+    return st.builds(lambda r, t: complex(r * np.exp(1j * t)),
+                     st.one_of(st.floats(0.1, 0.95), st.floats(1.05, 4.0)),
+                     st.floats(0.0, 2 * np.pi))
+
+
+@settings(max_examples=40, deadline=None)
+@given(roots=st.lists(_root_off_the_circle(), min_size=1, max_size=3))
+def test_closure_of_one_under_s1_equal_z_p(roots):
+    # For S 1 = z p with p(0) = 1, the model (1, theta = 1, p, p - 1) has
+    # phi_0 = 1 and M = H^2, and the closure of 1 is C (+) z B_p H^2
+    # (Beurling): its codimension is the number of roots of p in the disc.
+    p = Polynomial.from_roots(roots)
+    p = Polynomial(p.coeffs / p.coeffs[0])
+    q = Polynomial(p.coeffs - np.eye(1, p.coeffs.size)[0])
+    shift = shift_from_columns(1, [np.concatenate([[0.0], q.coeffs])], 64)
+    model = SubspaceModel(1, BlaschkeProduct(1.0, ()), (p,), (q,))
+    verdict, witness = check_cyclic(None, model, shift)
+    inside = sum(abs(r) < 1.0 for r in roots)
+    assert verdict == witness["numeric_cyclic"] == is_outer_polynomial(p)
+    assert witness["closure_codimension"] == inside
+    if inside:
+        assert witness["forward_max_angle"] > 0.5
+    else:
+        assert max(witness["forward_max_angle"], witness["reverse_max_angle"]) < 1e-12
