@@ -36,6 +36,7 @@ from .core import (
 from .errors import HardyPerturbError
 from .inner import Polynomial
 from .invariant import (
+    _require_consistent,
     build_subspace,
     check_cyclic,
     extract_model,
@@ -301,8 +302,8 @@ def subspace_cyclic(config_path, truncation, seed, out_path):
     cfg = load_config(config_path, truncation, seed)
     s, _ = _shift_for_subspace(cfg)
     model = _require_model(cfg)
-    space, _ = build_subspace(model, s, cfg.truncation, cfg.tolerances)
-    verdict, witness = check_cyclic(space, model, s, cfg.tolerances)
+    _require_consistent(model, s, cfg.truncation, cfg.tolerances)
+    verdict, witness = check_cyclic(None, model, s, cfg.tolerances)
     body = {"cyclic": verdict, "witness": witness}
     _report(cfg, "subspace cyclic", body, out_path)
     _finish(witness.get("consistent", True))
@@ -315,8 +316,8 @@ def subspace_codim(config_path, truncation, seed, out_path):
     cfg = load_config(config_path, truncation, seed)
     s, _ = _shift_for_subspace(cfg)
     model = _require_model(cfg)
-    space, _ = build_subspace(model, s, cfg.truncation, cfg.tolerances)
-    codim = finite_codimension(space, model, cfg.tolerances)
+    _require_consistent(model, s, cfg.truncation, cfg.tolerances)
+    codim = finite_codimension(None, model, cfg.tolerances)
     _report(cfg, "subspace codim", {"codimension": codim}, out_path)
     _finish(True)
 

@@ -288,6 +288,21 @@ def verify_model(
     return report
 
 
+def _require_consistent(
+    model: SubspaceModel, shift: NShift, working_order: int, tol: ToleranceConfig
+) -> dict:
+    """:func:`verify_model`'s report; a failed condition raises :class:`ModelInconsistencyError`."""
+    report = verify_model(model, shift, working_order, tol)
+    if report["phi_min_norm"] <= tol.tau_rank:
+        raise ModelInconsistencyError("some phi_i is numerically zero", condition="phi_nonzero")
+    for name in _CONDITIONS:
+        if report[name] > _CONDITION_LIMIT:
+            raise ModelInconsistencyError(
+                f"model condition {name} has residual {report[name]:.3e}", condition=name
+            )
+    return report
+
+
 def build_subspace(
     model: SubspaceModel,
     shift: NShift,
@@ -304,14 +319,7 @@ def build_subspace(
     and the orthonormality limit every basis is checked against.
     """
     tol = tol or DEFAULT_TOL
-    report = verify_model(model, shift, working_order, tol)
-    if report["phi_min_norm"] <= tol.tau_rank:
-        raise ModelInconsistencyError("some phi_i is numerically zero", condition="phi_nonzero")
-    for name in _CONDITIONS:
-        if report[name] > _CONDITION_LIMIT:
-            raise ModelInconsistencyError(
-                f"model condition {name} has residual {report[name]:.3e}", condition=name
-            )
+    report = _require_consistent(model, shift, working_order, tol)
     depth = default_tail_depth(model, working_order)
     gens, frontier = model_generators(model, working_order, depth)
     space = orthonormalize(
@@ -547,7 +555,7 @@ def extract_model(
 
 
 def check_cyclic(
-    M: Subspace,
+    M: Subspace | None,
     model: SubspaceModel,
     shift: NShift,
     tol: ToleranceConfig | None = None,
@@ -604,7 +612,7 @@ def _arcsin_norm(a: np.ndarray) -> float:
 
 
 def finite_codimension(
-    M: Subspace,
+    M: Subspace | None,
     model: SubspaceModel,
     tol: ToleranceConfig | None = None,
 ) -> int:

@@ -214,6 +214,19 @@ class TestSubspaceCommands:
         assert result.exit_code == 0
         assert json.loads(result.output)["report"]["codimension"] == 1
 
+    @pytest.mark.parametrize("command", ["cyclic", "codim"])
+    def test_model_verdicts_build_no_range_basis(self, runner, tmp_path, monkeypatch, command):
+        import hardy_perturb.invariant as invariant
+
+        def no_generators(*args):
+            raise AssertionError("the range basis is not read")
+
+        monkeypatch.setattr(invariant, "model_generators", no_generators)
+        cfg = tmp_path / "cfg.json"
+        write(cfg, RANK_ONE)
+        result = invoke(runner, ["subspace", command, "--config", str(cfg)])
+        assert result.exit_code == 0
+
 
 class TestCommutantCommands:
     def test_element_with_flag_symbol(self, runner, tmp_path):
