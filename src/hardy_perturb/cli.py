@@ -280,7 +280,12 @@ def subspace_extract(config_path, truncation, seed, out_path):
         vec = TruncatedVector.from_coefficients(
             parse_complex_list(cfg.options["seed_vector"]), nw
         )
-        depth = int(cfg.options.get("depth", 40))
+        try:
+            depth = int(cfg.options.get("depth", 40))
+        except (TypeError, ValueError):
+            depth = -1
+        if depth < 0:
+            raise ConfigError("depth must be a nonnegative integer")
         space = krylov_closure(s, vec, depth, cfg.tolerances)
     else:
         model_in = _require_model(cfg)
@@ -379,6 +384,8 @@ def commutant_element_cmd(phi_text, config_path, truncation, seed, out_path,
 @common_options
 def commutant_hyper(trials, config_path, truncation, seed, out_path):
     """Hyperinvariance residuals of a modeled subspace."""
+    if trials < 1:
+        raise ConfigError(f"trials must be at least 1, got {trials}")
     cfg = load_config(config_path, truncation, seed)
     s, kernel = _require_kernel(cfg)
     model = _require_model(cfg)

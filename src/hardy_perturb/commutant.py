@@ -127,14 +127,18 @@ def hyperinvariance_check(
 ) -> dict:
     """Check that every sampled commutant member maps the modeled subspace into itself.
 
-    The model must pass :func:`verify_model` against ``shift``, else
-    :class:`PreconditionError`.  Random polynomial symbols with coefficients
-    uniform in the unit disc (seeded for reproducibility) are turned into
-    commutant members ``X``; the report carries the largest escape of the
-    subspace under them, computed on the finite model space like the
-    invariance certificate, and passes when it stays below ``tau_res``.
+    The model must pass :func:`verify_model` against ``shift`` and
+    ``trials`` must be at least 1 (a check that samples no symbol cannot
+    fail), else :class:`PreconditionError`.  Random polynomial symbols with
+    coefficients uniform in the unit disc (seeded for reproducibility) are
+    turned into commutant members ``X``; the report carries the largest
+    escape of the subspace under them, computed on the finite model space
+    like the invariance certificate, and passes when it stays below
+    ``tau_res``.
     """
     tol = tol or DEFAULT_TOL
+    if trials < 1:
+        raise PreconditionError(f"hyperinvariance needs at least one trial, got {trials}")
     checks = verify_model(model, shift, shift.working_order, tol)
     resid = checks["invariance_residual"]
     if checks["max_residual"] > checks["condition_limit"] or resid > 10 * tol.tau_res:
@@ -153,7 +157,7 @@ def hyperinvariance_check(
     return {
         "trials": trials,
         "seed": seed,
-        "max_symbol_degree": max(degrees, default=0),
+        "max_symbol_degree": max(degrees),
         "max_residual": worst,
         "passed": worst < tol.tau_res,
     }
@@ -191,7 +195,7 @@ def irreducibility_probe(
         if M.dim == 0 or M.dim == nw:
             samples.append({"dimension": M.dim, "skipped": "trivial"})
             continue
-        rows = M.frontier if M.frontier is not None else M.trusted_order
+        rows = M.frontier if M.frontier is not None else M.working_order
         rows = max(1, rows - band_spread(shift.S)[0] - 1)
         escape = invariance_residual(M, adjoint, rows=rows)
         is_reducing = escape <= tol.tau_res

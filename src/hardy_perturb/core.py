@@ -4,8 +4,10 @@ Functions on the truncated space work with plain complex ``numpy`` arrays
 wrapped in three small value types:
 
 * :class:`TruncatedVector` holds the monomial coefficients of a function up
-  to a working order, together with a trusted order marking the prefix that
-  is exact for the modeled infinite object.
+  to a working order.  Shifts and their commutant members are lower
+  triangular (an n-shift never lowers degree), so truncating them loses
+  nothing below the working order; how far a generator stack reaches is
+  its subspace's ``frontier``.
 * :class:`OperatorMatrix` holds an operator in the monomial basis (column
   ``m`` is the image of ``z**m``) as a lower Toeplitz symbol plus a finite
   leading block; its dense matrix is built only when ``entries`` is read.
@@ -19,6 +21,7 @@ functions, so everything here is safe to evaluate concurrently.
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,9 +89,6 @@ DEFAULT_TOL = ToleranceConfig()
 
 # Largest entry of ``B* B - I`` a Subspace basis ``B`` may carry.
 _ORTHONORMALITY_LIMIT = 1e-7
-# Relative singular-value cut for re-orthonormalizing row-restricted bases
-# before principal angles are taken.
-_REORTHONORMALIZE_CUT = 1e-10
 
 
 def _frozen_array(a) -> np.ndarray:
@@ -103,21 +103,16 @@ def _frozen_array(a) -> np.ndarray:
 class TruncatedVector:
     """A Hardy-space element as monomial coefficients up to a working order.
 
-    ``coeffs[j]`` is the coefficient of ``z**j``.  Indices below
-    ``trusted_order`` are exact for the modeled infinite object; indices at
-    or above it may carry truncation error.
+    ``coeffs[j]`` is the coefficient of ``z**j``.
     """
 
     coeffs: np.ndarray
-    trusted_order: int
 
     def __post_init__(self):
         arr = _frozen_array(self.coeffs)
         if arr.ndim != 1:
             raise DimensionMismatchError("coefficients must form a 1-d array")
         object.__setattr__(self, "coeffs", arr)
-        if not 0 <= self.trusted_order <= arr.shape[0]:
-            raise ValueError("trusted_order must lie in [0, working_order]")
 
     @property
     def working_order(self) -> int:
@@ -139,13 +134,11 @@ class TruncatedVector:
         cls,
         coeffs: Sequence[complex],
         working_order: int,
-        trusted_order: int | None = None,
     ) -> "TruncatedVector":
         """Build a vector from a (possibly shorter) coefficient sequence.
 
         The sequence is zero-padded to ``working_order``; anything beyond is
-        an error.  ``trusted_order`` defaults to the full working order,
-        which is the right marker for exactly known (e.g. polynomial) data.
+        an error.
         """
         c = np.asarray(coeffs, dtype=np.complex128)
         if c.shape[0] > working_order:
@@ -154,8 +147,7 @@ class TruncatedVector:
             )
         full = np.zeros(working_order, dtype=np.complex128)
         full[: c.shape[0]] = c
-        t = working_order if trusted_order is None else trusted_order
-        return cls(full, t)
+        return cls(full)
 
     @classmethod
     def monomial(cls, k: int, working_order: int) -> "TruncatedVector":
@@ -163,11 +155,11 @@ class TruncatedVector:
             raise DimensionMismatchError("monomial degree outside working order")
         c = np.zeros(working_order, dtype=np.complex128)
         c[k] = 1.0
-        return cls(c, working_order)
+        return cls(c)
 
     @classmethod
     def zero(cls, working_order: int) -> "TruncatedVector":
-        return cls(np.zeros(working_order, dtype=np.complex128), working_order)
+        return cls(np.zeros(working_order, dtype=np.complex128))
 
 
 def band_spread(a, rel_tol: float = 1e-12) -> tuple[int, int]:
@@ -373,7 +365,6 @@ class Subspace:
     """
 
     basis: np.ndarray
-    trusted_order: int
     frontier: int | None = None
     invariant_certified: bool = False
 
@@ -382,8 +373,6 @@ class Subspace:
         if arr.ndim != 2:
             raise DimensionMismatchError("basis must be a 2-d array")
         object.__setattr__(self, "basis", arr)
-        if not 0 <= self.trusted_order <= arr.shape[0]:
-            raise ValueError("trusted_order must lie in [0, working_order]")
         if arr.shape[1] > arr.shape[0]:
             raise DimensionMismatchError("subspace dimension exceeds working order")
         if arr.shape[1]:
@@ -401,29 +390,12 @@ class Subspace:
 
     @classmethod
     def full(cls, working_order: int) -> "Subspace":
-        return cls(np.eye(working_order, dtype=np.complex128), working_order)
-
-
-def _stack(vectors) -> tuple[np.ndarray, int]:
-    """Stack vectors (TruncatedVector or arrays) into columns, tracking trust."""
-    cols = []
-    trusted = None
-    for v in vectors:
-        if isinstance(v, TruncatedVector):
-            cols.append(v.coeffs)
-            trusted = v.trusted_order if trusted is None else min(trusted, v.trusted_order)
-        else:
-            arr = np.asarray(v, dtype=np.complex128)
-            cols.append(arr)
-            trusted = arr.shape[0] if trusted is None else min(trusted, arr.shape[0])
-    a = np.column_stack(cols)
-    return a, int(trusted)
+        return cls(np.eye(working_order, dtype=np.complex128))
 
 
 def orthonormalize(
     vectors,
     tol: ToleranceConfig | None = None,
-    trusted_order: int | None = None,
     frontier: int | None = None,
     invariant_certified: bool = False,
 ) -> Subspace:
@@ -435,20 +407,17 @@ def orthonormalize(
     (dimension 0), never an error.
     """
     tol = tol or DEFAULT_TOL
-    if isinstance(vectors, np.ndarray):
-        a = np.asarray(vectors, dtype=np.complex128)
-        if a.ndim == 1:
-            a = a[:, None]
-        inferred = a.shape[0]
-    else:
-        vectors = list(vectors)
-        if not vectors:
+    if not isinstance(vectors, np.ndarray):
+        cols = [v.coeffs if isinstance(v, TruncatedVector) else v for v in vectors]
+        if not cols:
             raise ValueError("need at least one vector")
-        a, inferred = _stack(vectors)
-    trusted = inferred if trusted_order is None else trusted_order
+        vectors = np.column_stack(cols)
+    a = np.asarray(vectors, dtype=np.complex128)
+    if a.ndim == 1:
+        a = a[:, None]
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     r, _ = _rank_cut(s, tol.tau_rank)
-    return Subspace(u[:, :r], trusted, frontier, invariant_certified)
+    return Subspace(u[:, :r], frontier, invariant_certified)
 
 
 def _rank_cut(s: np.ndarray, rel: float) -> tuple[int, float | None]:
@@ -503,15 +472,10 @@ def subspace_difference(M: Subspace, T, tol: ToleranceConfig | None = None) -> S
     mat = as_matrix(T)
     if mat.shape[0] != M.working_order:
         raise DimensionMismatchError("operator and subspace working orders differ")
-    if M.trusted_order <= 0:
-        raise TruncationError("trusted order exhausted")
     coords = M.basis.conj().T @ (mat @ M.basis)
     u, s, _ = np.linalg.svd(coords)
     r, _ = _rank_cut(s, tol.tau_rank)
-    comp = u[:, r:]
-    below, above = band_spread(mat)
-    trusted = max(0, M.trusted_order - above)
-    return Subspace(M.basis @ comp, trusted, M.frontier)
+    return Subspace(M.basis @ u[:, r:], M.frontier)
 
 
 def krylov_closure(
@@ -522,9 +486,9 @@ def krylov_closure(
 ) -> Subspace:
     """Orthonormalize ``{f, Tf, ..., T^depth f}``.
 
-    Approximates the cyclic subspace generated by ``f`` on the trusted
-    block.  Requires ``depth * band_spread(T) < trusted_order`` so that the
-    iterates stay inside the representable range.
+    Approximates the cyclic subspace generated by ``f`` on the truncation.
+    Requires ``depth * band_spread(T) < working_order`` so that the iterates
+    stay inside the representable range.
     """
     tol = tol or DEFAULT_TOL
     mat = as_matrix(T)
@@ -532,11 +496,11 @@ def krylov_closure(
         raise DimensionMismatchError("operator and vector working orders differ")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    below, above = band_spread(mat)
-    if depth * max(below, above) >= max(1, f.trusted_order):
+    spread = max(band_spread(mat))
+    if depth * spread >= max(1, f.working_order):
         raise TruncationError(
-            f"depth {depth} times band spread {max(below, above)} exceeds "
-            f"trusted order {f.trusted_order}"
+            f"depth {depth} times band spread {spread} exceeds "
+            f"working order {f.working_order}"
         )
     iterates = np.empty((f.working_order, depth + 1), dtype=np.complex128)
     vec = f.coeffs.copy()
@@ -544,15 +508,9 @@ def krylov_closure(
     for k in range(1, depth + 1):
         vec = mat @ vec
         iterates[:, k] = vec
-    # Strictly banded-below operators keep every stored row exact, so the
-    # trusted order only shrinks by the upward reach of the band.
-    trusted = max(0, f.trusted_order - depth * above)
     frontier = min(f.working_order, f.valuation(1e-14 * max(1.0, f.norm())) + depth)
     # Invariance holds by construction: T maps each iterate to the next.
-    return orthonormalize(
-        iterates, tol, trusted_order=trusted, frontier=frontier,
-        invariant_certified=True,
-    )
+    return orthonormalize(iterates, tol, frontier=frontier, invariant_certified=True)
 
 
 def principal_angles(M1: Subspace, M2: Subspace) -> np.ndarray:
@@ -561,16 +519,11 @@ def principal_angles(M1: Subspace, M2: Subspace) -> np.ndarray:
     With ``A`` the larger basis, angles below ``pi/4`` come from the singular
     values of ``(I - P_A) B`` (their sines), the rest from those of ``A* B``
     (their cosines): ``arccos`` alone cannot resolve angles below about
-    1.5e-8.  Comparison is restricted to rows below the common trusted
-    order; bases restricted that way are re-orthonormalized first.
+    1.5e-8.
     """
     if M1.working_order != M2.working_order:
         raise DimensionMismatchError("working orders differ")
-    r = min(M1.trusted_order, M2.trusted_order)
     a, b = M1.basis, M2.basis
-    if r < M1.working_order:
-        a = _reorthonormalize(a[:r, :])
-        b = _reorthonormalize(b[:r, :])
     if a.shape[1] == 0 or b.shape[1] == 0:
         return np.zeros(0)
     if a.shape[1] < b.shape[1]:
@@ -581,25 +534,17 @@ def principal_angles(M1: Subspace, M2: Subspace) -> np.ndarray:
     return np.sort(np.where(sines < np.sqrt(0.5), np.arcsin(sines), np.arccos(cosines)))
 
 
-def _reorthonormalize(a: np.ndarray) -> np.ndarray:
-    if a.shape[1] == 0:
-        return a
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    r, _ = _rank_cut(s, _REORTHONORMALIZE_CUT)
-    return u[:, :r]
-
-
 def invariance_residual(M: Subspace, T, rows: int | None = None) -> float:
     """Spectral norm of ``(I - P_M) T P_M`` restricted to rows below ``rows``.
 
     ``rows`` defaults to the subspace frontier (generator-truncated spaces)
-    or its trusted order.  Content the operator pushes past the frontier is
+    or its working order.  Content the operator pushes past the frontier is
     a depth artifact of the truncation, not an invariance defect, and is
     excluded by the row restriction.
     """
     mat = as_matrix(T)
     if rows is None:
-        rows = M.frontier if M.frontier is not None else M.trusted_order
+        rows = M.frontier if M.frontier is not None else M.working_order
     image = mat @ M.basis
     resid = image - M.basis @ (M.basis.conj().T @ image)
     resid = resid[:rows, :]

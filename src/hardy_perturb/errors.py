@@ -14,7 +14,7 @@ class DimensionMismatchError(HardyPerturbError):
 
 
 class TruncationError(HardyPerturbError):
-    """Raised when an operation would exhaust the trusted coefficient range."""
+    """Raised when an operation needs more coefficients than the working order holds."""
 
 
 class NotLeftInvertibleError(HardyPerturbError):

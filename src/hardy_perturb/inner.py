@@ -153,8 +153,7 @@ def blaschke_eval(theta: BlaschkeProduct, w: complex) -> complex:
 def blaschke_taylor(theta: BlaschkeProduct, working_order: int) -> TruncatedVector:
     """Taylor coefficients of a Blaschke product at 0, up to the working order.
 
-    All stored coefficients are exact for the rational function, so the
-    trusted order equals the working order.
+    All stored coefficients are exact for the rational function.
     """
     if working_order < 1:
         raise ValueError("working order must be at least 1")
@@ -165,7 +164,7 @@ def blaschke_taylor(theta: BlaschkeProduct, working_order: int) -> TruncatedVect
         den,
         working_order,
     )
-    return TruncatedVector(out, working_order)
+    return TruncatedVector(out)
 
 
 def _series_div_arrays(num: np.ndarray, den: np.ndarray, n: int) -> np.ndarray:
@@ -190,12 +189,12 @@ def is_inner_numeric(
 
     Multiplication by an inner function is isometric, which at truncation
     reads: unit norm and vanishing autocorrelations ``<z^k f, f>`` for all
-    lags up to the trusted margin.  Returns the verdict plus diagnostics.
+    lags up to the working order.  Returns the verdict plus diagnostics.
     """
     tol = tol or DEFAULT_TOL
-    nt = f.trusted_order
+    nt = f.working_order
     lags = max_lag if max_lag is not None else min(64, max(1, nt - 1))
-    c = f.coeffs[:nt]
+    c = f.coeffs
     norm2 = float(np.real(np.vdot(c, c)))
     worst = 0.0
     for k in range(1, lags + 1):
@@ -230,13 +229,13 @@ def rational_inner_from_taylor(
 
     Detects the minimal rational degree through the kernel of shifted
     coefficient (Hankel-type) systems, reads the zeros off the recovered
-    numerator, and validates the reconstruction against the trusted
+    numerator, and validates the reconstruction against the leading
     coefficients.  Raises :class:`ExtractionError` when no unimodular
     rational function of admissible degree matches.
     """
     tol = tol or DEFAULT_TOL
-    nt = vec.trusted_order
-    t = vec.coeffs[:nt]
+    t = vec.coeffs
+    nt = t.shape[0]
     scale = float(np.abs(t).max())
     if scale == 0.0:
         raise ExtractionError("cannot rationalize the zero vector")
@@ -268,7 +267,7 @@ def rational_inner_from_taylor(
         if err <= max(1e-5, 10 * tol.tau_res) * scale:
             return cand
     raise ExtractionError(
-        "no finite Blaschke product matches the trusted coefficients"
+        "no finite Blaschke product matches the leading coefficients"
     )
 
 

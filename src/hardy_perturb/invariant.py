@@ -102,7 +102,7 @@ class SubspaceModel:
         vec[i:] = prod[: working_order - i]
         qc = self.q[i].coeffs
         vec[: qc.size] -= qc[:working_order]
-        return TruncatedVector(vec, working_order)
+        return TruncatedVector(vec)
 
     def to_json(self) -> dict:
         return {
@@ -322,10 +322,7 @@ def build_subspace(
     report = _require_consistent(model, shift, working_order, tol)
     depth = default_tail_depth(model, working_order)
     gens, frontier = model_generators(model, working_order, depth)
-    space = orthonormalize(
-        gens, tol, trusted_order=working_order, frontier=frontier,
-        invariant_certified=True,
-    )
+    space = orthonormalize(gens, tol, frontier=frontier, invariant_certified=True)
     report["depth"] = depth
     report["dimension"] = space.dim
     report["frontier"] = frontier
@@ -432,13 +429,13 @@ def _vector_to_polynomial(
     label: str,
     cutoff: float | None = None,
 ) -> tuple[Polynomial, float]:
-    """Truncate a trusted coefficient slice to a polynomial, reporting the tail.
+    """Truncate a coefficient slice to a polynomial, reporting the tail.
 
     ``cutoff`` overrides the relative significance threshold; extraction
     passes its measured noise floor so noise never masquerades as degree.
     """
     floor = 0.0 if cutoff is None else cutoff
-    c = vec.coeffs[: vec.trusted_order].copy()
+    c = vec.coeffs.copy()
     scale = float(np.abs(c).max()) if c.size else 0.0
     threshold = max(tol.tau_rank * scale, floor)
     if scale == 0.0 or scale <= threshold:
@@ -446,10 +443,10 @@ def _vector_to_polynomial(
     sig = np.flatnonzero(np.abs(c) > threshold)
     degree = int(sig[-1])
     tail = float(np.linalg.norm(c[degree + 1 :]))
-    if degree >= vec.trusted_order - 4:
+    if degree >= vec.working_order - 4:
         warnings.warn(
-            f"{label} does not truncate to a polynomial inside the trusted "
-            f"block (significant coefficients up to index {degree}, "
+            f"{label} does not truncate to a polynomial inside the coefficient "
+            f"window (significant coefficients up to index {degree}, "
             f"tail norm {tail:.3e})",
             stacklevel=3,
         )
@@ -497,8 +494,7 @@ def extract_model(
         # The shift raises every generator valuation by exactly one.
         frontier = None if current.frontier is None else min(nw, current.frontier + 1)
         current = orthonormalize(
-            s @ current.basis, tol,
-            trusted_order=current.trusted_order, frontier=frontier,
+            s @ current.basis, tol, frontier=frontier,
             invariant_certified=current.invariant_certified,
         )
 
@@ -514,16 +510,14 @@ def extract_model(
 
     # Coefficients of the wandering vector lose accuracy toward the
     # generator frontier; keep a margin below it for the rational fit.
-    theta_trusted = nw - n if current.frontier is None else max(16, current.frontier - n - 8)
+    theta_window = nw - n if current.frontier is None else max(16, current.frontier - n - 8)
     theta_raw = _normalize_direction(gvec[n:], tol)
-    theta_vec = TruncatedVector(
-        np.pad(theta_raw, (0, n)), min(theta_trusted, nw - n)
-    )
-    # Fast-fail screen; lags stay inside half the trusted window because the
+    theta_vec = TruncatedVector(theta_raw[:theta_window])
+    # Fast-fail screen; lags stay inside half the theta window because the
     # high lags are dominated by the truncated theta tail.  The decisive
     # validation is the rational reconstruction below.
     _, diag = is_inner_numeric(
-        theta_vec, tol, max_lag=min(24, theta_vec.trusted_order // 2)
+        theta_vec, tol, max_lag=min(24, theta_vec.working_order // 2)
     )
     if diag["max_correlation"] > 1e-3 or diag["norm_defect"] > 1e-3:
         raise ExtractionError(
@@ -545,7 +539,7 @@ def extract_model(
         )
         q_raw = _shifted_taylor(prod, i) - phi_dirs[i]
         q_i, _ = _vector_to_polynomial(
-            TruncatedVector(q_raw, min(theta_vec.trusted_order, 48)), tol, f"q_{i}",
+            TruncatedVector(q_raw[: min(theta_vec.working_order, 48)]), tol, f"q_{i}",
             cutoff=10.0 * p_resid,
         )
         p_list.append(p_i)

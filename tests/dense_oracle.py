@@ -238,8 +238,7 @@ def check_cyclic(model, shift, tol=DEFAULT_TOL):
         raise TruncationError("working order leaves no room for staggered-depth comparison")
     phi0 = model.phi(0, nw)
     gens, frontier = model_generators(model, nw, k_build)
-    space = orthonormalize(gens, tol, trusted_order=nw, frontier=frontier,
-                           invariant_certified=True)
+    space = orthonormalize(gens, tol, frontier=frontier, invariant_certified=True)
     forward = principal_angles(space, krylov_closure(shift, phi0, max_depth, tol))
     reverse = principal_angles(
         krylov_closure(shift, phi0, max(1, k_build - deg_p - 1), tol), space

@@ -177,6 +177,17 @@ class TestSubspaceCommands:
         doc = json.loads(result.output)
         assert doc["report"]["residuals"]["max_residual"] < 1e-6
 
+    @pytest.mark.parametrize("depth", [-1, "abc"])
+    def test_extract_bad_depth_is_a_config_error(self, runner, tmp_path, depth):
+        payload = json.loads(json.dumps(TWO_PERTURBATION))
+        payload["seed_vector"] = [[0, 0], [1, 0], [-0.3, 0], [0.2, 0]]
+        payload["depth"] = depth
+        cfg = tmp_path / "cfg.json"
+        write(cfg, payload)
+        result = runner.invoke(main, ["subspace", "extract", "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert "depth must be a nonnegative integer" in result.stderr
+
     def test_extract_from_raw_basis(self, runner, tmp_path):
         from hardy_perturb import BlaschkeProduct, build_subspace, s1_model
         from hardy_perturb import shift_from_kernel, TridiagonalKernel
@@ -254,6 +265,16 @@ class TestCommutantCommands:
                                  "--trials", "50"])
         assert result.exit_code == 0
         assert json.loads(result.output)["report"]["max_residual"] < 1e-8
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_hyper_trials_below_one_is_a_config_error(self, runner, tmp_path, trials):
+        cfg = tmp_path / "cfg.json"
+        write(cfg, RANK_ONE)
+        result = runner.invoke(main, ["commutant", "hyper", "--config", str(cfg),
+                                      "--trials", trials])
+        assert result.exit_code == 2
+        assert "trials must be at least 1" in result.stderr
+        assert result.stdout == ""
 
     def test_irreducible(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"

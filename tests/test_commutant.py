@@ -155,6 +155,14 @@ class TestHyperinvariance:
         with pytest.raises(PreconditionError):
             hyperinvariance_check(wrong, one_plus_z_shift, one_plus_z_kernel, 3)
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_no_trials_is_refused(self, one_plus_z_kernel, one_plus_z_shift, theta_half,
+                                  trials):
+        # A check that samples no symbol cannot fail, so it must not pass.
+        model = s1_model(1.0, 1.0, theta_half)
+        with pytest.raises(PreconditionError, match="at least one trial"):
+            hyperinvariance_check(model, one_plus_z_shift, one_plus_z_kernel, trials)
+
 
 class TestIrreducibility:
     def test_backward_shift_escapes_coordinate_beurling(self):

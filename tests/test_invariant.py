@@ -223,7 +223,7 @@ class TestExtractModel:
             extract_model(space, shift)
         # Without the invariance certificate the same basis meets the
         # norm-based precondition, which the truncated tail fails.
-        raw = Subspace(space.basis, space.trusted_order, space.frontier)
+        raw = Subspace(space.basis, space.frontier)
         with pytest.raises(PreconditionError):
             wandering_dimension(raw, shift)
         with pytest.raises(PreconditionError):

@@ -85,8 +85,7 @@ def test_build_subspace_returns_the_default_depth_generator_stack():
     model = s1_model(1.0, 0.7j, BlaschkeProduct(1.0, (0.5, -0.4j)))
     space, report = build_subspace(model, shift_from_kernel(kernel_1(0.7j), nw), nw)
     gens, frontier = model_generators(model, nw, default_tail_depth(model, nw))
-    stack = orthonormalize(gens, trusted_order=nw, frontier=frontier,
-                           invariant_certified=True)
+    stack = orthonormalize(gens, frontier=frontier, invariant_certified=True)
     assert np.array_equal(space.basis, stack.basis)
     assert report["frontier"] == space.frontier == frontier
 
