@@ -27,7 +27,6 @@ from .inner import (
 from .shifts import (
     NShift,
     TridiagonalKernel,
-    monomial_in_f_basis,
     shift_from_columns,
     shift_from_kernel,
     validate_n_shift,

@@ -272,10 +272,9 @@ def subspace_extract(config_path, truncation, seed, out_path):
         if cols.shape[0] != nw:
             raise ConfigError("basis vectors must have length equal to truncation")
         frontier = cfg.options.get("frontier")
-        space = orthonormalize(
-            cols, cfg.tolerances,
-            frontier=None if frontier is None else int(frontier),
-        )
+        if frontier is not None and not (isinstance(frontier, int) and 0 <= frontier <= nw):
+            raise ConfigError(f"frontier must be an integer in [0, {nw}], got {frontier!r}")
+        space = orthonormalize(cols, cfg.tolerances, frontier=frontier)
     elif cfg.options.get("seed_vector") is not None:
         vec = TruncatedVector.from_coefficients(
             parse_complex_list(cfg.options["seed_vector"]), nw

@@ -24,7 +24,7 @@ from .core import (
 )
 from .errors import HardyPerturbError, PreconditionError
 from .inner import Polynomial
-from .invariant import SubspaceModel, _compress, _escape, _model_space, verify_model
+from .invariant import SubspaceModel, _escape, _lift, _model_space, verify_model
 from .shifts import NShift, TridiagonalKernel, relabeled_window, shift_from_kernel
 
 __all__ = [
@@ -144,16 +144,15 @@ def hyperinvariance_check(
     if checks["max_residual"] > checks["condition_limit"] or resid > 10 * tol.tau_res:
         raise PreconditionError(f"model describes no invariant subspace (condition residual "
                                 f"{checks['max_residual']:.3e}, invariance residual {resid:.3e})")
-    basis, _, _, perp = _model_space(model, tol, kernel.n + max_degree + 2)
+    a, basis, _, _, perp = _model_space(model, tol, kernel.n + max_degree + 2)
     rng = np.random.default_rng(seed)
     worst = 0.0
     degrees = []
     for _ in range(trials):
         symbol = _random_symbol(rng, max_degree)
         degrees.append(symbol.degree)
-        x = commutant_element(symbol, kernel, shift.working_order, tol, shift).X
-        x = OperatorMatrix(x.block, x.symbol, basis.shape[0])
-        worst = max(worst, _escape(perp, _compress(basis, x)))
+        x = _lift(commutant_element(symbol, kernel, shift.working_order, tol, shift).X, a)
+        worst = max(worst, _escape(perp, basis.conj().T @ x @ basis))
     return {
         "trials": trials,
         "seed": seed,

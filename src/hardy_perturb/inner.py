@@ -127,12 +127,6 @@ class BlaschkeProduct:
             "zeros": [[z.real, z.imag] for z in self.zeros],
         }
 
-    @classmethod
-    def from_json(cls, d: dict) -> "BlaschkeProduct":
-        const = complex(d["constant"][0], d["constant"][1])
-        zeros = tuple(complex(z[0], z[1]) for z in d.get("zeros", []))
-        return cls(const, zeros)
-
 
 def blaschke_eval(theta: BlaschkeProduct, w: complex) -> complex:
     """Evaluate a finite Blaschke product at a point.

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import warnings
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     DEFAULT_TOL,
@@ -67,11 +66,6 @@ __all__ = [
 # A model condition fails when its relative residual exceeds this.
 _CONDITION_LIMIT = 1e-6
 _CONDITIONS = ("phi_orthogonality", "phi_vs_tail", "chain", "last_chain")
-# The model space is expanded until the largest zero modulus to the power of
-# the extra rows falls below this, so every dropped tail sits under roundoff.
-_TAIL = 1e-17
-# Longest expansion of the model space; zeros closer to the circle raise.
-_MAX_LENGTH = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -183,49 +177,56 @@ def _split(a: np.ndarray, rel: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _model_space(model: SubspaceModel, tol: ToleranceConfig, reach: int) -> tuple:
-    """``(E, phi, closing, perp)`` for the model space ``K = H^2 (-) z^n theta H^2``.
+    """``(A, E, phi, closing, perp)`` for ``K = H^2 (-) z^n theta H^2``, exactly.
 
-    ``E``: orthonormal basis of ``K`` (``1..z^{n-1}``, then ``z^n`` times the
-    Takenaka-Malmquist basis of ``K_theta``); ``phi``: the model vectors;
-    ``closing``: ``z^n p_{n-1} theta``; ``perp``: orthonormal basis of
-    ``M^perp = K (-) span{phi_i}`` in ``E`` coordinates.  Columns run past
-    the data and ``reach`` operator rows until ``max|zero|**rows < _TAIL``;
-    all are rational over theta's denominator: one banded solve.
+    Coordinates are those of the Takenaka-Malmquist basis ``G_k = c_k B_k / (1 -
+    conj(l_k) z)`` of ``K' = H^2 (-) z^m theta H^2``: ``l = (0,)*m + theta.zeros``,
+    ``c_k = sqrt(1 - |l_k|^2)``, ``B_k = prod_{j<k} (z - l_j) / (1 - conj(l_j) z)``,
+    so ``G_k = z^k`` for ``k < m``; ``m >= reach`` is the least order holding every
+    ``phi_i``, ``S phi_i`` and ``closing = z^n p_{n-1} theta``.  ``A`` is ``P_{K'}
+    M_z`` on ``K'``, ``E`` an orthonormal basis of ``K`` and ``perp`` one of
+    ``M^perp = K (-) span{phi_i}`` in ``E`` coordinates.
     """
-    n, zeros, d = model.n, model.theta.zeros, model.theta.degree
-    top = max(map(abs, zeros), default=0.0)
-    length = n + d + max(c.coeffs.size for c in model.p + model.q) + reach
-    length += int(np.ceil(np.log(_TAIL) / np.log(top))) if top > 0.0 else 0
-    if length > _MAX_LENGTH:
-        raise TruncationError(f"the model space needs {length} Taylor coefficients, more "
-                              f"than {_MAX_LENGTH}: a zero of modulus {top:.6g} is too close")
-    num, den = model.theta.numerator(), model.theta.denominator()
-    rhs = np.zeros((length, d + n + 1), dtype=np.complex128)
-    for j, a in enumerate(zeros):
-        tm = Polynomial.from_roots(zeros[:j]).multiply(
-            BlaschkeProduct(1.0, zeros[j + 1 :]).denominator()
-        ).coeffs
-        rhs[n : n + tm.size, j] = np.sqrt(1.0 - abs(a) ** 2) * tm
-    for i, (p, q) in enumerate(zip(model.p, model.q)):
-        head, low = p.multiply(num).coeffs, q.multiply(den).coeffs
-        rhs[i : i + head.size, d + i] = head
-        rhs[: low.size, d + i] -= low
-    closing = model.p[n - 1].multiply(num).coeffs
-    rhs[n : n + closing.size, -1] = closing
-    banded = np.array([np.pad(np.full(length - k, c), (0, k)) for k, c in enumerate(den.coeffs)])
-    cols = scipy.linalg.solve_banded((len(banded) - 1, 0), banded, rhs)
-    basis = np.eye(length, n + d, dtype=np.complex128)
-    basis[:, n:] = cols[:, :d]
-    phi = cols[:, d : d + n]
-    norms = np.linalg.norm(phi, axis=0)
-    _, perp = _split(basis.conj().T @ phi / np.where(norms > 0.0, norms, 1.0), tol.tau_rank)
-    return basis, phi, cols[:, -1], perp
+    n, p, q = model.n, model.p, model.q
+    m = max([reach] + [n + c.coeffs.size for c in p] + [c.coeffs.size + 1 for c in q])
+    zeros = np.concatenate([np.zeros(m), model.theta.zeros])
+    dim = zeros.size
+    c = np.append(np.sqrt(1.0 - np.abs(zeros) ** 2), 1.0)
+    # z G_k = l_k G_k + c_k B_{k+1} and <B_{k+1}, G_l> = c_l prod_{k<j<l} (-conj l_j)
+    # for l > k; the extra last row, with c_dim = 1, holds <z G_k, B_dim>.
+    rows = np.zeros((dim + 1, dim), dtype=np.complex128)
+    np.fill_diagonal(rows, zeros)
+    for k in range(dim):
+        rows[k + 1 :, k] = c[k] * c[k + 1 :] * np.cumprod(np.append(1.0, -zeros[k + 1 :].conj()))
+    # z^m theta = u B_dim with u = theta.constant (-1)^deg, and M_z^r compresses to
+    # A^r, so <G_k, z^j theta> = <z^{m-j} G_k, z^m theta> = (beta A^{m-j-1})_k.
+    a, beta = rows[:dim], rows[dim] * np.conj(model.theta.constant) * (-1) ** model.theta.degree
+    shifted = np.empty((dim, m), dtype=np.complex128)
+    for j in range(m - 1, -1, -1):
+        shifted[:, j] = beta.conj()
+        beta = beta @ a
+    phi = np.zeros((dim, n + 1), dtype=np.complex128)
+    for i, (pi, qi) in enumerate(zip(p, q)):
+        phi[:, i] = shifted[:, i : i + pi.coeffs.size] @ pi.coeffs
+        phi[: qi.coeffs.size, i] -= qi.coeffs
+    phi[:, n] = shifted[:, n : n + p[-1].coeffs.size] @ p[-1].coeffs
+    # K is the complement in K' of the orthonormal z^{n+j} theta, j < m - n.
+    _, basis = _split(shifted[:, n:], tol.tau_rank)
+    norms = np.linalg.norm(phi[:, :n], axis=0)
+    _, perp = _split(basis.conj().T @ phi[:, :n] / np.where(norms > 0.0, norms, 1.0), tol.tau_rank)
+    return a, basis, phi[:, :n], phi[:, n], perp
 
 
-def _compress(basis: np.ndarray, op: OperatorMatrix) -> np.ndarray:
-    """``E* op E``, whose adjoint is ``op*`` on ``K``: exactly so for ``S`` and every
-    commutant member, since both map ``z^n theta H^2`` into itself."""
-    return basis.conj().T @ np.column_stack([op @ col for col in basis.T])
+def _lift(op: OperatorMatrix, a: np.ndarray) -> np.ndarray:
+    """``P_{K'} op`` on ``K'``, exact when ``op`` maps ``z^m theta H^2`` into itself
+    (``S``, commutant members): the symbol at ``A`` (Sarason) plus the block's
+    departure from its Toeplitz window, on ``1..z^{k-1} = G_0..G_{k-1}`` (``k <= m``)."""
+    out = np.zeros_like(a)
+    for coeff in op.symbol[::-1]:
+        out = out @ a + coeff * np.eye(len(a))
+    k = op.block_size
+    out[:k, :k] += op.block - OperatorMatrix.toeplitz(op.symbol, k).window(k)
+    return out
 
 
 def _escape(perp: np.ndarray, compressed: np.ndarray) -> float:
@@ -256,15 +257,15 @@ def verify_model(
         raise DimensionMismatchError(f"working order {working_order} is not the shift's")
     if model.n != shift.n:
         raise PreconditionError(f"model has n = {model.n}, shift has n = {shift.n}")
-    basis, phi, closing, perp = _model_space(model, tol, shift.S.block_size)
-    s = OperatorMatrix(shift.S.block, shift.S.symbol, basis.shape[0])
+    a, basis, phi, closing, perp = _model_space(model, tol, shift.S.block_size)
+    s = _lift(shift.S, a)
     coords = basis.conj().T @ phi
     norms = np.linalg.norm(phi, axis=0)
     unit = np.where(norms > 0.0, norms, 1.0)
     gram = np.abs(phi.conj().T @ phi) / np.outer(unit, unit)
-    s_phi = np.column_stack([s @ col for col in phi.T])
+    s_phi = s @ phi
     s_norms = np.maximum(np.linalg.norm(s_phi, axis=0), 1e-300)
-    compressed = _compress(basis, s)
+    compressed = basis.conj().T @ s @ basis
     # The chain in K coordinates: the projection of S phi_j onto K must lie
     # in the span of the projections of the later phi's.
     images = compressed @ coords
@@ -274,7 +275,6 @@ def verify_model(
         resid = images[:, j] - later @ (later.conj().T @ images[:, j])
         chain = max(chain, float(np.linalg.norm(resid) / s_norms[j]))
     report = {
-        "length": basis.shape[0],
         "phi_norms": norms.tolist(),
         "phi_min_norm": float(norms.min()),
         "phi_orthogonality": float(np.triu(gram, 1).max()),
@@ -578,12 +578,13 @@ def check_cyclic(
         p_b = Polynomial.from_roots(roots[~inside], p0.coeffs[-1]).multiply(b.denominator())
         theta_b = BlaschkeProduct(model.theta.constant * b.constant, model.theta.zeros + b.zeros)
         closure = SubspaceModel(1, theta_b, (p_b,), model.q)
-    basis, phi, _, closure_perp = _model_space(closure, tol, 0)
-    perp = closure_perp if closure is model else _model_space(model, tol, 0)[3]
-    # theta's zeros come first in theta B, so K_{z theta}, which holds M^perp,
-    # is spanned by the first 1 + deg theta basis vectors of K_{z theta B}.
-    m_perp = np.zeros((basis.shape[1], perp.shape[1]), dtype=np.complex128)
-    m_perp[: perp.shape[0]] = perp
+    # Reach 1 + len p_0 gives the closure the model's m, and theta's zeros lead
+    # theta B, so K'_{z^m theta} is the leading coordinate block of K'_{z^m theta B}.
+    _, basis, phi, _, closure_perp = _model_space(closure, tol, 1 + p0.coeffs.size)
+    m_perp = closure_perp
+    if closure is not model:
+        _, m_basis, _, _, perp = _model_space(model, tol, 0)
+        m_perp = basis[: m_basis.shape[0]].conj().T @ m_basis @ perp
     forward = _arcsin_norm(closure_perp.conj().T @ _split(m_perp, tol.tau_rank)[1])
     reverse = _arcsin_norm(m_perp.conj().T @ basis.conj().T @ phi / np.linalg.norm(phi))
     numeric = max(forward, reverse) < tol.tau_angle
@@ -591,7 +592,7 @@ def check_cyclic(
     witness: dict = {
         "forward_max_angle": forward,
         "reverse_max_angle": reverse,
-        "closure_codimension": closure_perp.shape[1] - perp.shape[1],
+        "closure_codimension": closure_perp.shape[1] - m_perp.shape[1],
         "numeric_cyclic": numeric,
         "outer_polynomial": outer,
         "p0_roots": [complex(r) for r in roots],
@@ -616,4 +617,4 @@ def finite_codimension(
     space ``K = H^2 (-) z^n theta H^2`` of dimension ``n + deg(theta)``,
     read off the model alone (``M``, the built subspace, is not consulted).
     """
-    return _model_space(model, tol or DEFAULT_TOL, 0)[3].shape[1]
+    return _model_space(model, tol or DEFAULT_TOL, 0)[4].shape[1]

@@ -9,6 +9,7 @@ blocks.
 
 from __future__ import annotations
 
+import cmath
 import json
 import os
 from dataclasses import dataclass, field
@@ -17,7 +18,7 @@ import numpy as np
 
 from .core import ToleranceConfig
 from .errors import HardyPerturbError
-from .inner import Polynomial
+from .inner import BlaschkeProduct, Polynomial
 from .invariant import SubspaceModel
 from .shifts import NShift, TridiagonalKernel, shift_from_columns, shift_from_kernel
 
@@ -43,11 +44,15 @@ def cpair(z: complex) -> list:
 
 
 def _uncpair(x) -> complex:
-    if isinstance(x, (int, float)):
-        return complex(x)
-    if isinstance(x, (list, tuple)) and len(x) == 2:
-        return complex(float(x[0]), float(x[1]))
-    raise ConfigError(f"expected a number or [re, im] pair, got {x!r}")
+    pair = (x, 0.0) if isinstance(x, (int, float)) else x
+    try:
+        if isinstance(pair, (list, tuple)) and len(pair) == 2:
+            z = complex(float(pair[0]), float(pair[1]))
+            if cmath.isfinite(z):
+                return z
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"expected a finite number or [re, im] pair, got {x!r}")
 
 
 def parse_complex_list(xs) -> np.ndarray:
@@ -89,13 +94,16 @@ def load_config(
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
-    eff_trunc = truncation if truncation is not None else int(raw.get("truncation", 128))
-    if seed is not None:
-        eff_seed = seed
-    elif "seed" in raw:
-        eff_seed = int(raw["seed"])
-    else:
-        eff_seed = int(os.environ.get(SEED_ENV_VAR, "0"))
+    try:
+        eff_trunc = truncation if truncation is not None else int(raw.get("truncation", 128))
+        if seed is not None:
+            eff_seed = seed
+        elif "seed" in raw:
+            eff_seed = int(raw["seed"])
+        else:
+            eff_seed = int(os.environ.get(SEED_ENV_VAR, "0"))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"truncation and seed must be integers: {exc}") from exc
     try:
         tols = ToleranceConfig.from_dict(raw.get("tolerances", {}))
     except (TypeError, ValueError) as exc:
@@ -124,13 +132,13 @@ def kernel_from_payload(d: dict) -> TridiagonalKernel:
         )
     except KeyError as exc:
         raise ConfigError(f"kernel payload missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad kernel payload: {exc}") from exc
 
 
 def model_from_payload(d: dict) -> SubspaceModel:
     try:
         theta = d["theta"]
-        from .inner import BlaschkeProduct
-
         return SubspaceModel(
             int(d["n"]),
             BlaschkeProduct(
@@ -142,6 +150,8 @@ def model_from_payload(d: dict) -> SubspaceModel:
         )
     except KeyError as exc:
         raise ConfigError(f"model payload missing key {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad model payload: {exc}") from exc
 
 
 def resolve_shift(
@@ -160,11 +170,11 @@ def resolve_shift(
         kernel = kernel_from_payload(payload)
         return shift_from_kernel(kernel, cfg.truncation, cfg.tolerances), kernel
     if "columns" in payload:
-        cols = [parse_complex_list(c) for c in payload["columns"]]
-        shift = shift_from_columns(
-            int(payload["n"]), cols, cfg.truncation, cfg.tolerances, strict=strict
-        )
-        return shift, None
+        try:
+            n, cols = int(payload["n"]), [parse_complex_list(c) for c in payload["columns"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad columns payload: {exc!r}") from exc
+        return shift_from_columns(n, cols, cfg.truncation, cfg.tolerances, strict=strict), None
     if "theta" in payload:
         raise ConfigError(
             "input payload is a subspace model; this command needs a kernel "

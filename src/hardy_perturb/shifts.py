@@ -33,14 +33,12 @@ from .errors import (
     NotLeftInvertibleError,
     PreconditionError,
     TruncationError,
-    UnsupportedConfigurationError,
 )
 
 __all__ = [
     "NShift",
     "ShiftValidationReport",
     "TridiagonalKernel",
-    "monomial_in_f_basis",
     "shift_from_columns",
     "shift_from_kernel",
     "validate_n_shift",
@@ -94,24 +92,12 @@ class TridiagonalKernel:
     def b_at(self, m: int) -> complex:
         return self.b[m] if m < self.n else 0.0 + 0.0j
 
-    @property
-    def is_unit_a(self) -> bool:
-        return all(x == 1.0 for x in self.a)
-
     def to_json(self) -> dict:
         return {
             "n": self.n,
             "a": [[x.real, x.imag] for x in self.a],
             "b": [[x.real, x.imag] for x in self.b],
         }
-
-    @classmethod
-    def from_json(cls, d: dict) -> "TridiagonalKernel":
-        return cls(
-            int(d["n"]),
-            tuple(complex(x[0], x[1]) for x in d["a"]),
-            tuple(complex(x[0], x[1]) for x in d["b"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -134,35 +120,6 @@ class NShift:
     def perturbation_degree(self) -> int:
         """Largest row index carrying a nonzero entry of F (-1 when F = 0)."""
         return self.F.last_nonzero_row()
-
-
-def monomial_in_f_basis(
-    kernel: TridiagonalKernel, m: int, working_order: int
-) -> np.ndarray:
-    """Expansion of ``z^m`` in the f-basis, for kernels with ``a == 1``.
-
-    The coefficient of ``f_{m+t}`` is ``(-1)^t * prod_{j<t} b_{m+j}``; the
-    products vanish once they pick up a ``b`` index at or beyond ``n``, so
-    the sum is finite.  Kernels with general ``a`` go through the triangular
-    change of basis instead.
-    """
-    if not kernel.is_unit_a:
-        raise UnsupportedConfigurationError(
-            "closed-form expansion assumes a == 1; use the change-of-basis solve"
-        )
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    out = np.zeros(working_order, dtype=np.complex128)
-    prod = 1.0 + 0.0j
-    t = 0
-    while m + t < working_order:
-        out[m + t] = ((-1) ** t) * prod
-        factor = kernel.b_at(m + t)
-        if factor == 0:
-            break
-        prod *= factor
-        t += 1
-    return out
 
 
 def f_basis_matrix(kernel: TridiagonalKernel, working_order: int) -> np.ndarray:

@@ -10,19 +10,29 @@ The model-side oracles (``verify_model``, ``finite_codimension``,
 ``hyperinvariance_check``, ``check_cyclic``) check a subspace model on
 depth-truncated generator stacks and Krylov closures of N rows, where the
 library works on the finite model space ``H^2 (-) z^n theta H^2``; they take
-the library's model, shift and subspace types.
+the library's model, shift and subspace types.  The ``taylor_*`` oracles
+compute the same model-side verdicts on that space with every vector expanded
+in Taylor coefficients to a length set by theta's zeros, where the library uses
+closed-form Takenaka-Malmquist coordinates.
 """
 
 import numpy as np
 import scipy.linalg
 
-from hardy_perturb import DEFAULT_TOL, blaschke_taylor, commutant
+from hardy_perturb import (
+    DEFAULT_TOL, BlaschkeProduct, OperatorMatrix, Polynomial, SubspaceModel, blaschke_taylor,
+    commutant,
+)
 from hardy_perturb.core import (
     invariance_residual, krylov_closure, numerical_rank, orthonormalize, principal_angles,
 )
-from hardy_perturb.errors import PreconditionError, TruncationError
-from hardy_perturb.inner import is_outer_polynomial
-from hardy_perturb.invariant import _shifted_taylor, default_tail_depth, model_generators
+from hardy_perturb.errors import (
+    PreconditionError, TruncationError, UnsupportedConfigurationError,
+)
+from hardy_perturb.inner import _BOUNDARY_MARGIN, is_outer_polynomial
+from hardy_perturb.invariant import (
+    _escape, _shifted_taylor, _split, default_tail_depth, model_generators,
+)
 
 
 def band_spread(a, rel_tol=1e-12):
@@ -60,6 +70,27 @@ def toeplitz(coeffs, nw):
     row = np.zeros(nw, dtype=np.complex128)
     row[0] = col[0]
     return scipy.linalg.toeplitz(col, row)
+
+
+def monomial_in_f_basis(kernel, m, nw):
+    """Expansion of ``z^m`` in the f-basis, in closed form for kernels with ``a == 1``.
+
+    The coefficient of ``f_{m+t}`` is ``(-1)^t * prod_{j<t} b_{m+j}``; the
+    products vanish once they pick up a ``b`` index at or beyond ``n``, so
+    the sum is finite.
+    """
+    if not all(x == 1.0 for x in kernel.a):
+        raise UnsupportedConfigurationError("closed-form expansion assumes a == 1")
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    out = np.zeros(nw, dtype=np.complex128)
+    prod = 1.0 + 0.0j
+    for t in range(nw - m):
+        out[m + t] = (-1) ** t * prod
+        prod *= kernel.b_at(m + t)
+        if prod == 0:
+            break
+    return out
 
 
 def shift_from_kernel(kernel, nw):
@@ -252,3 +283,128 @@ def check_cyclic(model, shift, tol=DEFAULT_TOL):
         "numeric_cyclic": numeric,
         "consistent": outer == numeric,
     }
+
+
+# ------------------------------------------------ Taylor-expanded model space --
+# The model-side verdicts on K = H^2 (-) z^n theta H^2 with every vector expanded
+# in Taylor coefficients, up to a length L at which the largest zero modulus to
+# the power of the extra rows falls below TAYLOR_TAIL.  L grows like
+# 1 / (1 - max|zero|), so these oracles are for zeros up to about 0.98.
+
+TAYLOR_TAIL = 1e-17
+
+
+def taylor_model_space(model, tol, reach):
+    """``(E, phi, closing, perp)`` on ``L`` Taylor rows: one banded solve.
+
+    ``E``: orthonormal basis of ``K`` (``1..z^{n-1}``, then ``z^n`` times the
+    Takenaka-Malmquist basis of ``K_theta``); ``phi``: the model vectors;
+    ``closing``: ``z^n p_{n-1} theta``; ``perp``: orthonormal basis of
+    ``K (-) span{phi_i}`` in ``E`` coordinates.  All columns are rational
+    over theta's denominator.
+    """
+    n, zeros, d = model.n, model.theta.zeros, model.theta.degree
+    top = max(map(abs, zeros), default=0.0)
+    length = n + d + max(c.coeffs.size for c in model.p + model.q) + reach
+    length += int(np.ceil(np.log(TAYLOR_TAIL) / np.log(top))) if top > 0.0 else 0
+    num, den = model.theta.numerator(), model.theta.denominator()
+    rhs = np.zeros((length, d + n + 1), dtype=np.complex128)
+    for j, a in enumerate(zeros):
+        tm = Polynomial.from_roots(zeros[:j]).multiply(
+            BlaschkeProduct(1.0, zeros[j + 1:]).denominator()
+        ).coeffs
+        rhs[n: n + tm.size, j] = np.sqrt(1.0 - abs(a) ** 2) * tm
+    for i, (p, q) in enumerate(zip(model.p, model.q)):
+        head, low = p.multiply(num).coeffs, q.multiply(den).coeffs
+        rhs[i: i + head.size, d + i] = head
+        rhs[: low.size, d + i] -= low
+    closing = model.p[n - 1].multiply(num).coeffs
+    rhs[n: n + closing.size, -1] = closing
+    banded = np.array([np.pad(np.full(length - k, c), (0, k)) for k, c in enumerate(den.coeffs)])
+    cols = scipy.linalg.solve_banded((len(banded) - 1, 0), banded, rhs)
+    basis = np.eye(length, n + d, dtype=np.complex128)
+    basis[:, n:] = cols[:, :d]
+    phi = cols[:, d: d + n]
+    norms = np.linalg.norm(phi, axis=0)
+    _, perp = _split(basis.conj().T @ phi / np.where(norms > 0.0, norms, 1.0), tol.tau_rank)
+    return basis, phi, cols[:, -1], perp
+
+
+def _taylor_compress(basis, op):
+    """``E* op E`` with ``op`` applied as a "symbol + block" operator of order ``L``."""
+    op = OperatorMatrix(op.block, op.symbol, basis.shape[0])
+    return basis.conj().T @ np.column_stack([op @ col for col in basis.T])
+
+
+def taylor_verify_model(model, shift, tol=DEFAULT_TOL):
+    """The condition residuals and the ``S*`` escape of ``M^perp`` on ``L`` rows."""
+    basis, phi, closing, perp = taylor_model_space(model, tol, shift.S.block_size)
+    s = OperatorMatrix(shift.S.block, shift.S.symbol, basis.shape[0])
+    coords = basis.conj().T @ phi
+    norms = np.linalg.norm(phi, axis=0)
+    unit = np.where(norms > 0.0, norms, 1.0)
+    gram = np.abs(phi.conj().T @ phi) / np.outer(unit, unit)
+    s_phi = np.column_stack([s @ col for col in phi.T])
+    s_norms = np.maximum(np.linalg.norm(s_phi, axis=0), 1e-300)
+    compressed = _taylor_compress(basis, shift.S)
+    images = compressed @ coords
+    chain = 0.0
+    for j in range(model.n - 1):
+        later, _ = _split(coords[:, j + 1:], tol.tau_rank)
+        resid = images[:, j] - later @ (later.conj().T @ images[:, j])
+        chain = max(chain, float(np.linalg.norm(resid) / s_norms[j]))
+    report = {
+        "phi_orthogonality": float(np.triu(gram, 1).max()),
+        "phi_vs_tail": float((np.linalg.norm(phi - basis @ coords, axis=0) / unit).max()),
+        "chain": chain,
+        "last_chain": float(np.linalg.norm(s_phi[:, -1] - closing) / s_norms[-1]),
+        "invariance_residual": _escape(perp, compressed),
+    }
+    report["max_residual"] = max(v for k, v in report.items() if k != "invariance_residual")
+    return report
+
+
+def taylor_codimension(model, tol=DEFAULT_TOL):
+    """``dim M^perp`` on ``L`` rows."""
+    return taylor_model_space(model, tol, 0)[3].shape[1]
+
+
+def taylor_hyperinvariance_check(model, shift, kernel, trials, tol=DEFAULT_TOL, seed=0,
+                                 max_degree=8):
+    """Largest escape of ``M^perp`` under the adjoints of sampled commutant members."""
+    basis, _, _, perp = taylor_model_space(model, tol, kernel.n + max_degree + 2)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        symbol = commutant._random_symbol(rng, max_degree)
+        x = commutant.commutant_element(symbol, kernel, shift.working_order, tol, shift).X
+        worst = max(worst, _escape(perp, _taylor_compress(basis, x)))
+    return {"max_residual": worst, "passed": worst < tol.tau_res}
+
+
+def taylor_check_cyclic(model, tol=DEFAULT_TOL):
+    """Outer test on ``p_0`` and the exact witness angles in ``K_{z theta B}`` on ``L`` rows."""
+    p0 = model.p[0]
+    roots = p0.roots()
+    inside = np.abs(roots) < 1.0 - _BOUNDARY_MARGIN
+    closure = model
+    if inside.any():
+        b = BlaschkeProduct((-1.0) ** inside.sum(), tuple(roots[inside]))
+        p_b = Polynomial.from_roots(roots[~inside], p0.coeffs[-1]).multiply(b.denominator())
+        theta_b = BlaschkeProduct(model.theta.constant * b.constant, model.theta.zeros + b.zeros)
+        closure = SubspaceModel(1, theta_b, (p_b,), model.q)
+    basis, phi, _, closure_perp = taylor_model_space(closure, tol, 0)
+    perp = closure_perp if closure is model else taylor_model_space(model, tol, 0)[3]
+    # K_{z theta} is spanned by the first 1 + deg theta basis vectors of K_{z theta B}.
+    m_perp = np.zeros((basis.shape[1], perp.shape[1]), dtype=np.complex128)
+    m_perp[: perp.shape[0]] = perp
+    forward = _split(m_perp, tol.tau_rank)[1]
+    forward = closure_perp.conj().T @ forward
+    reverse = m_perp.conj().T @ basis.conj().T @ phi / np.linalg.norm(phi)
+    angles = [float(np.arcsin(min(1.0, np.linalg.norm(a, 2)))) if a.size else 0.0
+              for a in (forward, reverse)]
+    numeric = max(angles) < tol.tau_angle
+    outer = is_outer_polynomial(p0)
+    return outer, {"forward_max_angle": angles[0], "reverse_max_angle": angles[1],
+                   "closure_codimension": closure_perp.shape[1] - perp.shape[1],
+                   "numeric_cyclic": numeric, "consistent": outer == numeric}

@@ -26,6 +26,27 @@ RANK_ONE = {
     },
 }
 
+# Configs that name a value the command cannot use: each must exit 2, not raise.
+BAD_VALUES = {
+    "frontier-not-a-number": (["subspace", "extract"],
+                              {"basis": [[1.0] + [0.0] * 95], "frontier": "abc"}),
+    "frontier-negative": (["subspace", "extract"],
+                          {"basis": [[1.0] + [0.0] * 95], "frontier": -5}),
+    "frontier-past-truncation": (["subspace", "extract"],
+                                 {"basis": [[1.0] + [0.0] * 95], "frontier": 10**6}),
+    "codim-n-zero": (["subspace", "codim"], {"model": {**RANK_ONE["model"], "n": 0}}),
+    "hyper-n-zero": (["commutant", "hyper"], {"model": {**RANK_ONE["model"], "n": 0}}),
+    "cyclic-zero-outside-the-disc": (
+        ["subspace", "cyclic"],
+        {"model": {**RANK_ONE["model"], "theta": {"constant": [1, 0], "zeros": [[1.5, 0]]}}}),
+    "build-constant-not-unimodular": (
+        ["subspace", "build"],
+        {"model": {**RANK_ONE["model"], "theta": {"constant": [2, 0], "zeros": [[0.5, 0]]}}}),
+    "kernel-nan": (["shift", "verify"], {"input": {"n": 1, "a": [[1, 0]], "b": [[np.nan, 0]]}}),
+    "truncation-not-a-number": (["shift", "verify"], {"truncation": "abc"}),
+    "seed-not-a-number": (["shift", "verify"], {"seed": "abc"}),
+}
+
 BROKEN_SUPPORT = {
     "truncation": 64,
     "input": {"n": 1, "columns": [[[1, 0]]]},
@@ -325,6 +346,16 @@ class TestDemoCommand:
 
 
 class TestConfigHandling:
+    @pytest.mark.parametrize("case", sorted(BAD_VALUES))
+    def test_bad_values_are_config_errors(self, runner, tmp_path, case):
+        command, override = BAD_VALUES[case]
+        cfg = tmp_path / "cfg.json"
+        write(cfg, {**RANK_ONE, **override})
+        result = runner.invoke(main, command + ["--config", str(cfg)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert json.loads(result.stderr)["error"] == "config"
+
     def test_missing_config_file(self, runner):
         result = runner.invoke(main, ["shift", "verify", "--config", "missing.json"])
         assert result.exit_code == 2

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from hardy_perturb import (
     BlaschkeProduct,
     Polynomial,
+    SubspaceModel,
     TruncatedVector,
     blaschke_eval,
     blaschke_taylor,
@@ -14,6 +15,7 @@ from hardy_perturb import (
 )
 from hardy_perturb.errors import EvaluationError, ExtractionError
 from hardy_perturb.inner import _series_div_arrays
+from hardy_perturb.jsonio import model_from_payload
 
 from conftest import NW, theta_half_taylor_oracle
 
@@ -229,7 +231,8 @@ class TestPolynomialType:
 
 
 def test_blaschke_json_round_trip(theta_half):
-    again = BlaschkeProduct.from_json(theta_half.to_json())
+    model = SubspaceModel(1, theta_half, (Polynomial([1.0]),), (Polynomial([]),))
+    again = model_from_payload(model.to_json()).theta
     assert again.zeros == theta_half.zeros
     assert again.constant == theta_half.constant
 

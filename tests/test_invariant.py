@@ -313,8 +313,8 @@ class TestFiniteCodimension:
         assert finite_codimension(space, model) == 3
 
     def test_zero_at_0_9_resolves_codimension_one(self, one_plus_z_shift):
-        # The count is dim M^perp on the model space, whose expansion length
-        # is set by the zero, not by the working order.
+        # The count is dim M^perp on the model space, of dimension n + deg theta
+        # whatever the working order and however close the zero is to the circle.
         theta = BlaschkeProduct(1.0, (0.9,))
         model = s1_model(1.0, 1.0, theta)
         space, _ = build_subspace(model, one_plus_z_shift, NW)

@@ -1,19 +1,20 @@
 """Model-side verdicts on the finite model space ``K = H^2 (-) z^n theta H^2``.
 
 ``verify_model``, ``finite_codimension``, ``hyperinvariance_check`` and
-``check_cyclic`` work on ``K``, expanded to a length set by the zeros of
-theta, where ``dense_oracle`` checks the same models on depth-truncated
-generator stacks and Krylov closures of N rows.  The differential inputs are
-exact 1-shift models and models extracted from conditioned Krylov closures
-(n = 1..3), all with zeros in the disc of radius 0.8, where the stacks
-resolve at N = 128.
+``check_cyclic`` work on ``K`` in exact Takenaka-Malmquist coordinates of
+``H^2 (-) z^m theta H^2``, whose size does not depend on how close the zeros
+are to the circle.  ``dense_oracle`` checks the same models on depth-truncated
+generator stacks and Krylov closures of N rows (exact 1-shift models and
+models extracted from conditioned Krylov closures, n = 1..3, zeros in the disc
+of radius 0.8, where the stacks resolve at N = 128), and on ``K`` expanded in
+Taylor coefficients (zeros up to 0.98, where that expansion stays short).
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dense_oracle as oracle
 from hardy_perturb import (
@@ -34,7 +35,7 @@ from hardy_perturb import (
     verify_model,
 )
 from hardy_perturb.inner import is_outer_polynomial
-from hardy_perturb.errors import ModelInconsistencyError, TruncationError
+from hardy_perturb.errors import ModelInconsistencyError
 from hardy_perturb.invariant import default_tail_depth, model_generators
 from hardy_perturb.suite import sample_conditioned_trial
 
@@ -73,11 +74,29 @@ def test_verdicts_do_not_depend_on_the_working_order(zeros, nw):
     assert finite_codimension(space, model) == theta.degree
 
 
-def test_zeros_too_close_to_the_circle_name_the_length():
-    model = s1_model(1.0, 1.0, BlaschkeProduct(1.0, (0.99999,)))
-    shift = shift_from_kernel(kernel_1(1.0), 96)
-    with pytest.raises(TruncationError, match=r"needs \d+ Taylor coefficients"):
-        verify_model(model, shift, 96)
+def test_zeros_near_the_circle_verify_exactly():
+    # A Taylor expansion of K would need about 1e4, 4e7 and 4e10 coefficients.
+    shift = shift_from_kernel(kernel_1(0.6), 96)
+    for modulus in (0.9995, 1 - 1e-6, 1 - 1e-9):
+        theta = BlaschkeProduct(1.0, (modulus * np.exp(0.7j), 0.3j))
+        model = s1_model(1.0, 0.6, theta)
+        report = verify_model(model, shift, 96)
+        assert report["max_residual"] < 1e-12 and report["invariance_residual"] < 1e-12
+        assert finite_codimension(None, model) == theta.degree
+        assert verify_model(bumped_q0(model, 0, 1e-6), shift, 96)["max_residual"] > 1e-8
+
+
+@pytest.mark.parametrize("zeros", [(0.97, 0.97, 0.97), (0.0,), (0.0, 0.0, 0.5j),
+                                   (0.97j, 0.0, 0.97j)])
+def test_repeated_zeros_and_zeros_at_the_origin(zeros):
+    kernel = kernel_1(0.6)
+    shift = shift_from_kernel(kernel, 96)
+    model = s1_model(1.0, 0.6, BlaschkeProduct(1.0, zeros))
+    report = verify_model(model, shift, 96)
+    assert report["max_residual"] < 1e-12 and report["invariance_residual"] < 1e-12
+    assert finite_codimension(None, model) == len(zeros)
+    assert hyperinvariance_check(model, shift, kernel, 3, seed=4)["passed"]
+    assert verify_model(bumped_q0(model, 1, 1e-6), shift, 96)["max_residual"] > 1e-8
 
 
 def test_build_subspace_returns_the_default_depth_generator_stack():
@@ -122,12 +141,12 @@ def test_swapped_n2_data_fails_the_chain(nw):
 
 
 def test_model_side_builds_no_square_array():
-    # A zero at 0.98 expands K to about 2000 coefficients; one dense
-    # operator at that length would take 64 MB.
+    # Nothing of the working order's size, and nothing that grows as the zero
+    # approaches the circle.
     nw = 256
     kernel = kernel_1(0.6)
     shift = shift_from_kernel(kernel, nw)
-    model = s1_model(1.0, 0.6, BlaschkeProduct(1.0, (0.98, 0.3j)))
+    model = s1_model(1.0, 0.6, BlaschkeProduct(1.0, (1 - 1e-9, 0.3j)))
     tracemalloc.start()
     try:
         report = verify_model(model, shift, nw)
@@ -136,7 +155,6 @@ def test_model_side_builds_no_square_array():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert report["length"] > 1900
     assert report["max_residual"] < 1e-10 and codim == 2 and hyper["passed"]
     assert peak < 4 * 2**20
     assert "entries" not in vars(shift.S)
@@ -167,7 +185,10 @@ def differential_cases():
     return cases
 
 
-@pytest.mark.parametrize("case", differential_cases(),
+DIFFERENTIAL = differential_cases()
+
+
+@pytest.mark.parametrize("case", DIFFERENTIAL,
                          ids=lambda c: f"n{c[0].n}-deg{c[0].theta.degree}-"
                                        f"{'exact' if c[2] else 'extracted'}")
 def test_model_verdicts_match_the_dense_oracle(case):
@@ -192,6 +213,59 @@ def test_model_verdicts_match_the_dense_oracle(case):
     assert hyper["max_residual"] < 1e-10
 
 
+def z_p_case(roots, nw=64):
+    """``(model, shift)`` for ``S 1 = z p``, ``p(0) = 1``: ``M = H^2`` with ``phi_0 = 1``."""
+    p = Polynomial.from_roots(roots)
+    p = Polynomial(p.coeffs / p.coeffs[0])
+    q = Polynomial(p.coeffs - np.eye(1, p.coeffs.size)[0])
+    shift = shift_from_columns(1, [np.concatenate([[0.0], q.coeffs])], nw)
+    return SubspaceModel(1, BlaschkeProduct(1.0, ()), (p,), (q,)), shift
+
+
+def taylor_cases():
+    """``(label, model, shift, kernel)``: s1 models with a zero of modulus 0.98 and
+    1e-4 edits of their ``q_0`` (up to ``z^4``, longer than ``p_0``), ``S 1 = z p``
+    models, and the extracted differential models."""
+    rng = np.random.default_rng(98)
+    cases = []
+    for k, degree in enumerate((1, 2, 3, 1, 2, 3)):
+        b0 = _disc(rng, 1.0)
+        zeros = (0.98 * np.exp(2j * np.pi * rng.uniform()),)
+        zeros += tuple(_disc(rng, 0.8) for _ in range(degree - 1))
+        model = s1_model(1.0, b0, BlaschkeProduct(np.exp(2j * np.pi * rng.uniform()), zeros))
+        shift = shift_from_kernel(kernel_1(b0), DIFF_NW)
+        cases += [(f"s1-{k}", model, shift, kernel_1(b0)),
+                  (f"edit-{k}", bumped_q0(model, (0, 1, 4)[k % 3], 1e-4), shift, kernel_1(b0))]
+    for k, roots in enumerate(([0.98j], [0.5, 2.0], [-0.9, 0.3 + 0.4j, 1.5j], [1.2, -3.0])):
+        cases.append((f"zp-{k}", *z_p_case(roots), None))
+    for k, (model, kernel, exact) in enumerate(DIFFERENTIAL):
+        if not exact:
+            cases.append((f"extracted-{k}", model, shift_from_kernel(kernel, DIFF_NW), kernel))
+    return cases
+
+
+@pytest.mark.parametrize("case", taylor_cases(), ids=lambda c: c[0])
+def test_model_verdicts_match_the_taylor_expansion(case):
+    _, model, shift, kernel = case
+    new = verify_model(model, shift, shift.working_order)
+    old = oracle.taylor_verify_model(model, shift)
+    assert [new[c] > LIMIT for c in CONDITIONS] == [old[c] > LIMIT for c in CONDITIONS]
+    assert (new["invariance_residual"] < 1e-8) == (old["invariance_residual"] < 1e-8)
+    for name in CONDITIONS + ("invariance_residual",):
+        assert new[name] == pytest.approx(old[name], rel=1e-6, abs=1e-12), name
+    assert finite_codimension(None, model) == oracle.taylor_codimension(model)
+    if model.n == 1:
+        verdict, witness = check_cyclic(None, model, shift)
+        old_verdict, old_witness = oracle.taylor_check_cyclic(model)
+        assert verdict == old_verdict
+        for key in ("numeric_cyclic", "closure_codimension", "consistent"):
+            assert witness[key] == old_witness[key]
+    if kernel is not None and new["max_residual"] < LIMIT:
+        hyper = hyperinvariance_check(model, shift, kernel, 3, seed=5)
+        dense = oracle.taylor_hyperinvariance_check(model, shift, kernel, 3, seed=5)
+        assert hyper["passed"] == dense["passed"]
+
+
 # ------------------------------------------------------------- properties --
 
 def _point(max_modulus):
@@ -202,7 +276,7 @@ def _point(max_modulus):
 @settings(max_examples=40, deadline=None)
 @given(b0=st.builds(lambda r, t: complex(r * np.exp(1j * t)),
                     st.floats(1e-6, 1.0), st.floats(0.0, 2 * np.pi)),
-       zeros=st.lists(_point(0.97), min_size=1, max_size=3),
+       zeros=st.lists(_point(1 - 1e-9), min_size=1, max_size=3),
        edit=st.sampled_from([("p", 1), ("q", 0), ("q", 1)]),
        phase=st.floats(0.0, 2 * np.pi))
 def test_s1_models_pass_and_a_small_edit_fails(b0, zeros, edit, phase):
@@ -274,16 +348,14 @@ def _root_off_the_circle():
 
 @settings(max_examples=40, deadline=None)
 @given(roots=st.lists(_root_off_the_circle(), min_size=1, max_size=3))
+@example(roots=[0.9999 * np.exp(0.3j)])
 def test_closure_of_one_under_s1_equal_z_p(roots):
     # For S 1 = z p with p(0) = 1, the model (1, theta = 1, p, p - 1) has
     # phi_0 = 1 and M = H^2, and the closure of 1 is C (+) z B_p H^2
     # (Beurling): its codimension is the number of roots of p in the disc.
-    p = Polynomial.from_roots(roots)
-    p = Polynomial(p.coeffs / p.coeffs[0])
-    q = Polynomial(p.coeffs - np.eye(1, p.coeffs.size)[0])
-    shift = shift_from_columns(1, [np.concatenate([[0.0], q.coeffs])], 64)
-    model = SubspaceModel(1, BlaschkeProduct(1.0, ()), (p,), (q,))
+    model, shift = z_p_case(roots)
     verdict, witness = check_cyclic(None, model, shift)
+    p = model.p[0]
     inside = sum(abs(r) < 1.0 for r in roots)
     assert verdict == witness["numeric_cyclic"] == is_outer_polynomial(p)
     assert witness["closure_codimension"] == inside
