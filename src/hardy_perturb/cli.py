@@ -69,7 +69,10 @@ def _report(cfg: RunConfig, command: str, body: dict, out_path: str | None) -> d
         "report": body,
     }
     text = json.dumps(doc, indent=2, sort_keys=True, default=_jsonify)
-    click.echo(text)
+    # Every echo names its stream: click caches the stream it resolves itself
+    # in a WeakKeyDictionary whose value is the stream, so an in-process caller
+    # that redirects sys.stdout to a fresh StringIO per run keeps each alive.
+    click.echo(text, file=sys.stdout)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -112,12 +115,12 @@ def common_options(fn):
         try:
             return fn(*args, **kwargs)
         except ConfigError as exc:
-            click.echo(json.dumps({"error": "config", "message": str(exc)}), err=True)
+            click.echo(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
             sys.exit(2)
         except HardyPerturbError as exc:
             click.echo(
                 json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-                err=True,
+                file=sys.stderr,
             )
             sys.exit(1)
 
@@ -340,6 +343,15 @@ def _require_kernel(cfg: RunConfig):
     return s, kernel
 
 
+def _parse_phi(text: str) -> np.ndarray:
+    """``--phi`` tokens, checked like the config-file ``phi`` list."""
+    try:
+        values = [complex(tok) for tok in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"--phi: {exc}: {text!r}") from exc
+    return parse_complex_list([[z.real, z.imag] for z in values])
+
+
 @commutant.command("element")
 @click.option("--phi", "phi_text", type=str, default=None,
               help="Symbol coefficients, comma separated (e.g. '1,0,1').")
@@ -351,7 +363,7 @@ def commutant_element_cmd(phi_text, config_path, truncation, seed, out_path,
     cfg = load_config(config_path, truncation, seed)
     s, kernel = _require_kernel(cfg)
     if phi_text is not None:
-        coeffs = np.array([complex(tok) for tok in phi_text.split(",")])
+        coeffs = _parse_phi(phi_text)
     elif cfg.options.get("phi") is not None:
         coeffs = parse_complex_list(cfg.options["phi"])
     else:
@@ -451,7 +463,7 @@ def demo_paper(config_path, truncation, seed, out_path):
     for r in rows:
         status = "PASS" if r["passed"] else "FAIL"
         click.echo(f"{status}  {r['claim']:<{width}}  tol={r['tolerance']}",
-                   err=True)
+                   file=sys.stderr)
     all_pass = all(r["passed"] for r in rows)
     body = {"checks": rows, "all_passed": all_pass,
             "failed": [r["claim"] for r in rows if not r["passed"]]}

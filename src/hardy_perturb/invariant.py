@@ -9,7 +9,8 @@ with an inner function ``theta``, polynomials ``p_i, q_i`` such that
 ``phi_i = z^i p_i theta - q_i``, each ``S phi_j`` falling into the span of
 the later ``phi``'s plus the tail space, and ``S phi_{n-1} = z^n p_{n-1}
 theta``.  This module realizes that decomposition numerically in both
-directions and decides cyclicity for 1-shifts.
+directions, builds the model of a polynomial seed's cyclic closure exactly,
+and decides cyclicity for 1-shifts.
 """
 
 from __future__ import annotations
@@ -176,20 +177,15 @@ def _split(a: np.ndarray, rel: float) -> tuple[np.ndarray, np.ndarray]:
     return u[:, :r], u[:, r:]
 
 
-def _model_space(model: SubspaceModel, tol: ToleranceConfig, reach: int) -> tuple:
-    """``(A, E, phi, closing, perp)`` for ``K = H^2 (-) z^n theta H^2``, exactly.
+def _tm_frame(theta: BlaschkeProduct, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(A, Z)`` in Takenaka-Malmquist coordinates of ``K' = H^2 (-) z^m theta H^2``.
 
-    Coordinates are those of the Takenaka-Malmquist basis ``G_k = c_k B_k / (1 -
-    conj(l_k) z)`` of ``K' = H^2 (-) z^m theta H^2``: ``l = (0,)*m + theta.zeros``,
-    ``c_k = sqrt(1 - |l_k|^2)``, ``B_k = prod_{j<k} (z - l_j) / (1 - conj(l_j) z)``,
-    so ``G_k = z^k`` for ``k < m``; ``m >= reach`` is the least order holding every
-    ``phi_i``, ``S phi_i`` and ``closing = z^n p_{n-1} theta``.  ``A`` is ``P_{K'}
-    M_z`` on ``K'``, ``E`` an orthonormal basis of ``K`` and ``perp`` one of
-    ``M^perp = K (-) span{phi_i}`` in ``E`` coordinates.
+    The basis is ``G_k = c_k B_k / (1 - conj(l_k) z)`` with ``l = (0,)*m +
+    theta.zeros``, ``c_k = sqrt(1 - |l_k|^2)`` and ``B_k = prod_{j<k} (z - l_j) /
+    (1 - conj(l_j) z)``, so ``G_k = z^k`` for ``k < m``.  ``A`` is ``P_{K'} M_z`` on
+    ``K'`` and column ``j`` of ``Z`` holds ``z^j theta``, ``j < m``.
     """
-    n, p, q = model.n, model.p, model.q
-    m = max([reach] + [n + c.coeffs.size for c in p] + [c.coeffs.size + 1 for c in q])
-    zeros = np.concatenate([np.zeros(m), model.theta.zeros])
+    zeros = np.concatenate([np.zeros(m), theta.zeros])
     dim = zeros.size
     c = np.append(np.sqrt(1.0 - np.abs(zeros) ** 2), 1.0)
     # z G_k = l_k G_k + c_k B_{k+1} and <B_{k+1}, G_l> = c_l prod_{k<j<l} (-conj l_j)
@@ -200,12 +196,27 @@ def _model_space(model: SubspaceModel, tol: ToleranceConfig, reach: int) -> tupl
         rows[k + 1 :, k] = c[k] * c[k + 1 :] * np.cumprod(np.append(1.0, -zeros[k + 1 :].conj()))
     # z^m theta = u B_dim with u = theta.constant (-1)^deg, and M_z^r compresses to
     # A^r, so <G_k, z^j theta> = <z^{m-j} G_k, z^m theta> = (beta A^{m-j-1})_k.
-    a, beta = rows[:dim], rows[dim] * np.conj(model.theta.constant) * (-1) ** model.theta.degree
+    a, beta = rows[:dim], rows[dim] * np.conj(theta.constant) * (-1) ** theta.degree
     shifted = np.empty((dim, m), dtype=np.complex128)
     for j in range(m - 1, -1, -1):
         shifted[:, j] = beta.conj()
         beta = beta @ a
-    phi = np.zeros((dim, n + 1), dtype=np.complex128)
+    return a, shifted
+
+
+def _model_space(model: SubspaceModel, tol: ToleranceConfig, reach: int) -> tuple:
+    """``(A, E, phi, closing, perp)`` for ``K = H^2 (-) z^n theta H^2``, exactly.
+
+    Coordinates are those of :func:`_tm_frame` for ``K' = H^2 (-) z^m theta H^2``;
+    ``m >= reach`` is the least order holding every ``phi_i``, ``S phi_i`` and
+    ``closing = z^n p_{n-1} theta``.  ``A`` is ``P_{K'} M_z`` on ``K'``, ``E`` an
+    orthonormal basis of ``K`` and ``perp`` one of ``M^perp = K (-) span{phi_i}``
+    in ``E`` coordinates.
+    """
+    n, p, q = model.n, model.p, model.q
+    m = max([reach] + [n + c.coeffs.size for c in p] + [c.coeffs.size + 1 for c in q])
+    a, shifted = _tm_frame(model.theta, m)
+    phi = np.zeros((a.shape[0], n + 1), dtype=np.complex128)
     for i, (pi, qi) in enumerate(zip(p, q)):
         phi[:, i] = shifted[:, i : i + pi.coeffs.size] @ pi.coeffs
         phi[: qi.coeffs.size, i] -= qi.coeffs
@@ -546,6 +557,98 @@ def extract_model(
         q_list.append(q_i)
 
     return SubspaceModel(n, theta_b, tuple(p_list), tuple(q_list))
+
+
+def _peel(s: np.ndarray, cur: np.ndarray, stages: int, tol: ToleranceConfig) -> np.ndarray:
+    """Unit wandering vectors of ``V, s V, s^2 V, ...`` as columns.
+
+    ``cur`` is an orthonormal basis of an ``s``-invariant ``V``; each stage
+    ``V (-) s V`` must be one-dimensional, else :class:`ExtractionError`.
+    """
+    phis = []
+    for j in range(stages):
+        image, wander = _split(cur.conj().T @ s @ cur, tol.tau_rank)
+        if wander.shape[1] != 1:
+            raise ExtractionError(
+                f"wandering dimension {wander.shape[1]} != 1 while peeling stage {j}"
+            )
+        phis.append(_normalize_direction(cur @ wander[:, 0], tol))
+        cur = cur @ image
+    return np.column_stack(phis)
+
+
+def _divide_by_inner(w: np.ndarray, n: int, theta: BlaschkeProduct) -> tuple[np.ndarray, float]:
+    """``r`` with ``w = z^n theta r`` for a polynomial ``w``, and the relative remainder.
+
+    Strips ``z^n``; for each zero ``a`` divides by ``z - a`` from the top (stable
+    for ``|a| < 1``) and multiplies by ``1 - conj(a) z``; then divides by
+    ``theta.constant (-1)^deg``, since each factor of ``theta`` is ``(a - z) / (1 -
+    conj(a) z)``.  The remainder collects ``w``'s first ``n`` coefficients and
+    every ``r(a)`` left by a division.
+    """
+    w = Polynomial(w).coeffs
+    left = [w[:n]]
+    r = w[n:]
+    r = np.pad(r, (0, max(0, theta.degree + 1 - r.size)))
+    for a in theta.zeros:
+        # Entry k is sum_{j >= k} r_j a^(j - k): r(a) first, then the quotient.
+        out = np.convolve(r[::-1], a ** np.arange(r.size))[: r.size][::-1]
+        left.append(out[:1])
+        r = out[1:]
+    r = np.convolve(r, theta.denominator().coeffs) / (theta.constant * (-1) ** theta.degree)
+    scale = np.linalg.norm(w)
+    return r, float(np.linalg.norm(np.concatenate(left)) / scale) if scale else 0.0
+
+
+def _closure_model(
+    shift: NShift, coeffs, tol: ToleranceConfig | None = None
+) -> tuple[SubspaceModel, dict]:
+    """The model of the cyclic closure ``[f]`` of a polynomial seed, exactly.
+
+    ``S^n f = z^n h`` with ``h`` a polynomial, and ``[f] = span{f, ..., S^{n-1} f}
+    (+) z^n theta H^2`` with ``theta`` the Blaschke product of the roots of ``h``
+    in the disc (Beurling).  In the coordinates of :func:`_tm_frame`, with ``m``
+    past ``2 n``, the block of ``S`` and every ``S^k f`` (``k <= n``), ``[f] cap
+    K'`` is spanned by the ``S^k f`` (``k < n``) and the ``z^j theta`` (``n <= j <
+    m``), and :func:`_peel` reads the ``phi_i`` off it.  With ``phi_i = v_i + z^n
+    theta g_i``, ``v_i`` in the span of the ``S^k f``, the model has ``q_i =
+    z^{i-n} S^{n-i} v_i - v_i`` and ``p_i = z^{n-i} g_i + S^{n-i} v_i / (z^n
+    theta)``, the quotient by exact division.  The report carries the roots of
+    ``h`` and the largest relative division remainder.
+    """
+    tol = tol or DEFAULT_TOL
+    n, nw = shift.n, shift.working_order
+    orbit = [TruncatedVector.from_coefficients(coeffs, nw).coeffs]
+    for _ in range(2 * n - 1):
+        orbit.append(shift.S @ orbit[-1])
+    orbit = np.column_stack(orbit)
+    rows = np.flatnonzero(np.abs(orbit[:, : n + 1]).max(axis=1))
+    if rows.size == 0:
+        raise PreconditionError("the seed must be nonzero")
+    m = max(2 * n, rows[-1] + 1, shift.S.block_size) + 1
+    if m > nw or orbit[-1].any():
+        raise TruncationError(f"S^k f, k < {2 * n}, does not fit working order {nw}")
+    roots = Polynomial(orbit[n:, n]).roots()
+    theta = BlaschkeProduct(1.0, tuple(roots[np.abs(roots) < 1.0 - _BOUNDARY_MARGIN]))
+    a, shifted = _tm_frame(theta, m)
+    gens = np.zeros((a.shape[0], m), dtype=np.complex128)
+    gens[:m, :n] = orbit[:m, :n]
+    gens[:, n:] = shifted[:, n:]
+    phi = _peel(_lift(shift.S, a), _split(gens, tol.tau_rank)[0], n, tol)
+    x = np.linalg.lstsq(gens, phi, rcond=None)[0]
+    p, q, worst = [], [], 0.0
+    for i in range(n):
+        v = orbit[:, :n] @ x[:n, i]
+        w = orbit[:, n - i : 2 * n - i] @ x[:n, i]
+        r, remainder = _divide_by_inner(w, n, theta)
+        pc = np.zeros(max(m - i, r.size), dtype=np.complex128)
+        pc[n - i : m - i] = x[n:, i]
+        pc[: r.size] += r
+        p.append(Polynomial(pc))
+        q.append(Polynomial(w[n - i :] - v[: nw - n + i]))
+        worst = max(worst, remainder)
+    report = {"h_roots": roots, "division_remainder": worst}
+    return SubspaceModel(n, theta, tuple(p), tuple(q)), report
 
 
 def check_cyclic(

@@ -17,7 +17,6 @@ from .core import (
     Subspace,
     ToleranceConfig,
     TruncatedVector,
-    krylov_closure,
     multiplication_by_z_matrix,
     numerical_rank,
     orthonormalize,
@@ -27,6 +26,7 @@ from .core import (
 from .inner import BlaschkeProduct, Polynomial, blaschke_taylor
 from .invariant import (
     SubspaceModel,
+    _closure_model,
     build_subspace,
     check_cyclic,
     extract_model,
@@ -40,7 +40,6 @@ from .shifts import (
     gram_columns,
     shift_from_columns,
     shift_from_kernel,
-    validate_n_shift,
     verify_power_identities,
 )
 
@@ -236,26 +235,46 @@ def sample_conditioned_trial(rng: np.random.Generator, nw: int, depth: int):
     raise RuntimeError("could not sample a conditioned trial")
 
 
-def check_random_trials(
-    nw: int, tol: ToleranceConfig, seed: int, trials: int = 100, depth: int = 40
-) -> list:
+def _sample_trial(rng: np.random.Generator, nw: int) -> tuple:
+    """One random kernel shift and a polynomial seed, unconditioned.
+
+    Kernel ``b`` entries are uniform in the disc of radius 0.9; the seed has
+    0-5 roots of radius uniform in [0, 3].  Every draw is used.
+    """
+    n = int(rng.integers(1, 4))
+    b = tuple(
+        np.sqrt(rng.uniform(0.0, 1.0)) * 0.9 * np.exp(2j * np.pi * rng.uniform())
+        for _ in range(n)
+    )
+    shift = shift_from_kernel(TridiagonalKernel(n, (1.0,) * n, b), nw)
+    roots = [rng.uniform(0.0, 3.0) * np.exp(2j * np.pi * rng.uniform())
+             for _ in range(int(rng.integers(0, 6)))]
+    return shift, Polynomial.from_roots(roots).coeffs
+
+
+# The annulus of roots of h that sample_conditioned_trial refuses.
+H_ROOT_BAND = (0.6, 1.7)
+
+
+def check_random_trials(nw: int, tol: ToleranceConfig, seed: int, trials: int = 100) -> list:
+    """Exact models of random cyclic closures, each verified against its shift.
+
+    A trial's residual is the larger of the model's ``verify_model`` residual
+    and the remainder of the exact division that produced its ``p_i``.
+    """
     nw = max(nw, 128)
     rng = np.random.default_rng(seed)
     failures = []
     worst_resid = 0.0
+    in_band = 0
     for trial in range(trials):
-        kernel, shift, seed_vec = sample_conditioned_trial(rng, nw, depth)
-        if not validate_n_shift(shift, tol).passed:
-            failures.append((trial, "validate"))
-            continue
-        space = krylov_closure(shift, seed_vec, depth, tol)
+        shift, coeffs = _sample_trial(rng, nw)
         try:
-            wd = wandering_dimension(space, shift, tol)
-            if wd != 1:
-                failures.append((trial, f"wandering {wd}"))
-                continue
-            model = extract_model(space, shift, tol)
-            resid = float(verify_model(model, shift, nw, tol)["max_residual"])
+            model, report = _closure_model(shift, coeffs, tol)
+            moduli = np.abs(report["h_roots"])
+            in_band += bool(((moduli > H_ROOT_BAND[0]) & (moduli < H_ROOT_BAND[1])).any())
+            resid = max(float(verify_model(model, shift, nw, tol)["max_residual"]),
+                        report["division_remainder"])
             worst_resid = max(worst_resid, resid)
             if resid > 1e-6:
                 failures.append((trial, f"residual {resid:.2e}"))
@@ -263,9 +282,10 @@ def check_random_trials(
             failures.append((trial, f"{type(exc).__name__}: {exc}"))
     return [
         _row(f"{trials} random cyclic closures: wandering dimension 1 and "
-             "model extraction residuals", "< 1e-6 (all trials)",
+             "exact closure-model residuals", "< 1e-6 (all trials)",
              {"failures": failures[:5], "count": len(failures),
-              "worst_residual": worst_resid},
+              "worst_residual": worst_resid, "h_root_band": list(H_ROOT_BAND),
+              "h_root_band_draws": in_band},
              1e-6, not failures, nw),
     ]
 

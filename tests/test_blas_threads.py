@@ -13,10 +13,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hardy_perturb
-from hardy_perturb import DEFAULT_TOL, suite
+from hardy_perturb import DEFAULT_TOL, extract_model, krylov_closure, suite
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
                "MKL_NUM_THREADS", "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
@@ -85,13 +86,27 @@ def test_no_openblas_is_a_quiet_no_op(monkeypatch, paths):
     assert hardy_perturb._single_blas_thread() is None
 
 
+def _numeric_models(count: int) -> list:
+    """Models extracted from conditioned Krylov closures, the SVD-heavy path."""
+    rng = np.random.default_rng(0)
+    models = []
+    for _ in range(count):
+        _, shift, seed_vec = suite.sample_conditioned_trial(rng, 128, 40)
+        space = krylov_closure(shift, seed_vec, 40)
+        models.append(extract_model(space, shift).to_json())
+    return models
+
+
 def test_verdicts_do_not_depend_on_the_thread_count():
     if not hardy_perturb._openblas_paths():
         pytest.skip("no OpenBLAS is loaded")
     serial = suite.check_random_trials(128, DEFAULT_TOL, 0, trials=10)
+    serial_models = _numeric_models(10)
     try:
         _set_threads(2)
         threaded = suite.check_random_trials(128, DEFAULT_TOL, 0, trials=10)
+        threaded_models = _numeric_models(10)
     finally:
         _set_threads(1)
     assert threaded == serial
+    assert threaded_models == serial_models

@@ -1,5 +1,9 @@
+import contextlib
+import gc
+import io
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -279,6 +283,16 @@ class TestCommutantCommands:
         assert result.exit_code == 0
         assert json.loads(result.output)["report"]["N_minus_F_max"] < 1e-12
 
+    @pytest.mark.parametrize("phi", ["1,abc", "1,nan"])
+    def test_element_bad_flag_symbol_is_a_config_error(self, runner, tmp_path, phi):
+        cfg = tmp_path / "cfg.json"
+        write(cfg, RANK_ONE)
+        result = runner.invoke(main, ["commutant", "element", "--config", str(cfg),
+                                      "--phi", phi])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert json.loads(result.stderr)["error"] == "config"
+
     def test_hyper(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
         write(cfg, RANK_ONE)
@@ -355,6 +369,25 @@ class TestConfigHandling:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert json.loads(result.stderr)["error"] == "config"
+
+    @pytest.mark.parametrize("extra", [[], ["--truncation", "8"]], ids=["report", "error"])
+    def test_in_process_runs_release_redirected_streams(self, tmp_path, extra):
+        # A caller that captures each run in fresh StringIOs (as the benchmark's
+        # demo workload does) must not keep them alive after the run.
+        cfg = tmp_path / "cfg.json"
+        write(cfg, TWO_PERTURBATION)
+        refs = []
+        for _ in range(2):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                with pytest.raises(SystemExit):
+                    main(["shift", "verify", "--config", str(cfg)] + extra,
+                         standalone_mode=False)
+            assert (out if not extra else err).getvalue()
+            refs += [weakref.ref(out), weakref.ref(err)]
+            del out, err
+        gc.collect()
+        assert [r() for r in refs] == [None] * len(refs)
 
     def test_missing_config_file(self, runner):
         result = runner.invoke(main, ["shift", "verify", "--config", "missing.json"])
