@@ -127,8 +127,9 @@ def hyperinvariance_check(
 ) -> dict:
     """Check that every sampled commutant member maps the modeled subspace into itself.
 
-    The model must pass :func:`verify_model` against ``shift`` and
-    ``trials`` must be at least 1 (a check that samples no symbol cannot
+    The model must pass :func:`verify_model` against ``shift``, with an
+    invariance residual at most ``tau_res`` (the threshold of the verdict),
+    and ``trials`` must be at least 1 (a check that samples no symbol cannot
     fail), else :class:`PreconditionError`.  Random polynomial symbols with
     coefficients uniform in the unit disc (seeded for reproducibility) are
     turned into commutant members ``X``; the report carries the largest
@@ -141,7 +142,7 @@ def hyperinvariance_check(
         raise PreconditionError(f"hyperinvariance needs at least one trial, got {trials}")
     checks = verify_model(model, shift, shift.working_order, tol)
     resid = checks["invariance_residual"]
-    if checks["max_residual"] > checks["condition_limit"] or resid > 10 * tol.tau_res:
+    if checks["max_residual"] > checks["condition_limit"] or resid > tol.tau_res:
         raise PreconditionError(f"model describes no invariant subspace (condition residual "
                                 f"{checks['max_residual']:.3e}, invariance residual {resid:.3e})")
     a, basis, _, _, perp = _model_space(model, tol, kernel.n + max_degree + 2)

@@ -202,8 +202,9 @@ class OperatorMatrix:
     of the operands plus the symbol degree of the left factor, a product or
     difference of two such operators is exactly the Toeplitz matrix of the
     convolved (or subtracted) symbols.  Products, differences, max-norms and
-    images of vectors therefore work on that window and on the symbols, and
-    cost nothing of order ``size**2`` unless a block is that large.
+    images of vectors and column stacks therefore work on that window and on
+    the symbols, and cost nothing of order ``size**2`` unless a block is that
+    large.
     ``entries``, the dense matrix, is built on first access and cached
     read-only.
     """
@@ -299,15 +300,21 @@ class OperatorMatrix:
             raise DimensionMismatchError("working orders differ")
 
     def __matmul__(self, other):
-        """Product with another operator, or the image of a coefficient vector."""
-        if isinstance(other, np.ndarray) and other.ndim == 1:
+        """Product with another operator, or the image of a vector or column stack."""
+        if isinstance(other, np.ndarray) and other.ndim in (1, 2):
             if other.shape[0] != self.size:
-                raise DimensionMismatchError("vector length differs from working order")
+                raise DimensionMismatchError("row count differs from working order")
             k = self.block_size
-            out = np.zeros(self.size, dtype=np.complex128)
+            out = np.zeros(other.shape, dtype=np.complex128)
             out[:k] = self.block @ other[:k]
-            if self.symbol.size:
-                out[k:] = np.convolve(self.symbol, other)[k: self.size]
+            if other.ndim == 1:
+                if self.symbol.size:
+                    out[k:] = np.convolve(self.symbol, other)[k: self.size]
+                return out
+            # Row i >= k is sum_d symbol[d] x[i - d]: one sliced add per diagonal.
+            for d in np.flatnonzero(self.symbol):
+                top = max(k, d)
+                out[top:] += self.symbol[d] * other[top - d: self.size - d]
             return out
         self._check_size(other)
         # With A = T_a + D_a (D_a inside A's block), T_a D_b spills deg(a) rows
@@ -339,13 +346,20 @@ def multiplication_by_z_matrix(working_order: int) -> np.ndarray:
 
 
 def as_matrix(op) -> np.ndarray:
-    """Coerce an OperatorMatrix, an n-shift, or a raw array to its ndarray."""
+    """Coerce an OperatorMatrix or a raw array to its ndarray."""
     if isinstance(op, OperatorMatrix):
         return op.entries
-    inner = getattr(op, "S", None)
-    if isinstance(inner, OperatorMatrix):
-        return inner.entries
     return np.asarray(op, dtype=np.complex128)
+
+
+def _as_operator(T) -> OperatorMatrix:
+    """The OperatorMatrix of an n-shift or an OperatorMatrix; a raw array as its block."""
+    if isinstance(T, OperatorMatrix):
+        return T
+    inner = getattr(T, "S", None)
+    if isinstance(inner, OperatorMatrix):
+        return inner
+    return OperatorMatrix(np.asarray(T, dtype=np.complex128))
 
 
 @dataclass(frozen=True)
@@ -362,6 +376,10 @@ class Subspace:
     maps each generator to the next one).  Such spaces skip norm-based
     invariance preconditions, which a depth-truncated generator set cannot
     meet near its frontier.
+
+    The range side may attach a private, non-field memo of the subspace's
+    first wandering split; it caches a pure function of the basis and does
+    not take part in equality or the repr.
     """
 
     basis: np.ndarray
@@ -469,10 +487,10 @@ def subspace_difference(M: Subspace, T, tol: ToleranceConfig | None = None) -> S
     tol = tol or DEFAULT_TOL
     if M.dim == 0:
         raise ValueError("subspace must be nonzero")
-    mat = as_matrix(T)
-    if mat.shape[0] != M.working_order:
+    op = _as_operator(T)
+    if op.size != M.working_order:
         raise DimensionMismatchError("operator and subspace working orders differ")
-    coords = M.basis.conj().T @ (mat @ M.basis)
+    coords = M.basis.conj().T @ (op @ M.basis)
     u, s, _ = np.linalg.svd(coords)
     r, _ = _rank_cut(s, tol.tau_rank)
     return Subspace(M.basis @ u[:, r:], M.frontier)
@@ -491,12 +509,12 @@ def krylov_closure(
     stay inside the representable range.
     """
     tol = tol or DEFAULT_TOL
-    mat = as_matrix(T)
-    if mat.shape[0] != f.working_order:
+    op = _as_operator(T)
+    if op.size != f.working_order:
         raise DimensionMismatchError("operator and vector working orders differ")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    spread = max(band_spread(mat))
+    spread = max(band_spread(op))
     if depth * spread >= max(1, f.working_order):
         raise TruncationError(
             f"depth {depth} times band spread {spread} exceeds "
@@ -506,7 +524,7 @@ def krylov_closure(
     vec = f.coeffs.copy()
     iterates[:, 0] = vec
     for k in range(1, depth + 1):
-        vec = mat @ vec
+        vec = op @ vec
         iterates[:, k] = vec
     frontier = min(f.working_order, f.valuation(1e-14 * max(1.0, f.norm())) + depth)
     # Invariance holds by construction: T maps each iterate to the next.
@@ -542,10 +560,9 @@ def invariance_residual(M: Subspace, T, rows: int | None = None) -> float:
     a depth artifact of the truncation, not an invariance defect, and is
     excluded by the row restriction.
     """
-    mat = as_matrix(T)
     if rows is None:
         rows = M.frontier if M.frontier is not None else M.working_order
-    image = mat @ M.basis
+    image = _as_operator(T) @ M.basis
     resid = image - M.basis @ (M.basis.conj().T @ image)
     resid = resid[:rows, :]
     if resid.size == 0:

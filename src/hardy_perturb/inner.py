@@ -151,13 +151,15 @@ def blaschke_taylor(theta: BlaschkeProduct, working_order: int) -> TruncatedVect
     """
     if working_order < 1:
         raise ValueError("working order must be at least 1")
-    num = theta.numerator().coeffs
-    den = theta.denominator().coeffs
-    out = _series_div_arrays(
-        np.pad(num, (0, max(0, working_order - num.size))),
-        den,
-        working_order,
-    )
+    out = np.zeros(working_order, dtype=np.complex128)
+    out[0] = theta.constant
+    exponents = np.arange(working_order - 1)
+    for a in theta.zeros:
+        # (a - z) / (1 - conj(a) z) = a + sum_{k >= 1} conj(a)^(k-1) (|a|^2 - 1) z^k.
+        factor = np.empty(working_order, dtype=np.complex128)
+        factor[0] = a
+        factor[1:] = np.conj(a) ** exponents * (abs(a) ** 2 - 1.0)
+        out = np.convolve(out, factor)[:working_order]
     return TruncatedVector(out)
 
 

@@ -29,7 +29,6 @@ from .core import (
     _ORTHONORMALITY_LIMIT,
     _rank_cut,
     invariance_residual,
-    multiplication_by_z_matrix,
     orthonormalize,
     subspace_difference,
 )
@@ -50,7 +49,7 @@ from .inner import (
     is_outer_polynomial,
     rational_inner_from_taylor,
 )
-from .shifts import NShift
+from .shifts import Z_SYMBOL, NShift
 
 __all__ = [
     "SubspaceModel",
@@ -369,13 +368,22 @@ def _require_invariant(M: Subspace, shift: NShift, tol: ToleranceConfig) -> None
 
 
 def _wandering_space(M: Subspace, shift: NShift, tol: ToleranceConfig) -> Subspace:
-    """``M (-) S M``; empty on a certified invariant ``M`` only through truncation."""
+    """``M (-) S M``; empty on a certified invariant ``M`` only through truncation.
+
+    The split is kept on ``M`` for this shift object and an equal ``tol``, so
+    :func:`wandering_dimension` followed by :func:`extract_model` computes it
+    once.  Later peeling stages split fresh subspaces, which nothing reuses.
+    """
+    cached = M.__dict__.get("_wandering_memo")
+    if cached is not None and cached[0] is shift and cached[1] == tol:
+        return cached[2]
     wander = subspace_difference(M, shift, tol)
     if wander.dim == 0 and M.invariant_certified:
         slack = 0 if M.frontier is None else M.working_order - M.frontier
         raise TruncationError(f"no wandering vector at working order {M.working_order}: {slack} "
                               "rows of slack (N - frontier) do not hold the truncated tail; "
                               "raise --truncation")
+    object.__setattr__(M, "_wandering_memo", (shift, tol, wander))
     return wander
 
 
@@ -489,7 +497,7 @@ def extract_model(
     tol = tol or DEFAULT_TOL
     n = shift.n
     nw = M.working_order
-    s = shift.S.entries
+    s = shift.S
     _require_invariant(M, shift, tol)
 
     current = M
@@ -509,8 +517,7 @@ def extract_model(
             invariant_certified=current.invariant_certified,
         )
 
-    mz = multiplication_by_z_matrix(nw)
-    g = subspace_difference(current, mz, tol)
+    g = subspace_difference(current, OperatorMatrix.toeplitz(Z_SYMBOL, nw), tol)
     if g.dim != 1:
         raise ExtractionError(
             f"image space has plain-shift wandering dimension {g.dim} != 1"

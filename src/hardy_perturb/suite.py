@@ -14,10 +14,10 @@ from .analysis import self_commutator
 from .commutant import _random_symbol, commutant_element, hyperinvariance_check
 from .core import (
     DEFAULT_TOL,
+    OperatorMatrix,
     Subspace,
     ToleranceConfig,
     TruncatedVector,
-    multiplication_by_z_matrix,
     numerical_rank,
     orthonormalize,
     principal_angles,
@@ -35,6 +35,7 @@ from .invariant import (
     wandering_dimension,
 )
 from .shifts import (
+    Z_SYMBOL,
     NShift,
     TridiagonalKernel,
     gram_columns,
@@ -340,7 +341,7 @@ def check_commutant_suite(nw: int, tol: ToleranceConfig, seed: int) -> list:
 def check_baselines(nw: int, tol: ToleranceConfig) -> list:
     rows = []
     # Unperturbed shift: the wandering vector of theta H2 is theta itself.
-    mz = multiplication_by_z_matrix(nw)
+    mz = OperatorMatrix.toeplitz(Z_SYMBOL, nw)
     taylor = blaschke_taylor(THETA_HALF, nw)
     count = min(60, nw - 8)
     span = _theta_span(THETA_HALF, nw, count, tol)
@@ -370,14 +371,14 @@ def check_restriction_isometry(nw: int, tol: ToleranceConfig) -> list:
     shift = _rank_one_shift(1.0, 1.0, nw)
     model = s1_model(1.0, 1.0, THETA_HALF)
     phi = model.phi(0, nw)
-    ratio = np.linalg.norm(shift.S.entries @ phi.coeffs) / phi.norm()
+    ratio = np.linalg.norm(shift.S @ phi.coeffs) / phi.norm()
     dev = abs(ratio - 1.0)
     rows.append(_row("restriction is not isometric when theta(0) = 1/2",
                      "> 1e-3", dev, 1e-3, dev > 1e-3, nw))
     theta_zero = BlaschkeProduct(-1.0, (0.0,))
     model0 = s1_model(1.0, 1.0, theta_zero)
     phi0 = model0.phi(0, nw)
-    ratio0 = np.linalg.norm(shift.S.entries @ phi0.coeffs) / phi0.norm()
+    ratio0 = np.linalg.norm(shift.S @ phi0.coeffs) / phi0.norm()
     dev0 = abs(ratio0 - 1.0)
     rows.append(_row("restriction is isometric when theta(0) = 0",
                      "< 1e-10", dev0, 1e-10, dev0 < 1e-10, nw))

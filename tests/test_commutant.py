@@ -155,6 +155,23 @@ class TestHyperinvariance:
         with pytest.raises(PreconditionError):
             hyperinvariance_check(wrong, one_plus_z_shift, one_plus_z_kernel, 3)
 
+    def test_precondition_and_verdict_share_one_threshold(self, one_plus_z_kernel,
+                                                          one_plus_z_shift):
+        # A 1e-6 edit of q_0 near a zero of modulus 0.999 meets every model
+        # condition (residual 1e-6) but leaves an invariance residual of about
+        # 4.4e-8: above tau_res, so the check refuses it rather than report
+        # passed: false on tolerance alone.  The exact model is the control.
+        from hardy_perturb import BlaschkeProduct, SubspaceModel
+
+        model = s1_model(1.0, 1.0, BlaschkeProduct(1.0, (0.999,)))
+        q = model.q[0].coeffs.copy()
+        q[1] += 1e-6
+        edited = SubspaceModel(1, model.theta, model.p, (Polynomial(q),))
+        with pytest.raises(PreconditionError, match="invariance residual 4.4"):
+            hyperinvariance_check(edited, one_plus_z_shift, one_plus_z_kernel, 20, seed=1)
+        rep = hyperinvariance_check(model, one_plus_z_shift, one_plus_z_kernel, 20, seed=1)
+        assert rep["passed"] and rep["max_residual"] < 1e-14
+
     @pytest.mark.parametrize("trials", [0, -3])
     def test_no_trials_is_refused(self, one_plus_z_kernel, one_plus_z_shift, theta_half,
                                   trials):

@@ -79,6 +79,47 @@ class TestBlaschkeTaylor:
                 series = complex(np.polyval(t.coeffs[::-1], w))
                 assert abs(series - blaschke_eval(theta_half, w)) < bound
 
+    @pytest.mark.parametrize("constant, zeros", [
+        (1.0, (1 - 1e-9,)),
+        (np.exp(0.3j), (1 - 1e-9, 0.5j, -0.2 + 0.6j)),
+        (-1.0, (0.6j, 0.6j)),
+        (np.exp(2.0j), (-0.3 + 0.4j, -0.3 + 0.4j, 0.9)),
+        (1j, (0.0, 0.7)),
+        (1.0, (0.0, 0.0, 0.999999 * np.exp(1.1j))),
+    ])
+    def test_closed_form_matches_series_quotient(self, constant, zeros):
+        # The per-factor series against the quotient numerator / denominator.
+        theta = BlaschkeProduct(constant, zeros)
+        num, den = theta.numerator().coeffs, theta.denominator().coeffs
+        for order in (1, 256):
+            want = _series_div_arrays(np.pad(num, (0, max(0, order - num.size))), den, order)
+            assert np.abs(blaschke_taylor(theta, order).coeffs - want).max() <= 1e-13
+
+    def test_repeated_near_circle_zero_against_exact_arithmetic(self):
+        # A repeated zero at modulus 0.999 is where the quotient recurrence
+        # drifts (3e-14 here at order 256); the closed form stays at rounding.
+        mpmath = pytest.importorskip("mpmath")
+        a = 0.999 * np.exp(0.4j)
+        theta = BlaschkeProduct(1.0, (a, a, 0.35))
+        order = 256
+        # The same quotient recurrence, in 40-digit arithmetic.
+        num = [mpmath.mpc(1)]
+        den = [mpmath.mpc(1)]
+        with mpmath.workdps(40):
+            for z in theta.zeros:
+                z = mpmath.mpc(z)
+                num = [(num[k] * z if k < len(num) else 0) - (num[k - 1] if k else 0)
+                       for k in range(len(num) + 1)]
+                den = [(den[k] if k < len(den) else 0) - (mpmath.conj(z) * den[k - 1] if k else 0)
+                       for k in range(len(den) + 1)]
+            out = []
+            for k in range(order):
+                acc = num[k] if k < len(num) else mpmath.mpc(0)
+                acc -= mpmath.fsum(den[j] * out[k - j] for j in range(1, min(k, len(den) - 1) + 1))
+                out.append(acc)
+            exact = np.array([complex(c) for c in out])
+        assert np.abs(blaschke_taylor(theta, order).coeffs - exact).max() < 1e-15
+
     def test_boundary_unimodularity(self, theta_half):
         for t_ in np.linspace(0.0, 2 * np.pi, 64, endpoint=False):
             w = np.exp(1j * t_)
@@ -138,7 +179,7 @@ class TestIsOuter:
 
 
 class TestSeriesDivide:
-    # _series_div_arrays is the power-series quotient behind blaschke_taylor.
+    # _series_div_arrays is the power-series quotient behind _blaschke_from_fraction.
     def test_identity_recovery(self, theta_half):
         theta = blaschke_taylor(theta_half, NW).coeffs
         num = np.concatenate([[0], theta[:-1]])

@@ -20,8 +20,8 @@ from hardy_perturb import (
     verify_model,
     wandering_dimension,
 )
-from hardy_perturb import TridiagonalKernel, TruncatedVector, numerical_rank
-from hardy_perturb.core import Subspace
+from hardy_perturb import TridiagonalKernel, TruncatedVector, core, invariant, numerical_rank
+from hardy_perturb.core import DEFAULT_TOL, Subspace, ToleranceConfig, subspace_difference
 from hardy_perturb.shifts import gram_columns
 from hardy_perturb.jsonio import model_from_payload
 from hardy_perturb.errors import (
@@ -355,3 +355,79 @@ def test_restriction_norm_witness(theta_half):
     phi0 = s1_model(1.0, 1.0, theta0).phi(0, NW)
     ratio0 = np.linalg.norm(shift.S.entries @ phi0.coeffs) / phi0.norm()
     assert abs(ratio0 - 1.0) < 1e-10
+
+
+class TestRangeSideStructure:
+    """The round trip applies S through its block and symbol, splitting M once."""
+
+    @staticmethod
+    def round_trip_space(nw=NW):
+        theta = BlaschkeProduct(1.0, (0.5, 0.3j, -0.4 + 0.2j))
+        shift = shift_from_kernel(TridiagonalKernel(1, (1.0,), (0.7,)), nw)
+        model = s1_model(1.0, 0.7, theta)
+        space, _ = build_subspace(model, shift, nw)
+        return model, shift, space
+
+    @staticmethod
+    def count_splits(monkeypatch):
+        calls = []
+
+        def counted(M, T, tol=None):
+            calls.append(T)
+            return subspace_difference(M, T, tol)
+
+        monkeypatch.setattr(invariant, "subspace_difference", counted)
+        return calls
+
+    def test_wandering_split_is_shared_with_extraction(self, monkeypatch):
+        _, shift, space = self.round_trip_space()
+        fresh = Subspace(space.basis, space.frontier, space.invariant_certified)
+        calls = self.count_splits(monkeypatch)
+        assert wandering_dimension(space, shift) == 1
+        rec = extract_model(space, shift)
+        # One split of M under S and one plain-shift split of S M, not three.
+        assert len(calls) == 2
+        again = extract_model(fresh, shift)
+        assert len(calls) == 4
+        assert rec.theta.zeros == again.theta.zeros
+        assert np.array_equal(rec.p[0].coeffs, again.p[0].coeffs)
+
+    def test_another_shift_object_recomputes(self, monkeypatch):
+        _, shift, space = self.round_trip_space()
+        twin = shift_from_kernel(TridiagonalKernel(1, (1.0,), (0.7,)), NW)
+        other = shift_from_kernel(TridiagonalKernel(1, (1.0,), (-0.2,)), NW)
+        calls = self.count_splits(monkeypatch)
+        wandering_dimension(space, shift)
+        wandering_dimension(space, twin)
+        assert calls == [shift, twin]
+        # The split under another operator is that operator's, not the memo.
+        split = invariant._wandering_space(space, other, DEFAULT_TOL)
+        assert calls == [shift, twin, other]
+        want = subspace_difference(space, other)
+        assert principal_angles(split, want).max(initial=0.0) < 1e-12
+        assert split.dim == want.dim
+        assert principal_angles(split, subspace_difference(space, shift)).max() > 1e-3
+
+    def test_another_tolerance_recomputes(self, monkeypatch):
+        _, shift, space = self.round_trip_space()
+        calls = self.count_splits(monkeypatch)
+        wandering_dimension(space, shift, ToleranceConfig())
+        wandering_dimension(space, shift, ToleranceConfig())
+        assert len(calls) == 1
+        wandering_dimension(space, shift, ToleranceConfig(tau_rank=1e-10))
+        assert len(calls) == 2
+
+    def test_round_trip_builds_no_dense_operator(self, monkeypatch):
+        # Mirrors test_model_side_builds_no_square_array for the range side.
+        def refuse(*_):
+            raise AssertionError("the range side built a dense M_z")
+
+        for module in (core, invariant):
+            monkeypatch.setattr(module, "multiplication_by_z_matrix", refuse, raising=False)
+        model, shift, space = self.round_trip_space(256)
+        assert wandering_dimension(space, shift) == 1
+        rec = extract_model(space, shift)
+        cyclic, _ = check_cyclic(space, model, shift)
+        assert cyclic and finite_codimension(space, model) == 3
+        assert len(rec.theta.zeros) == 3
+        assert "entries" not in vars(shift.S)

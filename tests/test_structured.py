@@ -25,7 +25,12 @@ from hardy_perturb import (
     verify_power_identities,
 )
 from hardy_perturb.core import band_spread
-from hardy_perturb.errors import HardyPerturbError, PreconditionError, TruncationError
+from hardy_perturb.errors import (
+    DimensionMismatchError,
+    HardyPerturbError,
+    PreconditionError,
+    TruncationError,
+)
 
 ORDERS = (16, 64, 128)
 EXACT = 1e-14
@@ -172,6 +177,29 @@ def test_operator_algebra_matches_dense_products():
                 want = np.abs(prod.entries[rows, cols]).max(initial=0.0)
                 assert prod.max_abs(rows, cols) == pytest.approx(want, abs=1e-12)
         assert band_spread(prod) == oracle.band_spread(prod.entries)
+
+
+def test_column_stack_images_match_dense_products():
+    # Block on the leading rows plus one sliced add per symbol diagonal,
+    # against the dense matrix: random blocks and symbols, a whole-matrix
+    # block, no symbol, a symbol longer than the working order, a symbol with
+    # zero diagonals, and stacks of width 0 to 7.
+    rng = np.random.default_rng(11)
+    nw = 24
+    shapes = [(3, 2), (0, 5), (6, 0), (nw, 3), (0, 0), (4, nw + 9), (nw, nw + 9), (12, 1)]
+    operators = [OperatorMatrix(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)),
+                                rng.standard_normal(length) + 1j * rng.standard_normal(length), nw)
+                 for k, length in shapes]
+    operators.append(OperatorMatrix.toeplitz((0.0, 1.0), nw))
+    operators.append(OperatorMatrix(np.eye(2), (0.0, 0.0, 2.0, 0.0, -1.0j), nw))
+    for op in operators:
+        for width in (0, 1, 3, 7):
+            x = rng.standard_normal((nw, width)) + 1j * rng.standard_normal((nw, width))
+            image = op @ x
+            assert image.shape == (nw, width)
+            assert np.abs(image - op.entries @ x).max(initial=0.0) <= 1e-12
+        with pytest.raises(DimensionMismatchError):
+            op @ np.zeros((nw - 1, 2))
 
 
 def test_plain_array_is_its_own_dense_view():
