@@ -238,6 +238,10 @@ class OperatorMatrix:
     def block_size(self) -> int:
         return self.block.shape[0]
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.size, self.size
+
     @functools.cached_property
     def entries(self) -> np.ndarray:
         if self.block_size == self.size:
@@ -307,10 +311,6 @@ class OperatorMatrix:
             k = self.block_size
             out = np.zeros(other.shape, dtype=np.complex128)
             out[:k] = self.block @ other[:k]
-            if other.ndim == 1:
-                if self.symbol.size:
-                    out[k:] = np.convolve(self.symbol, other)[k: self.size]
-                return out
             # Row i >= k is sum_d symbol[d] x[i - d]: one sliced add per diagonal.
             for d in np.flatnonzero(self.symbol):
                 top = max(k, d)
@@ -352,14 +352,17 @@ def as_matrix(op) -> np.ndarray:
     return np.asarray(op, dtype=np.complex128)
 
 
-def _as_operator(T) -> OperatorMatrix:
-    """The OperatorMatrix of an n-shift or an OperatorMatrix; a raw array as its block."""
+def _as_operator(T) -> OperatorMatrix | np.ndarray:
+    """The OperatorMatrix of an n-shift or an OperatorMatrix; a raw array as it is.
+
+    Either result applies to a column stack with ``@`` and has a ``shape``.
+    """
     if isinstance(T, OperatorMatrix):
         return T
     inner = getattr(T, "S", None)
     if isinstance(inner, OperatorMatrix):
         return inner
-    return OperatorMatrix(np.asarray(T, dtype=np.complex128))
+    return np.asarray(T, dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -376,10 +379,6 @@ class Subspace:
     maps each generator to the next one).  Such spaces skip norm-based
     invariance preconditions, which a depth-truncated generator set cannot
     meet near its frontier.
-
-    The range side may attach a private, non-field memo of the subspace's
-    first wandering split; it caches a pure function of the basis and does
-    not take part in equality or the repr.
     """
 
     basis: np.ndarray
@@ -488,7 +487,7 @@ def subspace_difference(M: Subspace, T, tol: ToleranceConfig | None = None) -> S
     if M.dim == 0:
         raise ValueError("subspace must be nonzero")
     op = _as_operator(T)
-    if op.size != M.working_order:
+    if op.shape[0] != M.working_order:
         raise DimensionMismatchError("operator and subspace working orders differ")
     coords = M.basis.conj().T @ (op @ M.basis)
     u, s, _ = np.linalg.svd(coords)
@@ -510,7 +509,7 @@ def krylov_closure(
     """
     tol = tol or DEFAULT_TOL
     op = _as_operator(T)
-    if op.size != f.working_order:
+    if op.shape[0] != f.working_order:
         raise DimensionMismatchError("operator and vector working orders differ")
     if depth < 0:
         raise ValueError("depth must be nonnegative")

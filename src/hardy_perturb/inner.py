@@ -27,6 +27,8 @@ __all__ = [
 
 # Roots on the unit circle are outer factors; this margin decides ties.
 _BOUNDARY_MARGIN = 1e-9
+# Rows per block of _geometric_filter's blocked recurrence.
+_FILTER_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -153,14 +155,36 @@ def blaschke_taylor(theta: BlaschkeProduct, working_order: int) -> TruncatedVect
         raise ValueError("working order must be at least 1")
     out = np.zeros(working_order, dtype=np.complex128)
     out[0] = theta.constant
-    exponents = np.arange(working_order - 1)
     for a in theta.zeros:
-        # (a - z) / (1 - conj(a) z) = a + sum_{k >= 1} conj(a)^(k-1) (|a|^2 - 1) z^k.
-        factor = np.empty(working_order, dtype=np.complex128)
-        factor[0] = a
-        factor[1:] = np.conj(a) ** exponents * (abs(a) ** 2 - 1.0)
-        out = np.convolve(out, factor)[:working_order]
+        # (a - z) / (1 - conj(a) z) = a + (|a|^2 - 1) z / (1 - conj(a) z).
+        tail = _geometric_filter(out, np.conj(a))[:-1]
+        out = a * out
+        out[1:] += (abs(a) ** 2 - 1.0) * tail
     return TruncatedVector(out)
+
+
+def _geometric_filter(x: np.ndarray, c: complex) -> np.ndarray:
+    """Taylor coefficients of ``x / (1 - c z)``, ``|c| < 1``, to the length of ``x``.
+
+    The recurrence ``y_k = x_k + c y_(k-1)`` runs in blocks of
+    ``_FILTER_BLOCK``: one matrix product gives each block's response from a
+    zero start, and a loop over the blocks carries the last value of one
+    block into the next.  The cost is about ``len(x) * _FILTER_BLOCK``
+    multiply-adds whatever ``|c|``, where a convolution with the series of
+    ``1 / (1 - c z)`` costs ``len(x)**2``.
+    """
+    n = x.size
+    b = min(n, _FILTER_BLOCK)
+    rows = -(-n // b)
+    padded = np.zeros(rows * b, dtype=np.complex128)
+    padded[:n] = x
+    powers = c ** np.arange(b)
+    lags = np.abs(np.subtract.outer(np.arange(b), np.arange(b)))
+    y = padded.reshape(rows, b) @ np.triu(powers[lags])
+    carry = c * powers
+    for m in range(1, rows):
+        y[m] += y[m - 1, -1] * carry
+    return y.ravel()[:n]
 
 
 def _series_div_arrays(num: np.ndarray, den: np.ndarray, n: int) -> np.ndarray:

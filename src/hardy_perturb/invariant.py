@@ -355,7 +355,7 @@ def wandering_dimension(
     if M.dim == 0:
         raise PreconditionError("subspace must be nonzero")
     _require_invariant(M, shift, tol)
-    return _wandering_space(M, shift, tol).dim
+    return _first_wandering_space(M, shift, tol).dim
 
 
 def _require_invariant(M: Subspace, shift: NShift, tol: ToleranceConfig) -> None:
@@ -368,21 +368,29 @@ def _require_invariant(M: Subspace, shift: NShift, tol: ToleranceConfig) -> None
 
 
 def _wandering_space(M: Subspace, shift: NShift, tol: ToleranceConfig) -> Subspace:
-    """``M (-) S M``; empty on a certified invariant ``M`` only through truncation.
-
-    The split is kept on ``M`` for this shift object and an equal ``tol``, so
-    :func:`wandering_dimension` followed by :func:`extract_model` computes it
-    once.  Later peeling stages split fresh subspaces, which nothing reuses.
-    """
-    cached = M.__dict__.get("_wandering_memo")
-    if cached is not None and cached[0] is shift and cached[1] == tol:
-        return cached[2]
+    """``M (-) S M``; empty on a certified invariant ``M`` only through truncation."""
     wander = subspace_difference(M, shift, tol)
     if wander.dim == 0 and M.invariant_certified:
         slack = 0 if M.frontier is None else M.working_order - M.frontier
         raise TruncationError(f"no wandering vector at working order {M.working_order}: {slack} "
                               "rows of slack (N - frontier) do not hold the truncated tail; "
                               "raise --truncation")
+    return wander
+
+
+def _first_wandering_space(M: Subspace, shift: NShift, tol: ToleranceConfig) -> Subspace:
+    """:func:`_wandering_space` of a caller's subspace, kept on ``M``.
+
+    The split is stored as the private attribute ``_wandering_memo`` (not a
+    dataclass field, so equality and the repr ignore it) for this shift
+    object and an equal ``tol``; :func:`wandering_dimension` followed by
+    :func:`extract_model` then computes it once.  A split that raises is not
+    stored.
+    """
+    cached = getattr(M, "_wandering_memo", None)
+    if cached is not None and cached[0] is shift and cached[1] == tol:
+        return cached[2]
+    wander = _wandering_space(M, shift, tol)
     object.__setattr__(M, "_wandering_memo", (shift, tol, wander))
     return wander
 
@@ -503,7 +511,8 @@ def extract_model(
     current = M
     phi_dirs = []
     for j in range(n):
-        wander = _wandering_space(current, shift, tol)
+        split = _first_wandering_space if j == 0 else _wandering_space
+        wander = split(current, shift, tol)
         if wander.dim != 1:
             raise ExtractionError(
                 f"wandering dimension {wander.dim} != 1 while peeling stage {j}; "

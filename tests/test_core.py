@@ -13,8 +13,9 @@ from hardy_perturb import (
     principal_angles,
     subspace_difference,
 )
-from hardy_perturb.core import band_spread, rank_report
-from hardy_perturb.errors import TruncationError
+from hardy_perturb import core
+from hardy_perturb.core import band_spread, invariance_residual, rank_report
+from hardy_perturb.errors import DimensionMismatchError, TruncationError
 
 from conftest import NW, theta_half_taylor_oracle
 
@@ -132,6 +133,23 @@ class TestSubspaceDifference:
         a = rng.standard_normal((NW, 7)) + 1j * rng.standard_normal((NW, 7))
         w = subspace_difference(orthonormalize(a), multiplication_by_z_matrix(NW))
         assert w.dim == 0
+
+
+    def test_plain_array_and_symbol_agree(self):
+        # A plain array is applied as it is, not copied into an operator; the
+        # Toeplitz M_z gives the same split and residual through its symbol.
+        cols = [np.eye(NW)[:, k] for k in range(2, 9)]
+        space = orthonormalize(np.column_stack(cols))
+        dense = multiplication_by_z_matrix(NW)
+        assert core._as_operator(dense) is dense
+        toeplitz = OperatorMatrix.toeplitz((0.0, 1.0), NW)
+        assert abs(invariance_residual(space, dense) - invariance_residual(space, toeplitz)) < 1e-15
+        w_dense = subspace_difference(space, dense)
+        w_toeplitz = subspace_difference(space, toeplitz)
+        assert w_dense.dim == w_toeplitz.dim == 1
+        assert principal_angles(w_dense, w_toeplitz).max() < 1e-12
+        with pytest.raises(DimensionMismatchError):
+            subspace_difference(space, np.eye(NW - 1))
 
 
 class TestKrylovClosure:

@@ -14,7 +14,7 @@ from hardy_perturb import (
     rational_inner_from_taylor,
 )
 from hardy_perturb.errors import EvaluationError, ExtractionError
-from hardy_perturb.inner import _series_div_arrays
+from hardy_perturb.inner import _geometric_filter, _series_div_arrays
 from hardy_perturb.jsonio import model_from_payload
 
 from conftest import NW, theta_half_taylor_oracle
@@ -87,17 +87,19 @@ class TestBlaschkeTaylor:
         (1j, (0.0, 0.7)),
         (1.0, (0.0, 0.0, 0.999999 * np.exp(1.1j))),
     ])
-    def test_closed_form_matches_series_quotient(self, constant, zeros):
-        # The per-factor series against the quotient numerator / denominator.
+    def test_factor_by_factor_matches_series_quotient(self, constant, zeros):
+        # One factor at a time against the quotient numerator / denominator;
+        # the orders put the end of the series before, on and past the
+        # boundaries of the filter's blocks.
         theta = BlaschkeProduct(constant, zeros)
         num, den = theta.numerator().coeffs, theta.denominator().coeffs
-        for order in (1, 256):
+        for order in (1, 63, 64, 65, 200, 256):
             want = _series_div_arrays(np.pad(num, (0, max(0, order - num.size))), den, order)
             assert np.abs(blaschke_taylor(theta, order).coeffs - want).max() <= 1e-13
 
     def test_repeated_near_circle_zero_against_exact_arithmetic(self):
         # A repeated zero at modulus 0.999 is where the quotient recurrence
-        # drifts (3e-14 here at order 256); the closed form stays at rounding.
+        # drifts (3e-14 here at order 256); one factor at a time stays at rounding.
         mpmath = pytest.importorskip("mpmath")
         a = 0.999 * np.exp(0.4j)
         theta = BlaschkeProduct(1.0, (a, a, 0.35))
@@ -119,6 +121,20 @@ class TestBlaschkeTaylor:
                 out.append(acc)
             exact = np.array([complex(c) for c in out])
         assert np.abs(blaschke_taylor(theta, order).coeffs - exact).max() < 1e-15
+
+    @pytest.mark.parametrize("c", [0.0, 0.5, -0.3 + 0.9j, 0.999999 * np.exp(2.0j)])
+    def test_geometric_filter_is_the_recurrence(self, c):
+        rng = np.random.default_rng(5)
+        for length in (1, 2, 63, 64, 65, 130):
+            x = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+            want = np.empty(length, dtype=np.complex128)
+            acc = 0.0
+            for k in range(length):
+                acc = x[k] + c * acc
+                want[k] = acc
+            got = _geometric_filter(x, c)
+            assert got.shape == (length,)
+            assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
 
     def test_boundary_unimodularity(self, theta_half):
         for t_ in np.linspace(0.0, 2 * np.pi, 64, endpoint=False):

@@ -401,7 +401,7 @@ class TestRangeSideStructure:
         wandering_dimension(space, twin)
         assert calls == [shift, twin]
         # The split under another operator is that operator's, not the memo.
-        split = invariant._wandering_space(space, other, DEFAULT_TOL)
+        split = invariant._first_wandering_space(space, other, DEFAULT_TOL)
         assert calls == [shift, twin, other]
         want = subspace_difference(space, other)
         assert principal_angles(split, want).max(initial=0.0) < 1e-12
@@ -416,6 +416,22 @@ class TestRangeSideStructure:
         assert len(calls) == 1
         wandering_dimension(space, shift, ToleranceConfig(tau_rank=1e-10))
         assert len(calls) == 2
+
+    def test_only_the_input_subspace_keeps_its_split(self, monkeypatch, two_perturbation_shift):
+        # n = 2 peels a second stage from S M; that temporary keeps no memo.
+        seed = TruncatedVector.from_coefficients([0.0, 1.0, -0.3, 0.2], NW)
+        space = krylov_closure(two_perturbation_shift, seed, 36)
+        stages = []
+
+        def recorded(*args, **kwargs):
+            stages.append(orthonormalize(*args, **kwargs))
+            return stages[-1]
+
+        monkeypatch.setattr(invariant, "orthonormalize", recorded)
+        assert extract_model(space, two_perturbation_shift).n == 2
+        assert "_wandering_memo" in vars(space)
+        assert len(stages) == 2
+        assert not any("_wandering_memo" in vars(stage) for stage in stages)
 
     def test_round_trip_builds_no_dense_operator(self, monkeypatch):
         # Mirrors test_model_side_builds_no_square_array for the range side.

@@ -183,7 +183,7 @@ def test_column_stack_images_match_dense_products():
     # Block on the leading rows plus one sliced add per symbol diagonal,
     # against the dense matrix: random blocks and symbols, a whole-matrix
     # block, no symbol, a symbol longer than the working order, a symbol with
-    # zero diagonals, and stacks of width 0 to 7.
+    # zero diagonals, single vectors and stacks of width 0 to 7.
     rng = np.random.default_rng(11)
     nw = 24
     shapes = [(3, 2), (0, 5), (6, 0), (nw, 3), (0, 0), (4, nw + 9), (nw, nw + 9), (12, 1)]
@@ -198,8 +198,12 @@ def test_column_stack_images_match_dense_products():
             image = op @ x
             assert image.shape == (nw, width)
             assert np.abs(image - op.entries @ x).max(initial=0.0) <= 1e-12
+        v = rng.standard_normal(nw) + 1j * rng.standard_normal(nw)
+        assert np.abs(op @ v - op.entries @ v).max() <= 1e-12
         with pytest.raises(DimensionMismatchError):
             op @ np.zeros((nw - 1, 2))
+        with pytest.raises(DimensionMismatchError):
+            op @ np.zeros(nw + 1)
 
 
 def test_plain_array_is_its_own_dense_view():
