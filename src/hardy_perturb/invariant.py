@@ -30,7 +30,6 @@ from .core import (
     _rank_cut,
     invariance_residual,
     orthonormalize,
-    subspace_difference,
 )
 from .errors import (
     DimensionMismatchError,
@@ -65,6 +64,16 @@ __all__ = [
 
 # A model condition fails when its relative residual exceeds this.
 _CONDITION_LIMIT = 1e-6
+# Largest coefficient below z^n the plain-shift wandering vector of S^n M may keep.
+_VANISHING_LIMIT = 1e-6
+# The inner-function screen fails theta when a lag correlation or its norm defect exceeds this.
+_INNER_SCREEN_LIMIT = 1e-3
+# A polynomial-factor fit stops at this relative residual.
+_FIT_STOP = 1e-9
+# A polynomial-factor fit warns when its best relative residual exceeds this.
+_FIT_WARN = 1e-7
+# A higher-degree fit replaces the best one only below this factor of its residual.
+_FIT_IMPROVEMENT = 0.9
 _CONDITIONS = ("phi_orthogonality", "phi_vs_tail", "chain", "last_chain")
 
 
@@ -355,7 +364,7 @@ def wandering_dimension(
     if M.dim == 0:
         raise PreconditionError("subspace must be nonzero")
     _require_invariant(M, shift, tol)
-    return _first_wandering_space(M, shift, tol).dim
+    return _first_wandering_space(M, shift, tol)[1].shape[1]
 
 
 def _require_invariant(M: Subspace, shift: NShift, tol: ToleranceConfig) -> None:
@@ -367,32 +376,35 @@ def _require_invariant(M: Subspace, shift: NShift, tol: ToleranceConfig) -> None
             )
 
 
-def _wandering_space(M: Subspace, shift: NShift, tol: ToleranceConfig) -> Subspace:
-    """``M (-) S M``; empty on a certified invariant ``M`` only through truncation."""
-    wander = subspace_difference(M, shift, tol)
-    if wander.dim == 0 and M.invariant_certified:
-        slack = 0 if M.frontier is None else M.working_order - M.frontier
-        raise TruncationError(f"no wandering vector at working order {M.working_order}: {slack} "
-                              "rows of slack (N - frontier) do not hold the truncated tail; "
-                              "raise --truncation")
-    return wander
+def _truncation_error(M: Subspace) -> TruncationError:
+    """What an empty peeling stage of a certified invariant ``M`` raises."""
+    slack = 0 if M.frontier is None else M.working_order - M.frontier
+    return TruncationError(f"no wandering vector at working order {M.working_order}: {slack} "
+                           "rows of slack (N - frontier) do not hold the truncated tail; "
+                           "raise --truncation")
 
 
-def _first_wandering_space(M: Subspace, shift: NShift, tol: ToleranceConfig) -> Subspace:
-    """:func:`_wandering_space` of a caller's subspace, kept on ``M``.
+def _first_wandering_space(
+    M: Subspace, shift: NShift, tol: ToleranceConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(image, wander)``: the split of ``M`` into ``P_M S M`` and ``M (-) S M``.
 
-    The split is stored as the private attribute ``_wandering_memo`` (not a
-    dataclass field, so equality and the repr ignore it) for this shift
-    object and an equal ``tol``; :func:`wandering_dimension` followed by
-    :func:`extract_model` then computes it once.  A split that raises is not
-    stored.
+    Both are orthonormal column blocks in coordinates of ``M.basis``.  An empty
+    ``wander`` on a certified invariant ``M`` comes only from truncation and
+    raises :class:`TruncationError`.  The split is kept on ``M`` as the private
+    attribute ``_wandering_memo`` (not a dataclass field, so equality and the
+    repr ignore it) for this shift object and an equal ``tol``;
+    :func:`wandering_dimension` followed by :func:`extract_model` then
+    computes it once.  A split that raises is not stored.
     """
     cached = getattr(M, "_wandering_memo", None)
     if cached is not None and cached[0] is shift and cached[1] == tol:
         return cached[2]
-    wander = _wandering_space(M, shift, tol)
-    object.__setattr__(M, "_wandering_memo", (shift, tol, wander))
-    return wander
+    split = _split(M.basis.conj().T @ (shift.S @ M.basis), tol.tau_rank)
+    if split[1].shape[1] == 0 and M.invariant_certified:
+        raise _truncation_error(M)
+    object.__setattr__(M, "_wandering_memo", (shift, tol, split))
+    return split
 
 
 def _normalize_direction(vec: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
@@ -436,12 +448,12 @@ def _fit_polynomial_factor(
     for d in range(dmax + 1):
         sol, *_ = np.linalg.lstsq(cols[:, : d + 1], t, rcond=None)
         resid = float(np.linalg.norm(cols[:, : d + 1] @ sol - t) / scale)
-        if best is None or resid < best[1] * 0.9:
+        if best is None or resid < best[1] * _FIT_IMPROVEMENT:
             best = (Polynomial(sol), resid)
-        if resid < 1e-9:
+        if resid < _FIT_STOP:
             return Polynomial(sol), resid
     poly, resid = best
-    if resid > 1e-7:
+    if resid > _FIT_WARN:
         warnings.warn(
             f"no polynomial factor up to degree {dmax} matches "
             f"(best relative residual {resid:.3e})",
@@ -494,13 +506,15 @@ def extract_model(
     least-squares fit against shifted theta expansions (then
     ``q_i = z^i p_i theta - phi_i``).
 
+    Every stage lies in ``M``, which holds ``S M``, so :func:`_peel` runs in
+    coordinates of ``M.basis`` from the split :func:`wandering_dimension`
+    shares; nothing peeled reaches past ``M.frontier``: theta's window ends 8 below it.
+
     The wandering vector at each stage must be one-dimensional; anything
     else signals inadequate truncation or a non-invariant input, and an
-    empty one on a certified invariant input raises
-    :class:`TruncationError`.  Each
-    ``phi_i`` is normalized to unit norm with its first significant
-    coefficient positive real; the returned polynomials inherit that
-    scaling.
+    empty one on a certified invariant input raises :class:`TruncationError`.
+    Each ``phi_i`` is normalized to unit norm with its first significant
+    coefficient positive real; the returned polynomials inherit that scaling.
     """
     tol = tol or DEFAULT_TOL
     n = shift.n
@@ -508,54 +522,30 @@ def extract_model(
     s = shift.S
     _require_invariant(M, shift, tol)
 
-    current = M
-    phi_dirs = []
-    for j in range(n):
-        split = _first_wandering_space if j == 0 else _wandering_space
-        wander = split(current, shift, tol)
-        if wander.dim != 1:
-            raise ExtractionError(
-                f"wandering dimension {wander.dim} != 1 while peeling stage {j}; "
-                "the truncation is inadequate or the subspace is not invariant"
-            )
-        phi_dirs.append(_normalize_direction(wander.basis[:, 0], tol))
-        # The shift raises every generator valuation by exactly one.
-        frontier = None if current.frontier is None else min(nw, current.frontier + 1)
-        current = orthonormalize(
-            s @ current.basis, tol, frontier=frontier,
-            invariant_certified=current.invariant_certified,
-        )
-
-    g = subspace_difference(current, OperatorMatrix.toeplitz(Z_SYMBOL, nw), tol)
-    if g.dim != 1:
-        raise ExtractionError(
-            f"image space has plain-shift wandering dimension {g.dim} != 1"
-        )
-    gvec = g.basis[:, 0]
-    if np.abs(gvec[:n]).max(initial=0.0) > 1e-6:
+    empty = _truncation_error(M) if M.invariant_certified else None
+    phi_dirs, s_n_basis = _peel(s, M.basis, n, tol, _first_wandering_space(M, shift, tol), empty)
+    g, _ = _peel(OperatorMatrix.toeplitz(Z_SYMBOL, nw), s_n_basis, 1, tol)
+    gvec = g[:, 0]
+    if np.abs(gvec[:n]).max(initial=0.0) > _VANISHING_LIMIT:
         raise ExtractionError("image wandering vector does not vanish to order n")
 
     # Coefficients of the wandering vector lose accuracy toward the
     # generator frontier; keep a margin below it for the rational fit.
-    theta_window = nw - n if current.frontier is None else max(16, current.frontier - n - 8)
+    theta_window = nw - n if M.frontier is None else max(16, M.frontier - n - 8)
     theta_raw = _normalize_direction(gvec[n:], tol)
     theta_vec = TruncatedVector(theta_raw[:theta_window])
     # Fast-fail screen; lags stay inside half the theta window because the
     # high lags are dominated by the truncated theta tail.  The decisive
     # validation is the rational reconstruction below.
-    _, diag = is_inner_numeric(
-        theta_vec, tol, max_lag=min(24, theta_vec.working_order // 2)
-    )
-    if diag["max_correlation"] > 1e-3 or diag["norm_defect"] > 1e-3:
-        raise ExtractionError(
-            f"extracted tail generator fails the inner test: {diag}"
-        )
+    _, diag = is_inner_numeric(theta_vec, tol, max_lag=min(24, theta_vec.working_order // 2))
+    if diag["max_correlation"] > _INNER_SCREEN_LIMIT or diag["norm_defect"] > _INNER_SCREEN_LIMIT:
+        raise ExtractionError(f"extracted tail generator fails the inner test: {diag}")
     theta_b = rational_inner_from_taylor(theta_vec, tol)
     theta_exact = blaschke_taylor(theta_b, nw)
 
     p_list, q_list = [], []
     for i in range(n):
-        img = phi_dirs[i]
+        img = phi_dirs[:, i]
         for _ in range(n - i):
             img = s @ img
         p_i, p_resid = _fit_polynomial_factor(img, theta_exact.coeffs, n, tol)
@@ -564,7 +554,7 @@ def extract_model(
             if p_i.coeffs.size
             else np.zeros(nw, dtype=np.complex128)
         )
-        q_raw = _shifted_taylor(prod, i) - phi_dirs[i]
+        q_raw = _shifted_taylor(prod, i) - phi_dirs[:, i]
         q_i, _ = _vector_to_polynomial(
             TruncatedVector(q_raw[: min(theta_vec.working_order, 48)]), tol, f"q_{i}",
             cutoff=10.0 * p_resid,
@@ -575,22 +565,31 @@ def extract_model(
     return SubspaceModel(n, theta_b, tuple(p_list), tuple(q_list))
 
 
-def _peel(s: np.ndarray, cur: np.ndarray, stages: int, tol: ToleranceConfig) -> np.ndarray:
-    """Unit wandering vectors of ``V, s V, s^2 V, ...`` as columns.
+def _peel(s: np.ndarray | OperatorMatrix, cur: np.ndarray, stages: int, tol: ToleranceConfig,
+          first: tuple | None = None,
+          empty: Exception | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Unit wandering vectors of ``V, s V, s^2 V, ...`` as columns, and a basis of ``s^stages V``.
 
-    ``cur`` is an orthonormal basis of an ``s``-invariant ``V``; each stage
-    ``V (-) s V`` must be one-dimensional, else :class:`ExtractionError`.
+    ``cur`` is an orthonormal basis of an ``s``-invariant ``V``.  Every stage
+    lies inside ``V``, so each is one SVD of ``cur* s cur``: its range half,
+    mapped back through ``cur``, is the next ``cur``, and nothing is
+    orthonormalized at the rows of ``V``.  ``first`` is stage 0's split when
+    the caller holds it.  Each stage ``V (-) s V`` must be one-dimensional,
+    else :class:`ExtractionError`; an empty one raises ``empty`` when given.
     """
     phis = []
     for j in range(stages):
-        image, wander = _split(cur.conj().T @ s @ cur, tol.tau_rank)
+        split = first if j == 0 and first else _split(cur.conj().T @ (s @ cur), tol.tau_rank)
+        image, wander = split
+        if wander.shape[1] == 0 and empty is not None:
+            raise empty
         if wander.shape[1] != 1:
             raise ExtractionError(
                 f"wandering dimension {wander.shape[1]} != 1 while peeling stage {j}"
             )
         phis.append(_normalize_direction(cur @ wander[:, 0], tol))
         cur = cur @ image
-    return np.column_stack(phis)
+    return np.column_stack(phis), cur
 
 
 def _divide_by_inner(w: np.ndarray, n: int, theta: BlaschkeProduct) -> tuple[np.ndarray, float]:
@@ -650,7 +649,7 @@ def _closure_model(
     gens = np.zeros((a.shape[0], m), dtype=np.complex128)
     gens[:m, :n] = orbit[:m, :n]
     gens[:, n:] = shifted[:, n:]
-    phi = _peel(_lift(shift.S, a), _split(gens, tol.tau_rank)[0], n, tol)
+    phi, _ = _peel(_lift(shift.S, a), _split(gens, tol.tau_rank)[0], n, tol)
     x = np.linalg.lstsq(gens, phi, rcond=None)[0]
     p, q, worst = [], [], 0.0
     for i in range(n):

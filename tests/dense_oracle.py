@@ -6,6 +6,10 @@ builds the same objects as "lower Toeplitz + finite block"; the
 differential tests compare the two.  The operator oracles take and return
 plain arrays.
 
+``extract_model`` is the range side's peel on N-row subspaces: each stage is
+split under the dense ``S`` and ``S M_j`` is re-orthonormalized at N rows;
+the library peels in coordinates of the input basis.
+
 The model-side oracles (``verify_model``, ``finite_codimension``,
 ``hyperinvariance_check``, ``check_cyclic``) check a subspace model on
 depth-truncated generator stacks and Krylov closures of N rows, where the
@@ -20,18 +24,22 @@ import numpy as np
 import scipy.linalg
 
 from hardy_perturb import (
-    DEFAULT_TOL, BlaschkeProduct, OperatorMatrix, Polynomial, SubspaceModel, blaschke_taylor,
-    commutant,
+    DEFAULT_TOL, BlaschkeProduct, OperatorMatrix, Polynomial, SubspaceModel, TruncatedVector,
+    blaschke_taylor, commutant,
 )
 from hardy_perturb.core import (
     invariance_residual, krylov_closure, numerical_rank, orthonormalize, principal_angles,
+    subspace_difference,
 )
 from hardy_perturb.errors import (
-    PreconditionError, TruncationError, UnsupportedConfigurationError,
+    ExtractionError, PreconditionError, TruncationError, UnsupportedConfigurationError,
 )
-from hardy_perturb.inner import _BOUNDARY_MARGIN, is_outer_polynomial
+from hardy_perturb.inner import (
+    _BOUNDARY_MARGIN, is_inner_numeric, is_outer_polynomial, rational_inner_from_taylor,
+)
 from hardy_perturb.invariant import (
-    _escape, _shifted_taylor, _split, default_tail_depth, model_generators,
+    _escape, _fit_polynomial_factor, _normalize_direction, _shifted_taylor, _split,
+    _vector_to_polynomial, default_tail_depth, model_generators,
 )
 
 
@@ -218,6 +226,57 @@ def verify_model(model, shift, nw, tol=DEFAULT_TOL, depth=None):
     report["max_residual"] = max(report["phi_orthogonality"], report["phi_vs_tail"],
                                  report["chain"], report["last_chain"])
     return report
+
+
+def extract_model(M, shift, tol=DEFAULT_TOL):
+    """The model of an invariant subspace, peeled on N-row subspaces.
+
+    Stage ``j`` splits ``M_j`` under the dense ``S`` and re-orthonormalizes
+    ``S M_j`` at N rows, one row of frontier further each time; ``S^n M`` is
+    split under the dense ``M_z`` and theta is read up to 8 coefficients below
+    its frontier.  Theta, ``p_i`` and ``q_i`` are then fitted with the
+    library's helpers.
+    """
+    n, nw = shift.n, M.working_order
+    s = shift.S.entries
+    if not M.invariant_certified and invariance_residual(M, s) > 10 * tol.tau_res:
+        raise PreconditionError("subspace is not invariant at truncation")
+    current, phis = M, []
+    for j in range(n):
+        wander = subspace_difference(current, s, tol)
+        if wander.dim == 0 and M.invariant_certified:
+            raise TruncationError(f"no wandering vector at stage {j}")
+        if wander.dim != 1:
+            raise ExtractionError(f"wandering dimension {wander.dim} != 1 at stage {j}")
+        phis.append(_normalize_direction(wander.basis[:, 0], tol))
+        frontier = None if current.frontier is None else min(nw, current.frontier + 1)
+        current = orthonormalize(s @ current.basis, tol, frontier=frontier,
+                                 invariant_certified=M.invariant_certified)
+    g = subspace_difference(current, shift_matrix(nw), tol)
+    if g.dim != 1:
+        raise ExtractionError(f"plain-shift wandering dimension {g.dim} != 1")
+    if np.abs(g.basis[:n, 0]).max(initial=0.0) > 1e-6:
+        raise ExtractionError("image wandering vector does not vanish to order n")
+    window = nw - n if current.frontier is None else max(16, current.frontier - n - 8)
+    theta_vec = TruncatedVector(_normalize_direction(g.basis[n:, 0], tol)[:window])
+    _, diag = is_inner_numeric(theta_vec, tol, max_lag=min(24, theta_vec.working_order // 2))
+    if diag["max_correlation"] > 1e-3 or diag["norm_defect"] > 1e-3:
+        raise ExtractionError("extracted tail generator fails the inner test")
+    theta = rational_inner_from_taylor(theta_vec, tol)
+    exact = blaschke_taylor(theta, nw).coeffs
+    p, q = [], []
+    for i in range(n):
+        img = phis[i]
+        for _ in range(n - i):
+            img = s @ img
+        p_i, resid = _fit_polynomial_factor(img, exact, n, tol)
+        prod = np.convolve(p_i.coeffs, exact)[:nw] if p_i.coeffs.size else np.zeros(nw)
+        q_raw = _shifted_taylor(prod, i) - phis[i]
+        q_i, _ = _vector_to_polynomial(TruncatedVector(q_raw[: min(theta_vec.working_order, 48)]),
+                                       tol, f"q_{i}", cutoff=10.0 * resid)
+        p.append(p_i)
+        q.append(q_i)
+    return SubspaceModel(n, theta, tuple(p), tuple(q))
 
 
 def finite_codimension(model, nw, tol=DEFAULT_TOL):

@@ -129,7 +129,7 @@ def test_exact_division_by_z_n_theta(zeros):
 def test_peel_refuses_two_generators():
     # Under S^2 the plain closure of 1 needs two generators, 1 and z.
     a, _ = _tm_frame(BlaschkeProduct(), 6)
-    phis = _peel(a, np.eye(6), 3, DEFAULT_TOL)
+    phis, _ = _peel(a, np.eye(6), 3, DEFAULT_TOL)
     np.testing.assert_allclose(phis, np.eye(6)[:, :3], atol=1e-15)
     with pytest.raises(ExtractionError, match="wandering dimension 2"):
         _peel(a @ a, np.eye(6), 1, DEFAULT_TOL)

@@ -370,25 +370,27 @@ class TestRangeSideStructure:
 
     @staticmethod
     def count_splits(monkeypatch):
-        calls = []
+        """Record the size of every matrix ``invariant._split`` factors."""
+        sizes = []
+        split = invariant._split
 
-        def counted(M, T, tol=None):
-            calls.append(T)
-            return subspace_difference(M, T, tol)
+        def counted(a, rel):
+            sizes.append(a.shape[0])
+            return split(a, rel)
 
-        monkeypatch.setattr(invariant, "subspace_difference", counted)
-        return calls
+        monkeypatch.setattr(invariant, "_split", counted)
+        return sizes
 
     def test_wandering_split_is_shared_with_extraction(self, monkeypatch):
         _, shift, space = self.round_trip_space()
         fresh = Subspace(space.basis, space.frontier, space.invariant_certified)
-        calls = self.count_splits(monkeypatch)
+        sizes = self.count_splits(monkeypatch)
         assert wandering_dimension(space, shift) == 1
         rec = extract_model(space, shift)
         # One split of M under S and one plain-shift split of S M, not three.
-        assert len(calls) == 2
+        assert sizes == [space.dim, space.dim - 1]
         again = extract_model(fresh, shift)
-        assert len(calls) == 4
+        assert sizes == [space.dim, space.dim - 1] * 2
         assert rec.theta.zeros == again.theta.zeros
         assert np.array_equal(rec.p[0].coeffs, again.p[0].coeffs)
 
@@ -396,13 +398,15 @@ class TestRangeSideStructure:
         _, shift, space = self.round_trip_space()
         twin = shift_from_kernel(TridiagonalKernel(1, (1.0,), (0.7,)), NW)
         other = shift_from_kernel(TridiagonalKernel(1, (1.0,), (-0.2,)), NW)
-        calls = self.count_splits(monkeypatch)
+        sizes = self.count_splits(monkeypatch)
         wandering_dimension(space, shift)
         wandering_dimension(space, twin)
-        assert calls == [shift, twin]
+        assert len(sizes) == 2
         # The split under another operator is that operator's, not the memo.
-        split = invariant._first_wandering_space(space, other, DEFAULT_TOL)
-        assert calls == [shift, twin, other]
+        image, wander = invariant._first_wandering_space(space, other, DEFAULT_TOL)
+        assert len(sizes) == 3
+        assert image.shape == (space.dim, space.dim - 1) and wander.shape == (space.dim, 1)
+        split = Subspace(space.basis @ wander)
         want = subspace_difference(space, other)
         assert principal_angles(split, want).max(initial=0.0) < 1e-12
         assert split.dim == want.dim
@@ -410,28 +414,47 @@ class TestRangeSideStructure:
 
     def test_another_tolerance_recomputes(self, monkeypatch):
         _, shift, space = self.round_trip_space()
-        calls = self.count_splits(monkeypatch)
+        sizes = self.count_splits(monkeypatch)
         wandering_dimension(space, shift, ToleranceConfig())
         wandering_dimension(space, shift, ToleranceConfig())
-        assert len(calls) == 1
+        assert len(sizes) == 1
         wandering_dimension(space, shift, ToleranceConfig(tau_rank=1e-10))
-        assert len(calls) == 2
+        assert len(sizes) == 2
 
     def test_only_the_input_subspace_keeps_its_split(self, monkeypatch, two_perturbation_shift):
-        # n = 2 peels a second stage from S M; that temporary keeps no memo.
+        # n = 2 peels a second stage in coordinates of M: no N-row subspace is
+        # built for S M, so only the input holds a memo.
         seed = TruncatedVector.from_coefficients([0.0, 1.0, -0.3, 0.2], NW)
         space = krylov_closure(two_perturbation_shift, seed, 36)
-        stages = []
+        built = []
 
         def recorded(*args, **kwargs):
-            stages.append(orthonormalize(*args, **kwargs))
-            return stages[-1]
+            built.append(orthonormalize(*args, **kwargs))
+            return built[-1]
 
         monkeypatch.setattr(invariant, "orthonormalize", recorded)
         assert extract_model(space, two_perturbation_shift).n == 2
-        assert "_wandering_memo" in vars(space)
-        assert len(stages) == 2
-        assert not any("_wandering_memo" in vars(stage) for stage in stages)
+        assert built == []
+        shift, tol, (image, wander) = vars(space)["_wandering_memo"]
+        assert shift is two_perturbation_shift and tol == DEFAULT_TOL
+        assert image.shape == (space.dim, space.dim - 1) and wander.shape == (space.dim, 1)
+
+    def test_round_trip_factors_n_rows_once(self, monkeypatch):
+        # Mirrors test_round_trip_builds_no_dense_operator for factorizations:
+        # only the build's generator stack is factored at N rows.
+        rows = []
+        svd = np.linalg.svd
+
+        def recorded(a, *args, **kwargs):
+            rows.append(a.shape[0])
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recorded)
+        _, shift, space = self.round_trip_space(256)
+        assert wandering_dimension(space, shift) == 1
+        assert len(extract_model(space, shift).theta.zeros) == 3
+        assert rows.count(256) == 1
+        assert max(r for r in rows if r != 256) <= space.dim
 
     def test_round_trip_builds_no_dense_operator(self, monkeypatch):
         # Mirrors test_model_side_builds_no_square_array for the range side.
