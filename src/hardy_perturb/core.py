@@ -157,10 +157,6 @@ class TruncatedVector:
         c[k] = 1.0
         return cls(c)
 
-    @classmethod
-    def zero(cls, working_order: int) -> "TruncatedVector":
-        return cls(np.zeros(working_order, dtype=np.complex128))
-
 
 def band_spread(a, rel_tol: float = 1e-12) -> tuple[int, int]:
     """Index spread of a matrix band around the diagonal.
@@ -405,10 +401,6 @@ class Subspace:
     def working_order(self) -> int:
         return self.basis.shape[0]
 
-    @classmethod
-    def full(cls, working_order: int) -> "Subspace":
-        return cls(np.eye(working_order, dtype=np.complex128))
-
 
 def orthonormalize(
     vectors,
@@ -437,17 +429,19 @@ def orthonormalize(
     return Subspace(u[:, :r], frontier, invariant_certified)
 
 
-def _rank_cut(s: np.ndarray, rel: float) -> tuple[int, float | None]:
-    """Rank and gap of descending singular values cut at ``rel`` times the largest.
+def _rank_cut(s: np.ndarray, rel: float, scale: float | None = None) -> tuple[int, float | None]:
+    """Rank and gap of descending singular values cut at ``rel`` times ``scale``.
 
-    The rank counts the values strictly above the cut; it is 0 for an empty
-    or all-zero spectrum.  The gap ratio is the last kept value over the
-    first dropped one, ``None`` when either is missing or the dropped one
-    is exactly zero.
+    ``scale`` defaults to the largest value.  The rank counts the values
+    strictly above the cut; it is 0 for an empty or all-zero spectrum.  The
+    gap ratio is the last kept value over the first dropped one, ``None``
+    when either is missing or the dropped one is exactly zero.
     """
     if s.size == 0 or s[0] == 0.0:
         return 0, None
-    rank = int(np.count_nonzero(s > rel * s[0]))
+    rank = int(np.count_nonzero(s > rel * (s[0] if scale is None else scale)))
+    if rank == 0:
+        return 0, None
     gap = float(s[rank - 1] / s[rank]) if rank < s.size and s[rank] > 0.0 else None
     return rank, gap
 

@@ -16,9 +16,11 @@ and decides cyclicity for 1-shifts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 import warnings
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .core import (
     DEFAULT_TOL,
@@ -74,6 +76,14 @@ _FIT_STOP = 1e-9
 _FIT_WARN = 1e-7
 # A higher-degree fit replaces the best one only below this factor of its residual.
 _FIT_IMPROVEMENT = 0.9
+# Tail generators past deg theta in a built stack; also the rows it leaves past den * stack.
+_TAIL_MARGIN = 8
+# The tail-Prony fit tries denominators up to this degree, on this many rows per degree.
+_PRONY_MAX_DEGREE, _PRONY_ROWS = 16, 32
+# Windows of unit basis columns have a null vector when their least singular value is below this.
+_NULL_CUT = 1e-10
+# Trailing p_i, q_i coefficients below this part of the largest are rounding.
+_ROUNDING = 1e-12
 _CONDITIONS = ("phi_orthogonality", "phi_vs_tail", "chain", "last_chain")
 
 
@@ -164,18 +174,12 @@ def model_generators(
 
 
 def default_tail_depth(model: SubspaceModel, working_order: int) -> int:
-    """Tail-generator depth: a third of the span the working order leaves.
+    """Tail-generator depth ``deg theta + _TAIL_MARGIN``, whatever the working order.
 
-    Extraction reads theta from a window of about ``depth - 8`` coefficients,
-    which must hold theta's mass (the inner-test screen wants
-    ``r**(2 window) <= 1e-3`` for the largest zero modulus ``r``); the slack
-    ``N - frontier`` must keep the truncation leak under the rank cut
-    (``r**(2 slack) <= tau_rank = 1e-8``).  Both fail at the same ``r`` when
-    window : slack is about 3 : 8, a depth of about 0.27 (N - n - deg theta);
-    a third of that span is within the measured optimum.
+    Clamped to leave :func:`_exact_model` ``_TAIL_MARGIN`` rows past ``frontier + deg theta``.
     """
-    slack = working_order - model.n - max(model.theta.degree, 1)
-    return max(4, min((working_order - model.n - model.theta.degree) // 3, slack - 40))
+    n, deg = model.n, model.theta.degree
+    return max(0, min(deg + _TAIL_MARGIN, working_order - n - deg - _TAIL_MARGIN - 1))
 
 
 def _split(a: np.ndarray, rel: float) -> tuple[np.ndarray, np.ndarray]:
@@ -364,7 +368,8 @@ def wandering_dimension(
     if M.dim == 0:
         raise PreconditionError("subspace must be nonzero")
     _require_invariant(M, shift, tol)
-    return _first_wandering_space(M, shift, tol)[1].shape[1]
+    found = _recovery(M, shift, tol)
+    return 1 if isinstance(found, SubspaceModel) else found[1].shape[1]
 
 
 def _require_invariant(M: Subspace, shift: NShift, tol: ToleranceConfig) -> None:
@@ -384,27 +389,98 @@ def _truncation_error(M: Subspace) -> TruncationError:
                            "raise --truncation")
 
 
-def _first_wandering_space(
+def _recovery(
     M: Subspace, shift: NShift, tol: ToleranceConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(image, wander)``: the split of ``M`` into ``P_M S M`` and ``M (-) S M``.
+) -> SubspaceModel | tuple[np.ndarray, np.ndarray]:
+    """A certified ``M``'s model by :func:`_exact_model`, else its split ``(image, wander)``.
 
-    Both are orthonormal column blocks in coordinates of ``M.basis``.  An empty
-    ``wander`` on a certified invariant ``M`` comes only from truncation and
-    raises :class:`TruncationError`.  The split is kept on ``M`` as the private
-    attribute ``_wandering_memo`` (not a dataclass field, so equality and the
-    repr ignore it) for this shift object and an equal ``tol``;
-    :func:`wandering_dimension` followed by :func:`extract_model` then
-    computes it once.  A split that raises is not stored.
+    The split of ``M`` into ``P_M S M`` and ``M (-) S M`` is in ``M.basis``
+    coordinates; it raises :class:`TruncationError` when ``M`` is certified and
+    ``wander`` empty.  The result is kept as ``M._wandering_memo`` (not a
+    dataclass field) for this shift object and an equal ``tol``.
     """
     cached = getattr(M, "_wandering_memo", None)
     if cached is not None and cached[0] is shift and cached[1] == tol:
         return cached[2]
-    split = _split(M.basis.conj().T @ (shift.S @ M.basis), tol.tau_rank)
-    if split[1].shape[1] == 0 and M.invariant_certified:
-        raise _truncation_error(M)
-    object.__setattr__(M, "_wandering_memo", (shift, tol, split))
-    return split
+    certified = M.invariant_certified and M.frontier is not None
+    found = _exact_model(M, shift, tol) if certified else None
+    if found is None:
+        found = _split(M.basis.conj().T @ (shift.S @ M.basis), tol.tau_rank)
+        if found[1].shape[1] == 0 and M.invariant_certified:
+            raise _truncation_error(M)
+    object.__setattr__(M, "_wandering_memo", (shift, tol, found))
+    return found
+
+
+def _den_frame(theta: BlaschkeProduct, m: int) -> np.ndarray:
+    """Column ``k``: ``theta.denominator()`` times the basis ``G_k`` of :func:`_tm_frame`."""
+    zeros = np.concatenate([np.zeros(m), theta.zeros])
+    out = np.zeros((zeros.size, zeros.size), dtype=np.complex128)
+    for k, a in enumerate(zeros):
+        # den G_k = c_k prod_{j<k} (z - l_j) prod_{j>k} (1 - conj(l_j) z), z^low times the rest.
+        low = min(k, m)
+        factors = [[-x, 1.0] for x in zeros[low:k]]
+        factors += [[1.0, -np.conj(x)] for x in zeros[k + 1 :] if x]
+        col = functools.reduce(np.convolve, factors, np.sqrt([1.0 - abs(a) ** 2]))
+        out[low : low + col.size, k] = col
+    return out
+
+
+def _exact_model(M: Subspace, shift: NShift, tol: ToleranceConfig) -> SubspaceModel | None:
+    """The model of a certified generator stack, read exactly; ``None`` unless certified.
+
+    A column ``h`` of ``phi_i, z^n theta, .., z^{F-v} theta`` (frontier ``F``,
+    theta's valuation ``v``) is ``p theta - q``, so ``den h`` (``den = prod (1 -
+    conj(a) z)``, ``d`` nonzero zeros) vanishes past row ``F + d``.  Prony: for
+    the least ``d``, ``den`` nulls the windows ``(h_k, .., h_{k-d})`` of all
+    columns past ``F + d``; the zeros are the roots of its conjugate reversal.
+    ``den h mod z^{n+w} prod (z - a)`` is ``den P_K h``, ``K = H^2 (-) z^{n+w-v}
+    theta H^2``, of rank ``n`` at ``w = v``, one more per order past it, and
+    at most ``n`` below; its range and the ``z^j theta`` span ``M cap K'``.
+    Certificate: rows past ``F + d`` vanish, rank ``n``, ``dim M = F - v + 1``
+    (the generator count), no division remainder, :func:`verify_model`.
+    """
+    n, frontier, h = shift.n, M.frontier, M.basis
+    for d in range(_PRONY_MAX_DEGREE + 1):
+        start, stop = frontier + d + 1, min(h.shape[0], frontier + d + 1 + _PRONY_ROWS)
+        if stop - start <= d:
+            return None
+        windows = np.stack([h[start - j : stop - j] for j in range(d + 1)], axis=-1)
+        _, s, vh = np.linalg.svd(windows.reshape(-1, d + 1), full_matrices=False)
+        if s[-1] <= _NULL_CUT:
+            break
+    else:
+        return None
+    den = vh[-1].conj() / (vh[-1, 0].conj() or 1.0)
+    tail = sum(c * h[start - j : h.shape[0] - j] for j, c in enumerate(den))
+    if np.abs(tail).max() > _NULL_CUT * np.linalg.norm(den):
+        return None
+    zeros = np.roots(den.conj())
+    if ((np.abs(zeros) <= tol.tau_rank) | (np.abs(zeros) >= 1.0)).any():
+        return None
+    p = sum(c * np.pad(h, ((j, 0), (0, 0)))[: frontier + den.size] for j, c in enumerate(den))
+    found, rank = None, 0
+    for v in range(frontier - n + 1):
+        rem = _long_division(p, np.concatenate([np.zeros(n + v), P.polyfromroots(zeros)]))[1]
+        u, s, _ = np.linalg.svd(rem, full_matrices=False)
+        rank, _ = _rank_cut(s, tol.tau_rank, np.linalg.norm(den))
+        if rank > n:
+            break
+        found = (v, rank, u[:, :n])
+    if rank <= n or found is None or found[1] != n or M.dim != frontier - found[0] + 1:
+        return None
+    ref = BlaschkeProduct(1.0, tuple(np.concatenate([np.zeros(found[0]), zeros])))
+    head = blaschke_taylor(ref, ref.degree + 1).coeffs
+    lead = head[np.flatnonzero(np.abs(head) > tol.tau_rank)[0]]
+    theta = BlaschkeProduct(abs(lead) / lead, ref.zeros)
+    m = max(2 * n, shift.S.block_size) + 1
+    heads = np.linalg.solve(_den_frame(theta, m), np.pad(found[2], ((0, m - n), (0, 0))))
+    try:
+        model, remainder = _frame_model(shift, theta, m, heads, tol)
+        _require_consistent(model, shift, M.working_order, tol)
+    except (ExtractionError, ModelInconsistencyError):
+        return None
+    return model if remainder <= _CONDITION_LIMIT else None
 
 
 def _normalize_direction(vec: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
@@ -499,11 +575,12 @@ def extract_model(
 ) -> SubspaceModel:
     """Recover the classification data of an invariant subspace.
 
-    Peels the wandering vectors ``phi_j`` of the nested images ``S^j M``,
-    identifies the plain-shift wandering vector of ``S^n M`` with
-    ``z^n theta``, rationalizes ``theta`` into a finite Blaschke product,
-    and recovers each ``p_i`` from ``S^{n-i} phi_i = z^n p_i theta`` by a
-    least-squares fit against shifted theta expansions (then
+    :func:`_exact_model` reads a certified stack with a frontier, such as
+    :func:`build_subspace` returns.  Otherwise this peels the wandering
+    vectors ``phi_j`` of the nested images ``S^j M``, identifies the
+    plain-shift wandering vector of ``S^n M`` with ``z^n theta``, rationalizes
+    ``theta`` into a finite Blaschke product, and fits each ``p_i`` in
+    ``S^{n-i} phi_i = z^n p_i theta`` against shifted theta expansions (then
     ``q_i = z^i p_i theta - phi_i``).
 
     Every stage lies in ``M``, which holds ``S M``, so :func:`_peel` runs in
@@ -513,8 +590,9 @@ def extract_model(
     The wandering vector at each stage must be one-dimensional; anything
     else signals inadequate truncation or a non-invariant input, and an
     empty one on a certified invariant input raises :class:`TruncationError`.
-    Each ``phi_i`` is normalized to unit norm with its first significant
-    coefficient positive real; the returned polynomials inherit that scaling.
+    Theta's first significant Taylor coefficient is positive real, and each
+    ``phi_i`` has unit norm with its first significant coefficient positive
+    real; the returned polynomials inherit that scaling.
     """
     tol = tol or DEFAULT_TOL
     n = shift.n
@@ -522,9 +600,12 @@ def extract_model(
     s = shift.S
     _require_invariant(M, shift, tol)
 
+    found = _recovery(M, shift, tol)
+    if isinstance(found, SubspaceModel):
+        return found
     empty = _truncation_error(M) if M.invariant_certified else None
-    phi_dirs, s_n_basis = _peel(s, M.basis, n, tol, _first_wandering_space(M, shift, tol), empty)
-    g, _ = _peel(OperatorMatrix.toeplitz(Z_SYMBOL, nw), s_n_basis, 1, tol)
+    phi_dirs, (cur, image) = _peel(s, M.basis, n, tol, found, empty)
+    g, _ = _peel(OperatorMatrix.toeplitz(Z_SYMBOL, nw), cur @ image, 1, tol)
     gvec = g[:, 0]
     if np.abs(gvec[:n]).max(initial=0.0) > _VANISHING_LIMIT:
         raise ExtractionError("image wandering vector does not vanish to order n")
@@ -567,18 +648,20 @@ def extract_model(
 
 def _peel(s: np.ndarray | OperatorMatrix, cur: np.ndarray, stages: int, tol: ToleranceConfig,
           first: tuple | None = None,
-          empty: Exception | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Unit wandering vectors of ``V, s V, s^2 V, ...`` as columns, and a basis of ``s^stages V``.
+          empty: Exception | None = None) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Unit wandering vectors of ``V, s V, ...`` as columns, and the last ``(cur, image)``.
 
     ``cur`` is an orthonormal basis of an ``s``-invariant ``V``.  Every stage
     lies inside ``V``, so each is one SVD of ``cur* s cur``: its range half,
-    mapped back through ``cur``, is the next ``cur``, and nothing is
-    orthonormalized at the rows of ``V``.  ``first`` is stage 0's split when
-    the caller holds it.  Each stage ``V (-) s V`` must be one-dimensional,
-    else :class:`ExtractionError`; an empty one raises ``empty`` when given.
+    mapped back through ``cur``, is the next ``cur`` (``cur @ image`` spans
+    ``s^stages V``), and nothing is orthonormalized at the rows of ``V``.
+    ``first`` is stage 0's split when the caller holds it.  Each stage must be
+    one-dimensional, else :class:`ExtractionError`, or ``empty`` when empty.
     """
     phis = []
     for j in range(stages):
+        if j:
+            cur = cur @ image
         split = first if j == 0 and first else _split(cur.conj().T @ (s @ cur), tol.tau_rank)
         image, wander = split
         if wander.shape[1] == 0 and empty is not None:
@@ -588,31 +671,54 @@ def _peel(s: np.ndarray | OperatorMatrix, cur: np.ndarray, stages: int, tol: Tol
                 f"wandering dimension {wander.shape[1]} != 1 while peeling stage {j}"
             )
         phis.append(_normalize_direction(cur @ wander[:, 0], tol))
-        cur = cur @ image
-    return np.column_stack(phis), cur
+    return np.column_stack(phis), (cur, image)
 
 
-def _divide_by_inner(w: np.ndarray, n: int, theta: BlaschkeProduct) -> tuple[np.ndarray, float]:
-    """``r`` with ``w = z^n theta r`` for a polynomial ``w``, and the relative remainder.
+def _long_division(w: np.ndarray, divisor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Quotient and remainder of ``w``'s columns by ``divisor`` from the top (roots in the disc)."""
+    rem, k = np.array(w, dtype=np.complex128), divisor.size
+    quo = np.zeros((max(0, rem.shape[0] - k + 1),) + rem.shape[1:], dtype=np.complex128)
+    for low in range(rem.shape[0] - k, -1, -1):
+        quo[low] = rem[low + k - 1] / divisor[-1]
+        rem[low : low + k] -= np.multiply.outer(divisor, quo[low])
+    return quo, rem[: k - 1]
 
-    Strips ``z^n``; for each zero ``a`` divides by ``z - a`` from the top (stable
-    for ``|a| < 1``) and multiplies by ``1 - conj(a) z``; then divides by
-    ``theta.constant (-1)^deg``, since each factor of ``theta`` is ``(a - z) / (1 -
-    conj(a) z)``.  The remainder collects ``w``'s first ``n`` coefficients and
-    every ``r(a)`` left by a division.
+
+def _frame_model(
+    shift: NShift, theta: BlaschkeProduct, m: int, lead: np.ndarray, tol: ToleranceConfig
+) -> tuple[SubspaceModel, float]:
+    """The model whose ``M cap K'`` is spanned by ``lead`` and ``z^j theta``, ``n <= j < m``.
+
+    :func:`_peel` reads the ``phi_i`` in :func:`_tm_frame` coordinates (``m``
+    past ``2 n`` and the block of ``S``).  Over theta's ``den`` and ``num``, ``U
+    = den phi_i``, ``W = den S^{n-i} phi_i = den (z + F)^{n-i} phi_i``, ``p_i =
+    W / (z^n num)`` and ``q_i = (z^i p_i num - U) / den``, with the largest
+    relative remainder.
     """
-    w = Polynomial(w).coeffs
-    left = [w[:n]]
-    r = w[n:]
-    r = np.pad(r, (0, max(0, theta.degree + 1 - r.size)))
-    for a in theta.zeros:
-        # Entry k is sum_{j >= k} r_j a^(j - k): r(a) first, then the quotient.
-        out = np.convolve(r[::-1], a ** np.arange(r.size))[: r.size][::-1]
-        left.append(out[:1])
-        r = out[1:]
-    r = np.convolve(r, theta.denominator().coeffs) / (theta.constant * (-1) ** theta.degree)
-    scale = np.linalg.norm(w)
-    return r, float(np.linalg.norm(np.concatenate(left)) / scale) if scale else 0.0
+    n, (a, shifted) = shift.n, _tm_frame(theta, m)
+    gens = np.hstack([np.pad(lead, ((0, a.shape[0] - lead.shape[0]), (0, 0))), shifted[:, n:]])
+    phi, _ = _peel(_lift(shift.S, a), _split(gens, tol.tau_rank)[0], n, tol)
+    den, num = theta.denominator().coeffs, theta.numerator().coeffs
+    step = shift.F.window(shift.F.reach(n), n)
+    dens = _den_frame(theta, m) @ phi
+    p, q, worst = [], [], 0.0
+    for i in range(n):
+        w, head = dens[:, i], phi[:n, i]
+        for _ in range(n - i):
+            f = step @ head
+            w = P.polyadd(np.append(0.0, w), np.convolve(den, f))
+            head = np.append(0.0, head[:-1]) + np.pad(f, (0, n))[:n]
+        r, rem = _long_division(w, np.concatenate([np.zeros(n), num]))
+        low = P.polysub(np.convolve(np.append(np.zeros(i), r), num), dens[:, i])
+        # Dividing by den from the bottom is dividing the reversals from the top.
+        c, left = _long_division(low[::-1], den[::-1])
+        worst = max(worst, np.linalg.norm(rem) / np.linalg.norm(w),
+                    np.linalg.norm(left) / np.linalg.norm(dens[:, i]))
+        for out, coeffs in ((p, r), (q, c[::-1])):
+            mags = np.abs(coeffs)
+            kept = np.flatnonzero(mags > _ROUNDING * mags.max(initial=0.0))
+            out.append(Polynomial(coeffs[: kept[-1] + 1] if kept.size else coeffs[:0]))
+    return SubspaceModel(n, theta, tuple(p), tuple(q)), worst
 
 
 def _closure_model(
@@ -622,48 +728,27 @@ def _closure_model(
 
     ``S^n f = z^n h`` with ``h`` a polynomial, and ``[f] = span{f, ..., S^{n-1} f}
     (+) z^n theta H^2`` with ``theta`` the Blaschke product of the roots of ``h``
-    in the disc (Beurling).  In the coordinates of :func:`_tm_frame`, with ``m``
-    past ``2 n``, the block of ``S`` and every ``S^k f`` (``k <= n``), ``[f] cap
-    K'`` is spanned by the ``S^k f`` (``k < n``) and the ``z^j theta`` (``n <= j <
-    m``), and :func:`_peel` reads the ``phi_i`` off it.  With ``phi_i = v_i + z^n
-    theta g_i``, ``v_i`` in the span of the ``S^k f``, the model has ``q_i =
-    z^{i-n} S^{n-i} v_i - v_i`` and ``p_i = z^{n-i} g_i + S^{n-i} v_i / (z^n
-    theta)``, the quotient by exact division.  The report carries the roots of
-    ``h`` and the largest relative division remainder.
+    in the disc (Beurling).  :func:`_frame_model` reads it off the ``S^k f``
+    (``k < n``), whose :func:`_tm_frame` coordinates are their coefficients
+    for ``m`` past ``2 n``, the block of ``S`` and every ``S^k f``, ``k <= n``.
+    The report carries the roots of ``h`` and the largest division remainder.
     """
     tol = tol or DEFAULT_TOL
     n, nw = shift.n, shift.working_order
     orbit = [TruncatedVector.from_coefficients(coeffs, nw).coeffs]
-    for _ in range(2 * n - 1):
+    for _ in range(n):
         orbit.append(shift.S @ orbit[-1])
     orbit = np.column_stack(orbit)
-    rows = np.flatnonzero(np.abs(orbit[:, : n + 1]).max(axis=1))
+    rows = np.flatnonzero(np.abs(orbit).max(axis=1))
     if rows.size == 0:
         raise PreconditionError("the seed must be nonzero")
     m = max(2 * n, rows[-1] + 1, shift.S.block_size) + 1
     if m > nw or orbit[-1].any():
-        raise TruncationError(f"S^k f, k < {2 * n}, does not fit working order {nw}")
+        raise TruncationError(f"S^k f, k <= {n}, does not fit working order {nw}")
     roots = Polynomial(orbit[n:, n]).roots()
     theta = BlaschkeProduct(1.0, tuple(roots[np.abs(roots) < 1.0 - _BOUNDARY_MARGIN]))
-    a, shifted = _tm_frame(theta, m)
-    gens = np.zeros((a.shape[0], m), dtype=np.complex128)
-    gens[:m, :n] = orbit[:m, :n]
-    gens[:, n:] = shifted[:, n:]
-    phi, _ = _peel(_lift(shift.S, a), _split(gens, tol.tau_rank)[0], n, tol)
-    x = np.linalg.lstsq(gens, phi, rcond=None)[0]
-    p, q, worst = [], [], 0.0
-    for i in range(n):
-        v = orbit[:, :n] @ x[:n, i]
-        w = orbit[:, n - i : 2 * n - i] @ x[:n, i]
-        r, remainder = _divide_by_inner(w, n, theta)
-        pc = np.zeros(max(m - i, r.size), dtype=np.complex128)
-        pc[n - i : m - i] = x[n:, i]
-        pc[: r.size] += r
-        p.append(Polynomial(pc))
-        q.append(Polynomial(w[n - i :] - v[: nw - n + i]))
-        worst = max(worst, remainder)
-    report = {"h_roots": roots, "division_remainder": worst}
-    return SubspaceModel(n, theta, tuple(p), tuple(q)), report
+    model, worst = _frame_model(shift, theta, m, orbit[:m, :n], tol)
+    return model, {"h_roots": roots, "division_remainder": worst}
 
 
 def check_cyclic(

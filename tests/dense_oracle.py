@@ -6,9 +6,11 @@ builds the same objects as "lower Toeplitz + finite block"; the
 differential tests compare the two.  The operator oracles take and return
 plain arrays.
 
-``extract_model`` is the range side's peel on N-row subspaces: each stage is
-split under the dense ``S`` and ``S M_j`` is re-orthonormalized at N rows;
-the library peels in coordinates of the input basis.
+``extract_model`` is the range side's orthogonal peel on N-row subspaces: each
+stage is split under the dense ``S`` and ``S M_j`` is re-orthonormalized at N
+rows; the library peels in coordinates of the input basis, or reads a
+certified generator stack exactly.  ``build_subspace`` builds the deep
+generator stacks this peel needs, at ``default_tail_depth``.
 
 The model-side oracles (``verify_model``, ``finite_codimension``,
 ``hyperinvariance_check``, ``check_cyclic``) check a subspace model on
@@ -39,7 +41,7 @@ from hardy_perturb.inner import (
 )
 from hardy_perturb.invariant import (
     _escape, _fit_polynomial_factor, _normalize_direction, _shifted_taylor, _split,
-    _vector_to_polynomial, default_tail_depth, model_generators,
+    _vector_to_polynomial, model_generators,
 )
 
 
@@ -185,6 +187,27 @@ def self_commutator(s, tau_rank=1e-8, tau_res=1e-8, outside_cut=1e-12):
         "essentially_normal": bool(outside.max() < outside_cut),
         "hyponormal": bool(min_eig >= -tau_res),
     }
+
+
+def default_tail_depth(model, nw):
+    """The oracles' tail-generator depth: a third of the span the working order leaves.
+
+    The orthogonal extraction reads theta from a window of about ``depth - 8``
+    coefficients, which must hold theta's mass (the inner-test screen wants
+    ``r**(2 window) <= 1e-3`` for the largest zero modulus ``r``); the slack
+    ``N - frontier`` must keep the truncation leak under the rank cut
+    (``r**(2 slack) <= tau_rank = 1e-8``).  Both fail at the same ``r`` when
+    window : slack is about 3 : 8, a depth of about 0.27 (N - n - deg theta);
+    a third of that span is within the measured optimum.
+    """
+    slack = nw - model.n - max(model.theta.degree, 1)
+    return max(4, min((nw - model.n - model.theta.degree) // 3, slack - 40))
+
+
+def build_subspace(model, nw, tol=DEFAULT_TOL):
+    """The model's generator stack at the oracles' depth, certified as a library build is."""
+    gens, frontier = model_generators(model, nw, default_tail_depth(model, nw))
+    return orthonormalize(gens, tol, frontier=frontier, invariant_certified=True)
 
 
 def verify_model(model, shift, nw, tol=DEFAULT_TOL, depth=None):

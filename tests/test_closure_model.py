@@ -20,7 +20,7 @@ from hardy_perturb import (
     verify_model,
 )
 from hardy_perturb.errors import ExtractionError
-from hardy_perturb.invariant import _closure_model, _divide_by_inner, _peel, _tm_frame
+from hardy_perturb.invariant import _closure_model, _long_division, _peel, _tm_frame
 from hardy_perturb.suite import _sample_trial, check_random_trials, sample_conditioned_trial
 
 from conftest import rank_one_shift, two_perturbation
@@ -110,20 +110,20 @@ def test_root_of_h_next_to_the_circle():
 def test_exact_division_by_z_n_theta(zeros):
     theta = BlaschkeProduct(np.exp(0.4j), zeros)
     r = np.array([0.7, -1.2 + 0.5j, 0.3j])
-    # w = z^2 numerator r = z^2 theta (r denominator): the quotient is r denominator.
-    rd = np.convolve(r, theta.denominator().coeffs)
-    w = np.concatenate([np.zeros(2), np.convolve(theta.numerator().coeffs, r)])
-    quotient, remainder = _divide_by_inner(w, 2, theta)
-    np.testing.assert_allclose(quotient[: rd.size], rd, atol=1e-14)
-    assert np.abs(quotient[rd.size :]).max(initial=0.0) < 1e-14
-    assert remainder < 1e-15
+    # w = z^2 numerator r = z^2 theta (r denominator): the quotient is r.
+    divisor = np.concatenate([np.zeros(2), theta.numerator().coeffs])
+    w = np.convolve(divisor, r)
+    quotient, remainder = _long_division(w, divisor)
+    np.testing.assert_allclose(quotient[: r.size], r, atol=1e-14)
+    assert np.abs(quotient[r.size :]).max(initial=0.0) < 1e-14
+    assert np.linalg.norm(remainder) < 1e-15
     # Each kind of remainder is reported: below z^n, and left by a division.
     low = w.copy()
     low[1] += 1e-6
-    assert _divide_by_inner(low, 2, theta)[1] > 1e-7
+    assert np.linalg.norm(_long_division(low, divisor)[1]) > 1e-7
     off = w.copy()
     off[2] += 1e-6
-    assert _divide_by_inner(off, 2, theta)[1] > 1e-7
+    assert np.linalg.norm(_long_division(off, divisor)[1]) > 1e-7
 
 
 def test_peel_refuses_two_generators():

@@ -206,7 +206,7 @@ class TestIrreducibility:
         from hardy_perturb.core import Subspace
 
         rep = irreducibility_probe(one_plus_z_shift, one_plus_z_kernel,
-                                   subspaces=[Subspace.full(NW)])
+                                   subspaces=[Subspace(np.eye(NW, dtype=np.complex128))])
         assert rep["samples"][0].get("skipped") == "trivial"
         assert rep["passed"]
 

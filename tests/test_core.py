@@ -67,7 +67,7 @@ class TestOrthonormalize:
         assert out.dim == K + 1
 
     def test_zero_input_gives_empty_subspace(self):
-        out = orthonormalize([TruncatedVector.zero(NW)])
+        out = orthonormalize([TruncatedVector(np.zeros(NW))])
         assert out.dim == 0
 
     def test_output_is_orthonormal(self):
@@ -100,7 +100,7 @@ class TestNumericalRank:
 
 class TestSubspaceDifference:
     def test_full_space_under_plain_shift(self):
-        full = Subspace.full(NW)
+        full = Subspace(np.eye(NW, dtype=np.complex128))
         w = subspace_difference(full, multiplication_by_z_matrix(NW))
         assert w.dim == 1
         assert abs(abs(w.basis[0, 0]) - 1.0) < 1e-12  # spans the constants

@@ -32,6 +32,7 @@ from hardy_perturb.errors import (
 )
 from hardy_perturb.suite import sample_conditioned_trial
 
+import dense_oracle as oracle
 from conftest import NW, rank_one_shift, theta_span
 
 
@@ -127,7 +128,7 @@ class TestWanderingDimension:
         # onto the cokernel, whose rank is the wandering dimension.
         # S*S is the identity outside its 2x2 Gram block, so the left inverse
         # (S*S)^{-1} S* only needs that block inverted.
-        full = Subspace.full(NW)
+        full = Subspace(np.eye(NW, dtype=np.complex128))
         dim = wandering_dimension(full, two_perturbation_shift)
         s = two_perturbation_shift.S.entries
         gram_inv = np.eye(NW, dtype=np.complex128)
@@ -206,8 +207,6 @@ class TestExtractModel:
         return theta, shift, space
 
     def test_zero_at_0_955_round_trips_at_256(self):
-        # The generator stack stops a third of the way to the boundary, so
-        # the slack below the working order holds the truncated tail.
         theta, shift, space = self.near_circle(0.955)
         assert wandering_dimension(space, shift) == 1
         rec = extract_model(space, shift)
@@ -215,12 +214,21 @@ class TestExtractModel:
         for a in theta.zeros:
             assert min(abs(a - b) for b in rec.theta.zeros) < 1e-6
 
-    def test_zero_at_0_975_is_a_truncation_error(self):
-        _, shift, space = self.near_circle(0.975)
+    def test_zero_at_0_975_is_a_truncation_error(self, monkeypatch):
+        # On the oracles' deep stack the exact path reads the model, but the
+        # orthogonal peel finds no wandering vector: the slack below the
+        # working order does not hold the truncated tail.
+        theta, shift, _ = self.near_circle(0.975)
+        space = oracle.build_subspace(s1_model(1.0, 0.5, theta), 256)
+        rec = extract_model(space, shift)
+        for a in theta.zeros:
+            assert min(abs(a - b) for b in rec.theta.zeros) < 1e-10
+        peeled = Subspace(space.basis, space.frontier, True)
+        monkeypatch.setattr(invariant, "_exact_model", lambda *_: None)
         with pytest.raises(TruncationError, match=r"\d+ rows of slack .*raise --truncation"):
-            wandering_dimension(space, shift)
+            wandering_dimension(peeled, shift)
         with pytest.raises(TruncationError, match="raise --truncation"):
-            extract_model(space, shift)
+            extract_model(peeled, shift)
         # Without the invariance certificate the same basis meets the
         # norm-based precondition, which the truncated tail fails.
         raw = Subspace(space.basis, space.frontier)
@@ -277,7 +285,7 @@ class TestCheckCyclic:
             (Polynomial([1.0]), Polynomial([1.0])),
             (Polynomial([]), Polynomial([])),
         )
-        space = Subspace.full(NW)
+        space = Subspace(np.eye(NW, dtype=np.complex128))
         with pytest.raises(UnsupportedConfigurationError):
             check_cyclic(space, model, two_perturbation_shift)
 
@@ -361,12 +369,23 @@ class TestRangeSideStructure:
     """The round trip applies S through its block and symbol, splitting M once."""
 
     @staticmethod
-    def round_trip_space(nw=NW):
+    def round_trip_model(nw):
         theta = BlaschkeProduct(1.0, (0.5, 0.3j, -0.4 + 0.2j))
         shift = shift_from_kernel(TridiagonalKernel(1, (1.0,), (0.7,)), nw)
-        model = s1_model(1.0, 0.7, theta)
+        return s1_model(1.0, 0.7, theta), shift
+
+    @classmethod
+    def round_trip_space(cls, nw=NW):
+        model, shift = cls.round_trip_model(nw)
         space, _ = build_subspace(model, shift, nw)
         return model, shift, space
+
+    @classmethod
+    def peeled_space(cls, nw=NW):
+        """The round trip's model as a raw stack at the oracles' depth: the orthogonal peel reads it."""
+        model, shift = cls.round_trip_model(nw)
+        space = oracle.build_subspace(model, nw)
+        return model, shift, Subspace(space.basis, space.frontier)
 
     @staticmethod
     def count_splits(monkeypatch):
@@ -382,7 +401,7 @@ class TestRangeSideStructure:
         return sizes
 
     def test_wandering_split_is_shared_with_extraction(self, monkeypatch):
-        _, shift, space = self.round_trip_space()
+        _, shift, space = self.peeled_space()
         fresh = Subspace(space.basis, space.frontier, space.invariant_certified)
         sizes = self.count_splits(monkeypatch)
         assert wandering_dimension(space, shift) == 1
@@ -395,7 +414,7 @@ class TestRangeSideStructure:
         assert np.array_equal(rec.p[0].coeffs, again.p[0].coeffs)
 
     def test_another_shift_object_recomputes(self, monkeypatch):
-        _, shift, space = self.round_trip_space()
+        _, shift, space = self.peeled_space()
         twin = shift_from_kernel(TridiagonalKernel(1, (1.0,), (0.7,)), NW)
         other = shift_from_kernel(TridiagonalKernel(1, (1.0,), (-0.2,)), NW)
         sizes = self.count_splits(monkeypatch)
@@ -403,7 +422,7 @@ class TestRangeSideStructure:
         wandering_dimension(space, twin)
         assert len(sizes) == 2
         # The split under another operator is that operator's, not the memo.
-        image, wander = invariant._first_wandering_space(space, other, DEFAULT_TOL)
+        image, wander = invariant._recovery(space, other, DEFAULT_TOL)
         assert len(sizes) == 3
         assert image.shape == (space.dim, space.dim - 1) and wander.shape == (space.dim, 1)
         split = Subspace(space.basis @ wander)
@@ -413,13 +432,34 @@ class TestRangeSideStructure:
         assert principal_angles(split, subspace_difference(space, shift)).max() > 1e-3
 
     def test_another_tolerance_recomputes(self, monkeypatch):
-        _, shift, space = self.round_trip_space()
+        _, shift, space = self.peeled_space()
         sizes = self.count_splits(monkeypatch)
         wandering_dimension(space, shift, ToleranceConfig())
         wandering_dimension(space, shift, ToleranceConfig())
         assert len(sizes) == 1
         wandering_dimension(space, shift, ToleranceConfig(tau_rank=1e-10))
         assert len(sizes) == 2
+
+    def test_exact_recovery_is_shared_with_extraction(self, monkeypatch):
+        _, shift, space = self.round_trip_space()
+        twin = shift_from_kernel(TridiagonalKernel(1, (1.0,), (0.7,)), NW)
+        calls = []
+        exact = invariant._exact_model
+
+        def counted(*args):
+            calls.append(exact(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(invariant, "_exact_model", counted)
+        assert wandering_dimension(space, shift) == 1
+        assert extract_model(space, shift) is calls[0] is not None
+        assert len(calls) == 1
+        assert vars(space)["_wandering_memo"] == (shift, DEFAULT_TOL, calls[0])
+        wandering_dimension(space, twin)
+        wandering_dimension(space, twin, ToleranceConfig(tau_rank=1e-10))
+        fresh = Subspace(space.basis, space.frontier, space.invariant_certified)
+        assert extract_model(fresh, shift).theta.zeros == calls[0].theta.zeros
+        assert len(calls) == 4
 
     def test_only_the_input_subspace_keeps_its_split(self, monkeypatch, two_perturbation_shift):
         # n = 2 peels a second stage in coordinates of M: no N-row subspace is
@@ -441,7 +481,7 @@ class TestRangeSideStructure:
 
     def test_round_trip_factors_n_rows_once(self, monkeypatch):
         # Mirrors test_round_trip_builds_no_dense_operator for factorizations:
-        # only the build's generator stack is factored at N rows.
+        # on the orthogonal peel only the stack is factored at N rows.
         rows = []
         svd = np.linalg.svd
 
@@ -450,7 +490,7 @@ class TestRangeSideStructure:
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", recorded)
-        _, shift, space = self.round_trip_space(256)
+        _, shift, space = self.peeled_space(256)
         assert wandering_dimension(space, shift) == 1
         assert len(extract_model(space, shift).theta.zeros) == 3
         assert rows.count(256) == 1

@@ -36,7 +36,7 @@ from hardy_perturb import (
 )
 from hardy_perturb.inner import is_outer_polynomial
 from hardy_perturb.errors import ModelInconsistencyError
-from hardy_perturb.invariant import default_tail_depth, model_generators
+from hardy_perturb.invariant import _TAIL_MARGIN, default_tail_depth, model_generators
 from hardy_perturb.suite import sample_conditioned_trial
 
 from conftest import two_perturbation
@@ -100,13 +100,16 @@ def test_repeated_zeros_and_zeros_at_the_origin(zeros):
 
 
 def test_build_subspace_returns_the_default_depth_generator_stack():
-    nw = 128
     model = s1_model(1.0, 0.7j, BlaschkeProduct(1.0, (0.5, -0.4j)))
-    space, report = build_subspace(model, shift_from_kernel(kernel_1(0.7j), nw), nw)
-    gens, frontier = model_generators(model, nw, default_tail_depth(model, nw))
-    stack = orthonormalize(gens, frontier=frontier, invariant_certified=True)
-    assert np.array_equal(space.basis, stack.basis)
-    assert report["frontier"] == space.frontier == frontier
+    for nw in (64, 128, 1024):
+        space, report = build_subspace(model, shift_from_kernel(kernel_1(0.7j), nw), nw)
+        gens, frontier = model_generators(model, nw, default_tail_depth(model, nw))
+        stack = orthonormalize(gens, frontier=frontier, invariant_certified=True)
+        assert np.array_equal(space.basis, stack.basis)
+        assert report["frontier"] == space.frontier == frontier
+        # The depth follows the structure, not N: n + deg theta + 9 columns.
+        assert report["depth"] == 2 + _TAIL_MARGIN
+        assert report["dimension"] == space.dim == 1 + 2 + _TAIL_MARGIN + 1
 
 
 # ------------------------------------------------------ negative controls --

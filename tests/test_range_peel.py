@@ -1,10 +1,15 @@
-"""The range side's peel in coordinates of the input basis, against the N-row peel.
+"""The range side against the dense oracle's orthogonal peel.
 
-``invariant.extract_model`` splits every stage inside ``M``; the oracle
+``invariant.extract_model`` reads a certified generator stack exactly
+(``_exact_model``: theta's denominator off the rows past the frontier, then
+the Takenaka-Malmquist peel and exact division) and peels Krylov closures and
+raw bases in coordinates of the input basis.  The oracle
 (``dense_oracle.extract_model``) re-orthonormalizes each image ``S M_j`` at N
-rows under the dense ``S`` and ``M_z``.  On each input both must raise the same
-exception type or give the same model: theta's zeros within 1e-8 under the best
-matching, and every ``p_i`` and ``q_i`` within 1e-8 relative.
+rows under the dense ``S`` and ``M_z``, on stacks at its own deep
+``default_tail_depth``.  On each input both must raise the same exception type
+or give the same model: theta's zeros within 1e-8 under the best matching (its
+Taylor coefficients for repeated zeros), and every ``p_i`` and ``q_i`` within
+1e-8 relative.
 """
 
 import numpy as np
@@ -13,18 +18,23 @@ from scipy.optimize import linear_sum_assignment
 
 from hardy_perturb import (
     BlaschkeProduct,
+    SubspaceModel,
     TridiagonalKernel,
+    blaschke_taylor,
     build_subspace,
     extract_model,
     krylov_closure,
     s1_model,
     shift_from_kernel,
+    verify_model,
+    wandering_dimension,
 )
-from hardy_perturb.core import DEFAULT_TOL, Subspace
+from hardy_perturb import invariant
+from hardy_perturb.core import DEFAULT_TOL, Subspace, orthonormalize
 from hardy_perturb.errors import (
     ExtractionError, HardyPerturbError, PreconditionError, TruncationError,
 )
-from hardy_perturb.invariant import _peel
+from hardy_perturb.invariant import _closure_model, _peel
 from hardy_perturb.suite import sample_conditioned_trial
 
 import dense_oracle as oracle
@@ -36,10 +46,13 @@ THETAS = (
 )
 
 
+def kernel_shift(b0, nw):
+    return shift_from_kernel(TridiagonalKernel(1, (1.0,), (b0,)), nw)
+
+
 def s1_space(theta, nw, b0=0.7):
-    shift = shift_from_kernel(TridiagonalKernel(1, (1.0,), (b0,)), nw)
-    space, _ = build_subspace(s1_model(1.0, b0, theta), shift, nw)
-    return shift, space
+    """The s1 model's generator stack at the oracle's depth, certified."""
+    return kernel_shift(b0, nw), oracle.build_subspace(s1_model(1.0, b0, theta), nw)
 
 
 def padded_gap(a, b):
@@ -57,19 +70,33 @@ def outcome(extract, space, shift):
         return type(exc)
 
 
-def assert_same_outcome(space, shift):
-    """Both peels agree on ``space``; returns the library's outcome."""
+def read_exactly(space):
+    """Whether the library's last reading of ``space`` was the exact path."""
+    return isinstance(vars(space)["_wandering_memo"][2], SubspaceModel)
+
+
+def assert_same_model(got, want, taylor=False):
+    if taylor:
+        nw = 64
+        gap = blaschke_taylor(got.theta, nw).coeffs - blaschke_taylor(want.theta, nw).coeffs
+        assert np.abs(gap).max() < 1e-8
+    else:
+        a, b = np.asarray(got.theta.zeros), np.asarray(want.theta.zeros)
+        assert a.size == b.size
+        rows, cols = linear_sum_assignment(np.abs(a[:, None] - b[None, :]))
+        assert np.abs(a[rows] - b[cols]).max(initial=0.0) < 1e-8
+    for mine, theirs in zip(got.p + got.q, want.p + want.q):
+        assert padded_gap(mine.coeffs, theirs.coeffs) < 1e-8
+
+
+def assert_same_outcome(space, shift, taylor=False):
+    """Both extractions agree on ``space``; returns the library's outcome."""
     got = outcome(extract_model, space, shift)
     want = outcome(oracle.extract_model, space, shift)
     if isinstance(want, type) or isinstance(got, type):
         assert got is want
         return got
-    a, b = np.asarray(got.theta.zeros), np.asarray(want.theta.zeros)
-    assert a.size == b.size
-    rows, cols = linear_sum_assignment(np.abs(a[:, None] - b[None, :]))
-    assert np.abs(a[rows] - b[cols]).max(initial=0.0) < 1e-8
-    for mine, theirs in zip(got.p + got.q, want.p + want.q):
-        assert padded_gap(mine.coeffs, theirs.coeffs) < 1e-8
+    assert_same_model(got, want, taylor)
     return got
 
 
@@ -79,6 +106,7 @@ def test_s1_round_trips(nw, theta):
     shift, space = s1_space(theta, nw)
     model = assert_same_outcome(space, shift)
     assert len(model.theta.zeros) == theta.degree
+    assert read_exactly(space)
 
 
 def test_zero_at_0_955():
@@ -86,8 +114,14 @@ def test_zero_at_0_955():
     assert len(assert_same_outcome(space, shift).theta.zeros) == 2
 
 
-def test_zero_at_0_975_is_a_truncation_error_on_both():
-    shift, space = s1_space(BlaschkeProduct(1.0, (0.975 * np.exp(0.7j), 0.3)), 256, 0.5)
+def test_zero_at_0_975_is_a_truncation_error_on_both(monkeypatch):
+    theta = BlaschkeProduct(1.0, (0.975 * np.exp(0.7j), 0.3))
+    shift, space = s1_space(theta, 256, 0.5)
+    # The exact path reads what the orthogonal peels cannot.
+    exact = invariant._exact_model(space, shift, DEFAULT_TOL)
+    assert np.abs(np.sort_complex(np.array(exact.theta.zeros))
+                  - np.sort_complex(np.array(theta.zeros))).max() < 1e-10
+    monkeypatch.setattr(invariant, "_exact_model", lambda *_: None)
     assert assert_same_outcome(space, shift) is TruncationError
     raw = Subspace(space.basis, space.frontier)
     assert assert_same_outcome(raw, shift) is PreconditionError
@@ -98,6 +132,7 @@ def test_raw_basis_as_the_cli_passes_it():
     shift, space = s1_space(THETAS[2], 128)
     raw = Subspace(space.basis, space.frontier)
     assert len(assert_same_outcome(raw, shift).theta.zeros) == 3
+    assert not read_exactly(raw)
 
 
 def test_krylov_closures_of_conditioned_draws():
@@ -105,8 +140,10 @@ def test_krylov_closures_of_conditioned_draws():
     orders = set()
     for _ in range(20):
         _, shift, seed_vec = sample_conditioned_trial(rng, 128, 40)
-        model = assert_same_outcome(krylov_closure(shift, seed_vec, 40), shift)
+        space = krylov_closure(shift, seed_vec, 40)
+        model = assert_same_outcome(space, shift)
         assert not isinstance(model, type)
+        assert not read_exactly(space)
         orders.add(model.n)
     assert orders == {1, 2, 3}
 
@@ -118,7 +155,140 @@ def test_an_empty_later_stage_raises_the_given_error():
         _peel(s, np.eye(3), 2, DEFAULT_TOL, empty=TruncationError("no slack"))
     with pytest.raises(ExtractionError, match="wandering dimension 0 != 1 while peeling stage 1"):
         _peel(s, np.eye(3), 2, DEFAULT_TOL)
-    phis, image = _peel(s, np.eye(3), 1, DEFAULT_TOL)
+    phis, (cur, image) = _peel(s, np.eye(3), 1, DEFAULT_TOL)
     np.testing.assert_allclose(phis[:, 0], [1, 0, 0], atol=1e-15)
-    np.testing.assert_allclose(np.abs(image.conj().T @ image), np.eye(2), atol=1e-15)
-    assert np.abs(image[0]).max() < 1e-15
+    s_v = cur @ image
+    np.testing.assert_allclose(np.abs(s_v.conj().T @ s_v), np.eye(2), atol=1e-15)
+    assert np.abs(s_v[0]).max() < 1e-15
+
+
+# ------------------------------------------------------------ the exact path --
+
+def _disc(rng, radius):
+    return complex(np.sqrt(rng.uniform()) * radius * np.exp(2j * np.pi * rng.uniform()))
+
+
+def test_exact_path_matches_the_oracle_on_random_s1_models():
+    rng = np.random.default_rng(17)
+    passed = 0
+    for degree in (1, 2, 3) * 4:
+        b0 = _disc(rng, 0.9)
+        theta = BlaschkeProduct(np.exp(2j * np.pi * rng.uniform()),
+                                tuple(_disc(rng, 0.9) for _ in range(degree)))
+        shift, space = s1_space(theta, 256, b0)
+        want = outcome(oracle.extract_model, space, shift)
+        got = extract_model(space, shift)
+        assert read_exactly(space)
+        if not isinstance(want, type):
+            assert_same_model(got, want)
+            passed += 1
+    assert passed >= 10
+
+
+def test_exact_path_matches_the_oracle_on_closure_models():
+    # Models of conditioned cyclic closures, n = 1..3.
+    rng = np.random.default_rng(5)
+    orders = set()
+    for _ in range(12):
+        _, shift, seed_vec = sample_conditioned_trial(rng, 128, 40)
+        model, _ = _closure_model(shift, seed_vec.coeffs)
+        space = oracle.build_subspace(model, 128)
+        got = assert_same_outcome(space, shift)
+        assert not isinstance(got, type) and read_exactly(space)
+        built, _ = build_subspace(model, shift, 128)
+        assert_same_model(extract_model(built, shift), got)
+        assert read_exactly(built)
+        orders.add(model.n)
+    assert orders == {1, 2, 3}
+
+
+@pytest.mark.parametrize("zeros", [(0.5, 0.5), (0.3j, 0.3j, -0.4)])
+def test_repeated_zeros_match_the_oracle(zeros):
+    shift, space = s1_space(BlaschkeProduct(1.0, zeros), 256)
+    model = assert_same_outcome(space, shift, taylor=True)
+    assert read_exactly(space) and model.theta.degree == len(zeros)
+
+
+def assert_round_trip(theta, nw, b0=0.7):
+    """Build at the default depth, then wandering dimension 1 and the model back."""
+    model = s1_model(1.0, b0, theta)
+    shift = kernel_shift(b0, nw)
+    space, _ = build_subspace(model, shift, nw)
+    assert wandering_dimension(space, shift) == 1
+    rec = extract_model(space, shift)
+    assert read_exactly(space)
+    a, b = np.asarray(rec.theta.zeros), np.asarray(theta.zeros)
+    rows, cols = linear_sum_assignment(np.abs(a[:, None] - b[None, :]))
+    assert a.size == b.size and np.abs(a[rows] - b[cols]).max(initial=0.0) < 1e-10
+    mine, true = rec.phi(0, nw).coeffs, model.phi(0, nw).coeffs
+    cosine = abs(np.vdot(mine, true)) / (np.linalg.norm(mine) * np.linalg.norm(true))
+    assert abs(cosine - 1.0) < 1e-10
+    assert verify_model(rec, shift, nw)["max_residual"] < 1e-10
+    return rec
+
+
+@pytest.mark.parametrize("zeros", [(0.0,), (0.0, 0.5), (0.0, 0.0, -0.3j),
+                                   ((1 - 1e-6) * np.exp(0.3j),),
+                                   ((1 - 1e-6) * np.exp(2j), 0.6, -0.99)],
+                         ids=["minus-z", "origin-and-half", "double-origin",
+                              "near-circle", "near-circle-deg3"])
+def test_round_trips_at_the_structural_depth(zeros):
+    rec = assert_round_trip(BlaschkeProduct(1.0, zeros), 256)
+    lead = blaschke_taylor(rec.theta, 8).coeffs
+    first = lead[np.flatnonzero(np.abs(lead) > 1e-8)[0]]
+    assert abs(first.imag) < 1e-14 and first.real > 0.0
+
+
+@pytest.mark.parametrize("nw", [32, 48, 64])
+def test_round_trips_at_small_working_orders(nw):
+    assert_round_trip(THETAS[2], nw)
+    assert_round_trip(BlaschkeProduct(1.0, (0.0, 0.9j)), nw)
+
+
+def test_a_perturbed_column_is_not_read_exactly():
+    theta = THETAS[2]
+    shift = kernel_shift(0.7, 256)
+    space, _ = build_subspace(s1_model(1.0, 0.7, theta), shift, 256)
+    for row in (space.frontier + 8, 200):
+        bent = space.basis.copy()
+        bent[row, 1] += 1e-6
+        bent = orthonormalize(bent, frontier=space.frontier, invariant_certified=True)
+        assert invariant._exact_model(bent, shift, DEFAULT_TOL) is None
+        try:
+            rec = extract_model(bent, shift)
+        except HardyPerturbError:
+            continue
+        a, b = np.asarray(rec.theta.zeros), np.asarray(theta.zeros)
+        rows, cols = linear_sum_assignment(np.abs(a[:, None] - b[None, :]))
+        assert a.size == b.size and np.abs(a[rows] - b[cols]).max() < 1e-4
+
+
+def test_criterion_6_closures_take_the_orthogonal_path():
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        _, shift, seed_vec = sample_conditioned_trial(rng, 128, 40)
+        space = krylov_closure(shift, seed_vec, 40)
+        assert wandering_dimension(space, shift) == 1
+        assert not read_exactly(space)
+
+
+def test_factored_widths_follow_the_structure(monkeypatch):
+    # Every matrix factored over build, wandering dimension and extraction is
+    # at most the build's n + deg theta + 9 columns wide, at any N.
+    widths = {}
+    svd = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        widths[nw].append(a.shape[1])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    theta = THETAS[2]
+    for nw in (256, 1024):
+        widths[nw] = []
+        shift = kernel_shift(0.7, nw)
+        space, _ = build_subspace(s1_model(1.0, 0.7, theta), shift, nw)
+        assert wandering_dimension(space, shift) == 1
+        assert extract_model(space, shift).theta.degree == 3
+        assert space.dim == 1 + theta.degree + invariant._TAIL_MARGIN + 1
+    assert max(widths[256]) == max(widths[1024]) == 1 + theta.degree + 9
