@@ -429,19 +429,17 @@ def orthonormalize(
     return Subspace(u[:, :r], frontier, invariant_certified)
 
 
-def _rank_cut(s: np.ndarray, rel: float, scale: float | None = None) -> tuple[int, float | None]:
-    """Rank and gap of descending singular values cut at ``rel`` times ``scale``.
+def _rank_cut(s: np.ndarray, rel: float) -> tuple[int, float | None]:
+    """Rank and gap of descending singular values cut at ``rel`` times the largest.
 
-    ``scale`` defaults to the largest value.  The rank counts the values
-    strictly above the cut; it is 0 for an empty or all-zero spectrum.  The
-    gap ratio is the last kept value over the first dropped one, ``None``
-    when either is missing or the dropped one is exactly zero.
+    The rank counts the values strictly above the cut; it is 0 for an empty
+    or all-zero spectrum.  The gap ratio is the last kept value over the
+    first dropped one, ``None`` when either is missing or the dropped one
+    is exactly zero.
     """
     if s.size == 0 or s[0] == 0.0:
         return 0, None
-    rank = int(np.count_nonzero(s > rel * (s[0] if scale is None else scale)))
-    if rank == 0:
-        return 0, None
+    rank = int(np.count_nonzero(s > rel * s[0]))
     gap = float(s[rank - 1] / s[rank]) if rank < s.size and s[rank] > 0.0 else None
     return rank, gap
 

@@ -32,6 +32,7 @@ from .core import (
     _rank_cut,
     invariance_residual,
     orthonormalize,
+    principal_angles,
 )
 from .errors import (
     DimensionMismatchError,
@@ -202,9 +203,9 @@ def _tm_frame(theta: BlaschkeProduct, m: int) -> tuple[np.ndarray, np.ndarray]:
     c = np.append(np.sqrt(1.0 - np.abs(zeros) ** 2), 1.0)
     # z G_k = l_k G_k + c_k B_{k+1} and <B_{k+1}, G_l> = c_l prod_{k<j<l} (-conj l_j)
     # for l > k; the extra last row, with c_dim = 1, holds <z G_k, B_dim>.
-    rows = np.zeros((dim + 1, dim), dtype=np.complex128)
+    rows = np.eye(dim + 1, dim, -1, dtype=np.complex128)
     np.fill_diagonal(rows, zeros)
-    for k in range(dim):
+    for k in range(max(m - 1, 0), dim):  # l_j = 0 below m: column k < m - 1 is e_{k+1}
         rows[k + 1 :, k] = c[k] * c[k + 1 :] * np.cumprod(np.append(1.0, -zeros[k + 1 :].conj()))
     # z^m theta = u B_dim with u = theta.constant (-1)^deg, and M_z^r compresses to
     # A^r, so <G_k, z^j theta> = <z^{m-j} G_k, z^m theta> = (beta A^{m-j-1})_k.
@@ -392,7 +393,7 @@ def _truncation_error(M: Subspace) -> TruncationError:
 def _recovery(
     M: Subspace, shift: NShift, tol: ToleranceConfig
 ) -> SubspaceModel | tuple[np.ndarray, np.ndarray]:
-    """A certified ``M``'s model by :func:`_exact_model`, else its split ``(image, wander)``.
+    """``M``'s model by :func:`_exact_model` (given a frontier), else its split ``(image, wander)``.
 
     The split of ``M`` into ``P_M S M`` and ``M (-) S M`` is in ``M.basis``
     coordinates; it raises :class:`TruncationError` when ``M`` is certified and
@@ -402,8 +403,7 @@ def _recovery(
     cached = getattr(M, "_wandering_memo", None)
     if cached is not None and cached[0] is shift and cached[1] == tol:
         return cached[2]
-    certified = M.invariant_certified and M.frontier is not None
-    found = _exact_model(M, shift, tol) if certified else None
+    found = _exact_model(M, shift, tol) if M.frontier is not None else None
     if found is None:
         found = _split(M.basis.conj().T @ (shift.S @ M.basis), tol.tau_rank)
         if found[1].shape[1] == 0 and M.invariant_certified:
@@ -417,17 +417,17 @@ def _den_frame(theta: BlaschkeProduct, m: int) -> np.ndarray:
     zeros = np.concatenate([np.zeros(m), theta.zeros])
     out = np.zeros((zeros.size, zeros.size), dtype=np.complex128)
     for k, a in enumerate(zeros):
-        # den G_k = c_k prod_{j<k} (z - l_j) prod_{j>k} (1 - conj(l_j) z), z^low times the rest.
-        low = min(k, m)
-        factors = [[-x, 1.0] for x in zeros[low:k]]
-        factors += [[1.0, -np.conj(x)] for x in zeros[k + 1 :] if x]
-        col = functools.reduce(np.convolve, factors, np.sqrt([1.0 - abs(a) ** 2]))
-        out[low : low + col.size, k] = col
+        # den G_k = c_k prod_{j<k} (z - l_j) prod_{j>k} (1 - conj(l_j) z): z^k den below m.
+        if k == 0 or k >= m:
+            factors = [[-x, 1.0] for x in zeros[m:k]]
+            factors += [[1.0, -np.conj(x)] for x in zeros[max(k + 1, m) :] if x]
+            col = functools.reduce(np.convolve, factors, np.sqrt([1.0 - abs(a) ** 2]))
+        out[min(k, m) : min(k, m) + col.size, k] = col
     return out
 
 
 def _exact_model(M: Subspace, shift: NShift, tol: ToleranceConfig) -> SubspaceModel | None:
-    """The model of a certified generator stack, read exactly; ``None`` unless certified.
+    """The model of a generator stack with a frontier, read exactly; ``None`` unless certified.
 
     A column ``h`` of ``phi_i, z^n theta, .., z^{F-v} theta`` (frontier ``F``,
     theta's valuation ``v``) is ``p theta - q``, so ``den h`` (``den = prod (1 -
@@ -438,7 +438,8 @@ def _exact_model(M: Subspace, shift: NShift, tol: ToleranceConfig) -> SubspaceMo
     theta H^2``, of rank ``n`` at ``w = v``, one more per order past it, and
     at most ``n`` below; its range and the ``z^j theta`` span ``M cap K'``.
     Certificate: rows past ``F + d`` vanish, rank ``n``, ``dim M = F - v + 1``
-    (the generator count), no division remainder, :func:`verify_model`.
+    (the generator count), no division remainder, :func:`verify_model`; an
+    uncertified ``M`` (the CLI's raw ``basis``) within ``tau_angle`` of the model's stack.
     """
     n, frontier, h = shift.n, M.frontier, M.basis
     for d in range(_PRONY_MAX_DEGREE + 1):
@@ -463,7 +464,7 @@ def _exact_model(M: Subspace, shift: NShift, tol: ToleranceConfig) -> SubspaceMo
     for v in range(frontier - n + 1):
         rem = _long_division(p, np.concatenate([np.zeros(n + v), P.polyfromroots(zeros)]))[1]
         u, s, _ = np.linalg.svd(rem, full_matrices=False)
-        rank, _ = _rank_cut(s, tol.tau_rank, np.linalg.norm(den))
+        rank = int(np.count_nonzero(s > tol.tau_rank * np.linalg.norm(den)))
         if rank > n:
             break
         found = (v, rank, u[:, :n])
@@ -480,7 +481,10 @@ def _exact_model(M: Subspace, shift: NShift, tol: ToleranceConfig) -> SubspaceMo
         _require_consistent(model, shift, M.working_order, tol)
     except (ExtractionError, ModelInconsistencyError):
         return None
-    return model if remainder <= _CONDITION_LIMIT else None
+    spanned = M.invariant_certified or principal_angles(
+        M, orthonormalize(model_generators(model, M.working_order, M.dim - n - 1)[0], tol)
+    ).max() <= tol.tau_angle
+    return model if remainder <= _CONDITION_LIMIT and spanned else None
 
 
 def _normalize_direction(vec: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
@@ -660,8 +664,7 @@ def _peel(s: np.ndarray | OperatorMatrix, cur: np.ndarray, stages: int, tol: Tol
     """
     phis = []
     for j in range(stages):
-        if j:
-            cur = cur @ image
+        cur = cur @ image if j else cur
         split = first if j == 0 and first else _split(cur.conj().T @ (s @ cur), tol.tau_rank)
         image, wander = split
         if wander.shape[1] == 0 and empty is not None:
@@ -696,7 +699,7 @@ def _frame_model(
     relative remainder.
     """
     n, (a, shifted) = shift.n, _tm_frame(theta, m)
-    gens = np.hstack([np.pad(lead, ((0, a.shape[0] - lead.shape[0]), (0, 0))), shifted[:, n:]])
+    gens = np.hstack([np.eye(a.shape[0], lead.shape[0]) @ lead, shifted[:, n:]])
     phi, _ = _peel(_lift(shift.S, a), _split(gens, tol.tau_rank)[0], n, tol)
     den, num = theta.denominator().coeffs, theta.numerator().coeffs
     step = shift.F.window(shift.F.reach(n), n)
@@ -705,9 +708,9 @@ def _frame_model(
     for i in range(n):
         w, head = dens[:, i], phi[:n, i]
         for _ in range(n - i):
-            f = step @ head
+            f = np.append(step @ head, np.zeros(n))
             w = P.polyadd(np.append(0.0, w), np.convolve(den, f))
-            head = np.append(0.0, head[:-1]) + np.pad(f, (0, n))[:n]
+            head = np.append(0.0, head[:-1]) + f[:n]
         r, rem = _long_division(w, np.concatenate([np.zeros(n), num]))
         low = P.polysub(np.convolve(np.append(np.zeros(i), r), num), dens[:, i])
         # Dividing by den from the bottom is dividing the reversals from the top.

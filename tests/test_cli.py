@@ -214,12 +214,21 @@ class TestSubspaceCommands:
         assert "depth must be a nonnegative integer" in result.stderr
 
     def test_extract_from_raw_basis(self, runner, tmp_path):
+        assert abs(self.extract_raw_zero(runner, tmp_path, 96, 0.5) - 0.5) < 1e-6
+
+    def test_extract_from_raw_near_circle_basis(self, runner, tmp_path):
+        # The built stack is shallow; theta's mass past 16 coefficients is about 1e-2.
+        zero = 0.9 * np.exp(0.7j)
+        assert abs(self.extract_raw_zero(runner, tmp_path, 256, zero) - zero) < 1e-6
+
+    @staticmethod
+    def extract_raw_zero(runner, tmp_path, nw, zero):
+        """The one zero ``subspace extract`` reads off the built basis of an s1 model."""
         from hardy_perturb import BlaschkeProduct, build_subspace, s1_model
         from hardy_perturb import shift_from_kernel, TridiagonalKernel
 
-        nw = 96
         shift = shift_from_kernel(TridiagonalKernel(1, (1.0,), (1.0,)), nw)
-        model = s1_model(1.0, 1.0, BlaschkeProduct(1.0, (0.5,)))
+        model = s1_model(1.0, 1.0, BlaschkeProduct(1.0, (zero,)))
         space, _ = build_subspace(model, shift, nw)
         payload = json.loads(json.dumps(RANK_ONE))
         payload["truncation"] = nw
@@ -232,7 +241,8 @@ class TestSubspaceCommands:
         result = invoke(runner, ["subspace", "extract", "--config", str(cfg)])
         assert result.exit_code == 0
         zeros = json.loads(result.output)["report"]["model"]["theta"]["zeros"]
-        assert abs(complex(zeros[0][0], zeros[0][1]) - 0.5) < 1e-6
+        assert len(zeros) == 1
+        return complex(zeros[0][0], zeros[0][1])
 
     def test_cyclic_with_witness(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -381,10 +381,12 @@ class TestRangeSideStructure:
         return model, shift, space
 
     @classmethod
-    def peeled_space(cls, nw=NW):
-        """The round trip's model as a raw stack at the oracles' depth: the orthogonal peel reads it."""
+    def peeled_space(cls, monkeypatch, nw=NW):
+        """The round trip's model as a raw stack at the oracles' depth, read by the
+        orthogonal peel: the exact path declines."""
         model, shift = cls.round_trip_model(nw)
         space = oracle.build_subspace(model, nw)
+        monkeypatch.setattr(invariant, "_exact_model", lambda *_: None)
         return model, shift, Subspace(space.basis, space.frontier)
 
     @staticmethod
@@ -401,7 +403,7 @@ class TestRangeSideStructure:
         return sizes
 
     def test_wandering_split_is_shared_with_extraction(self, monkeypatch):
-        _, shift, space = self.peeled_space()
+        _, shift, space = self.peeled_space(monkeypatch)
         fresh = Subspace(space.basis, space.frontier, space.invariant_certified)
         sizes = self.count_splits(monkeypatch)
         assert wandering_dimension(space, shift) == 1
@@ -414,7 +416,7 @@ class TestRangeSideStructure:
         assert np.array_equal(rec.p[0].coeffs, again.p[0].coeffs)
 
     def test_another_shift_object_recomputes(self, monkeypatch):
-        _, shift, space = self.peeled_space()
+        _, shift, space = self.peeled_space(monkeypatch)
         twin = shift_from_kernel(TridiagonalKernel(1, (1.0,), (0.7,)), NW)
         other = shift_from_kernel(TridiagonalKernel(1, (1.0,), (-0.2,)), NW)
         sizes = self.count_splits(monkeypatch)
@@ -432,7 +434,7 @@ class TestRangeSideStructure:
         assert principal_angles(split, subspace_difference(space, shift)).max() > 1e-3
 
     def test_another_tolerance_recomputes(self, monkeypatch):
-        _, shift, space = self.peeled_space()
+        _, shift, space = self.peeled_space(monkeypatch)
         sizes = self.count_splits(monkeypatch)
         wandering_dimension(space, shift, ToleranceConfig())
         wandering_dimension(space, shift, ToleranceConfig())
@@ -490,7 +492,7 @@ class TestRangeSideStructure:
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", recorded)
-        _, shift, space = self.peeled_space(256)
+        _, shift, space = self.peeled_space(monkeypatch, 256)
         assert wandering_dimension(space, shift) == 1
         assert len(extract_model(space, shift).theta.zeros) == 3
         assert rows.count(256) == 1

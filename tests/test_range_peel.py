@@ -1,9 +1,10 @@
 """The range side against the dense oracle's orthogonal peel.
 
-``invariant.extract_model`` reads a certified generator stack exactly
+``invariant.extract_model`` reads a generator stack with a frontier exactly
 (``_exact_model``: theta's denominator off the rows past the frontier, then
-the Takenaka-Malmquist peel and exact division) and peels Krylov closures and
-raw bases in coordinates of the input basis.  The oracle
+the Takenaka-Malmquist peel and exact division; a raw basis must also span the
+model's own stack) and peels Krylov closures and whatever the exact path
+declines in coordinates of the input basis.  The oracle
 (``dense_oracle.extract_model``) re-orthonormalizes each image ``S M_j`` at N
 rows under the dense ``S`` and ``M_z``, on stacks at its own deep
 ``default_tail_depth``.  On each input both must raise the same exception type
@@ -123,16 +124,24 @@ def test_zero_at_0_975_is_a_truncation_error_on_both(monkeypatch):
                   - np.sort_complex(np.array(theta.zeros))).max() < 1e-10
     monkeypatch.setattr(invariant, "_exact_model", lambda *_: None)
     assert assert_same_outcome(space, shift) is TruncationError
-    raw = Subspace(space.basis, space.frontier)
-    assert assert_same_outcome(raw, shift) is PreconditionError
+    # Without the certificate the truncated tail fails the invariance
+    # precondition, on the oracle's stack and on the library's.
+    built, _ = build_subspace(s1_model(1.0, 0.5, theta), shift, 256)
+    for stack in (space, built):
+        raw = Subspace(stack.basis, stack.frontier)
+        assert assert_same_outcome(raw, shift) is PreconditionError
 
 
 def test_raw_basis_as_the_cli_passes_it():
-    # `subspace extract` rebuilds the basis without its invariance certificate.
-    shift, space = s1_space(THETAS[2], 128)
-    raw = Subspace(space.basis, space.frontier)
-    assert len(assert_same_outcome(raw, shift).theta.zeros) == 3
-    assert not read_exactly(raw)
+    # `subspace extract` rebuilds the basis without its invariance certificate;
+    # the exact path reads it once the model's own stack spans it.
+    shift = kernel_shift(0.7, 128)
+    built, _ = build_subspace(s1_model(1.0, 0.7, THETAS[2]), shift, 128)
+    _, deep = s1_space(THETAS[2], 128)
+    for space in (built, deep):
+        raw = Subspace(space.basis, space.frontier)
+        assert len(assert_same_outcome(raw, shift).theta.zeros) == 3
+        assert read_exactly(raw)
 
 
 def test_krylov_closures_of_conditioned_draws():
@@ -209,11 +218,16 @@ def test_repeated_zeros_match_the_oracle(zeros):
     assert read_exactly(space) and model.theta.degree == len(zeros)
 
 
-def assert_round_trip(theta, nw, b0=0.7):
-    """Build at the default depth, then wandering dimension 1 and the model back."""
+def assert_round_trip(theta, nw, b0=0.7, raw=False):
+    """Build at the default depth, then wandering dimension 1 and the model back.
+
+    ``raw`` drops the invariance certificate, as ``subspace extract`` does.
+    """
     model = s1_model(1.0, b0, theta)
     shift = kernel_shift(b0, nw)
     space, _ = build_subspace(model, shift, nw)
+    if raw:
+        space = Subspace(space.basis, space.frontier)
     assert wandering_dimension(space, shift) == 1
     rec = extract_model(space, shift)
     assert read_exactly(space)
@@ -239,20 +253,28 @@ def test_round_trips_at_the_structural_depth(zeros):
     assert abs(first.imag) < 1e-14 and first.real > 0.0
 
 
+@pytest.mark.parametrize("radius", [0.5, 0.9, 0.955])
+def test_raw_stacks_round_trip_at_the_structural_depth(radius):
+    # Theta's coefficients past 16 carry mass here, which the orthogonal peel's
+    # window below the shallow frontier does not reach.
+    assert_round_trip(BlaschkeProduct(1.0, (radius * np.exp(0.7j), 0.3)), 256, 0.5, raw=True)
+
+
 @pytest.mark.parametrize("nw", [32, 48, 64])
 def test_round_trips_at_small_working_orders(nw):
     assert_round_trip(THETAS[2], nw)
     assert_round_trip(BlaschkeProduct(1.0, (0.0, 0.9j)), nw)
 
 
-def test_a_perturbed_column_is_not_read_exactly():
+@pytest.mark.parametrize("certified", [True, False])
+def test_a_perturbed_column_is_not_read_exactly(certified):
     theta = THETAS[2]
     shift = kernel_shift(0.7, 256)
     space, _ = build_subspace(s1_model(1.0, 0.7, theta), shift, 256)
     for row in (space.frontier + 8, 200):
         bent = space.basis.copy()
         bent[row, 1] += 1e-6
-        bent = orthonormalize(bent, frontier=space.frontier, invariant_certified=True)
+        bent = orthonormalize(bent, frontier=space.frontier, invariant_certified=certified)
         assert invariant._exact_model(bent, shift, DEFAULT_TOL) is None
         try:
             rec = extract_model(bent, shift)
