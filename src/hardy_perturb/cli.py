@@ -24,7 +24,6 @@ from .commutant import (
     commutant_element,
     hyperinvariance_check,
     irreducibility_probe,
-    verify_commutation,
 )
 from .core import (
     TruncatedVector,
@@ -370,7 +369,7 @@ def commutant_element_cmd(phi_text, config_path, truncation, seed, out_path,
         raise ConfigError("need --phi or an options 'phi' list")
     symbol = Polynomial(coeffs)
     element = commutant_element(symbol, kernel, cfg.truncation, cfg.tolerances, s)
-    resid = verify_commutation(element.X, s, cfg.tolerances)
+    resid = element.commutation_residual
     n_cols = element.N.entries[: min(cfg.truncation, 16), : kernel.n]
     spill = float(np.abs(element.N.entries[:, kernel.n:]).max()) if kernel.n < cfg.truncation else 0.0
     body = {

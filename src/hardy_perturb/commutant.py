@@ -38,12 +38,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CommutantElement:
-    """A commutant member ``X = T + N`` with its polynomial symbol."""
+    """A commutant member ``X = T + N`` with its polynomial symbol.
+
+    ``commutation_residual`` is :func:`verify_commutation` of ``X`` against
+    the shift it was built for, as checked by :func:`commutant_element`.
+    """
 
     symbol: Polynomial
     X: OperatorMatrix
     T: OperatorMatrix
     N: OperatorMatrix
+    commutation_residual: float
 
     @property
     def working_order(self) -> int:
@@ -66,7 +71,8 @@ def commutant_element(
     symbol directly, and ``N = X - T``.  The structural invariants
     (``N`` supported in the first ``n`` columns, ``X`` commuting with the
     shift) are verified before returning; a violation signals a
-    construction bug, not bad input.
+    construction bug, not bad input.  The commutation residual is kept on
+    the element.
     """
     tol = tol or DEFAULT_TOL
     if symbol.degree >= working_order - kernel.n - 2:
@@ -84,13 +90,12 @@ def commutant_element(
         )
     if shift is None:
         shift = shift_from_kernel(kernel, working_order, tol)
-    element = CommutantElement(symbol, x, t, n_op)
-    resid = verify_commutation(element.X, shift, tol)
+    resid = verify_commutation(x, shift, tol)
     if resid > tol.tau_res * scale:
         raise HardyPerturbError(
             f"internal consistency: commutation residual {resid:.3e}"
         )
-    return element
+    return CommutantElement(symbol, x, t, n_op, resid)
 
 
 def verify_commutation(X, shift: NShift, tol: ToleranceConfig | None = None) -> float:

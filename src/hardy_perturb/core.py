@@ -91,12 +91,16 @@ DEFAULT_TOL = ToleranceConfig()
 _ORTHONORMALITY_LIMIT = 1e-7
 
 
-def _frozen_array(a) -> np.ndarray:
-    arr = np.array(a, dtype=np.complex128, copy=True, order="C")
+def _sealed(arr: np.ndarray) -> np.ndarray:
+    """``arr`` itself, checked finite and made read-only."""
     if not np.isfinite(arr).all():
         raise ValueError("entries must be finite")
     arr.setflags(write=False)
     return arr
+
+
+def _frozen_array(a) -> np.ndarray:
+    return _sealed(np.array(a, dtype=np.complex128, copy=True, order="C"))
 
 
 @dataclass(frozen=True)
@@ -158,7 +162,11 @@ class TruncatedVector:
         return cls(c)
 
 
-def band_spread(a, rel_tol: float = 1e-12) -> tuple[int, int]:
+# Default relative cut of band_spread; an OperatorMatrix caches its spread at it.
+_SPREAD_CUT = 1e-12
+
+
+def band_spread(a, rel_tol: float = _SPREAD_CUT) -> tuple[int, int]:
     """Index spread of a matrix band around the diagonal.
 
     Returns ``(below, above)`` where ``below`` is the largest ``i - j`` and
@@ -166,8 +174,15 @@ def band_spread(a, rel_tol: float = 1e-12) -> tuple[int, int]:
     ``rel_tol`` times the largest magnitude.  ``below`` measures how far an
     operator raises degree; ``above`` how far it lowers it.  Both are 0 for
     the zero matrix.  ``a`` is an array or an :class:`OperatorMatrix`, whose
-    Toeplitz diagonals are read off its symbol.
+    Toeplitz diagonals are read off its symbol; an operator is immutable, so
+    its spread at the default cut is computed once and kept.
     """
+    if isinstance(a, OperatorMatrix) and rel_tol == _SPREAD_CUT:
+        return a._spread
+    return _band_spread(a, rel_tol)
+
+
+def _band_spread(a, rel_tol: float) -> tuple[int, int]:
     if isinstance(a, OperatorMatrix):
         block, present = a.block, a._present()
         diags, diag_mags = np.flatnonzero(present), np.abs(a.symbol[present])
@@ -200,9 +215,15 @@ class OperatorMatrix:
     convolved (or subtracted) symbols.  Products, differences, max-norms and
     images of vectors and column stacks therefore work on that window and on
     the symbols, and cost nothing of order ``size**2`` unless a block is that
-    large.
+    large.  A window writes only the nonzero symbol diagonals, one strided
+    slice each, so ``M_z**10`` costs one diagonal, not eleven.
     ``entries``, the dense matrix, is built on first access and cached
     read-only.
+
+    Arrays handed to the constructor are copied; the blocks and symbols of
+    products and differences, which the operations form themselves, are
+    kept as formed.  Either way every block and symbol is checked finite and
+    is read-only.
     """
 
     block: np.ndarray
@@ -220,6 +241,15 @@ class OperatorMatrix:
         object.__setattr__(self, "block", blk)
         object.__setattr__(self, "symbol", sym)
         object.__setattr__(self, "size", size)
+
+    @classmethod
+    def _formed(cls, block: np.ndarray, symbol: np.ndarray, size: int) -> "OperatorMatrix":
+        """Wrap a square complex block and 1-d complex symbol formed here, without copies."""
+        op = object.__new__(cls)
+        object.__setattr__(op, "block", _sealed(block))
+        object.__setattr__(op, "symbol", _sealed(symbol[:size]))
+        object.__setattr__(op, "size", size)
+        return op
 
     @classmethod
     def toeplitz(cls, symbol, size: int) -> "OperatorMatrix":
@@ -249,10 +279,12 @@ class OperatorMatrix:
     def window(self, rows: int, cols: int | None = None) -> np.ndarray:
         """The dense leading ``rows`` x ``cols`` part of the matrix (a new array)."""
         cols = rows if cols is None else cols
-        out = np.zeros((rows, cols), dtype=np.complex128)
-        for d, c in enumerate(self.symbol[:rows]):
-            i = np.arange(d, min(rows, cols + d))
-            out[i, i - d] = c
+        flat = np.zeros(rows * cols, dtype=np.complex128)
+        # Diagonal d starts at flat index d * cols and steps by cols + 1.
+        for d in self.symbol[:rows].nonzero()[0].tolist():
+            count = min(rows - d, cols)
+            flat[d * cols: d * cols + count * (cols + 1): cols + 1] = self.symbol[d]
+        out = flat.reshape(rows, cols)
         k = self.block_size
         out[: min(rows, k), : min(cols, k)] = self.block[:rows, :cols]
         return out
@@ -262,6 +294,10 @@ class OperatorMatrix:
         if cols <= 0:
             return 0
         return min(self.size, max(self.block_size, cols + self._degree))
+
+    @functools.cached_property
+    def _spread(self) -> tuple[int, int]:
+        return _band_spread(self, _SPREAD_CUT)
 
     @property
     def _degree(self) -> int:
@@ -287,9 +323,9 @@ class OperatorMatrix:
         part = self.block[r0:min(r1, k), c0:min(c1, k)]
         out = float(np.abs(part).max()) if part.size else 0.0
         # Diagonal d holds (i, i - d); outside the block means i >= k.
-        d = np.arange(self.symbol.shape[0])
-        hit = np.maximum(max(r0, k), c0 + d) < np.minimum(r1, c1 + d)
-        if hit.any():
+        hit = [d for d in self.symbol.nonzero()[0].tolist()
+               if max(r0, k, c0 + d) < min(r1, c1 + d)]
+        if hit:
             out = max(out, float(np.abs(self.symbol[hit]).max()))
         return out
 
@@ -318,11 +354,12 @@ class OperatorMatrix:
         # because both Toeplitz parts are lower triangular.
         w = max(self.block_size, other.block_size + self._degree if other.block_size else 0)
         w = min(w, self.size)
-        block = self.window(w) @ other.window(w)
-        symbol = ()
+        block = self.window(w) @ other.window(w) if w else np.zeros((0, 0), np.complex128)
         if self.symbol.size and other.symbol.size:
             symbol = np.convolve(self.symbol, other.symbol)
-        return OperatorMatrix(block, symbol, self.size)
+        else:
+            symbol = np.zeros(0, np.complex128)
+        return OperatorMatrix._formed(block, symbol, self.size)
 
     def __sub__(self, other):
         self._check_size(other)
@@ -330,7 +367,7 @@ class OperatorMatrix:
         symbol = np.zeros(max(self.symbol.size, other.symbol.size), dtype=np.complex128)
         symbol[: self.symbol.size] += self.symbol
         symbol[: other.symbol.size] -= other.symbol
-        return OperatorMatrix(self.window(w) - other.window(w), symbol, self.size)
+        return OperatorMatrix._formed(self.window(w) - other.window(w), symbol, self.size)
 
 
 def multiplication_by_z_matrix(working_order: int) -> np.ndarray:

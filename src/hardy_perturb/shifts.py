@@ -340,7 +340,6 @@ def verify_power_identities(
     below, _ = band_spread(s)
     if m_max * max(below, 1) >= nw - 2:
         raise TruncationError("m_max too large for the working order")
-    mz = OperatorMatrix.toeplitz(Z_SYMBOL, nw)
     rng = np.random.default_rng(seed)
     fvec = rng.standard_normal(nw) + 1j * rng.standard_normal(nw)
     fvec /= np.linalg.norm(fvec)
@@ -350,11 +349,8 @@ def verify_power_identities(
     for _ in range(m_max):
         s_pow = s @ s_pow
         s_powers.append(s_pow)
-    mz_pow = OperatorMatrix.toeplitz((1.0,), nw)
-    mz_powers = [mz_pow]
-    for _ in range(m_max + n):
-        mz_pow = mz @ mz_pow
-        mz_powers.append(mz_pow)
+    # M_z^k is the Toeplitz matrix of z^k, exactly what k products would give.
+    mz_powers = [OperatorMatrix.toeplitz((0.0,) * k + (1.0,), nw) for k in range(m_max + n + 1)]
 
     checks = []
     guard = nw - m_max * max(below, 1) - 1

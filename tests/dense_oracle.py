@@ -4,7 +4,8 @@ These are the straightforward constructions on full truncated matrices:
 triangular solves of order N, N x N products and a full SVD.  The library
 builds the same objects as "lower Toeplitz + finite block"; the
 differential tests compare the two.  The operator oracles take and return
-plain arrays.
+plain arrays; ``window`` reads an operator's leading part from its block and
+symbol.
 
 ``extract_model`` is the range side's orthogonal peel on N-row subspaces: each
 stage is split under the dense ``S`` and ``S M_j`` is re-orthonormalized at N
@@ -55,6 +56,17 @@ def band_spread(a, rel_tol=1e-12):
     if rows.size == 0:
         return 0, 0
     return int(max(0, (rows - cols).max())), int(max(0, (cols - rows).max()))
+
+
+def window(block, symbol, rows, cols):
+    """Leading ``rows`` x ``cols`` part of "lower Toeplitz + block": one index write per diagonal."""
+    out = np.zeros((rows, cols), dtype=np.complex128)
+    for d, c in enumerate(symbol[:rows]):
+        i = np.arange(d, min(rows, cols + d))
+        out[i, i - d] = c
+    k = block.shape[0]
+    out[: min(rows, k), : min(cols, k)] = block[:rows, :cols]
+    return out
 
 
 def shift_matrix(nw):

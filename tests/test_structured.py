@@ -12,14 +12,17 @@ import pytest
 
 import dense_oracle as oracle
 from hardy_perturb import (
+    DEFAULT_TOL,
     OperatorMatrix,
     Polynomial,
     TridiagonalKernel,
     commutant,
     commutant_element,
+    core,
     self_commutator,
     shift_from_columns,
     shift_from_kernel,
+    suite,
     validate_n_shift,
     verify_commutation,
     verify_power_identities,
@@ -206,6 +209,31 @@ def test_column_stack_images_match_dense_products():
             op @ np.zeros(nw + 1)
 
 
+def test_window_matches_the_per_diagonal_oracle():
+    # Square and rectangular windows, shorter and longer than the symbol, of
+    # symbols with zero diagonals or none nonzero, under blocks smaller and
+    # larger than the window, down to zero rows or columns.
+    rng = np.random.default_rng(17)
+    nw = 20
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    symbols = [cplx(4), np.array([0.0, 1.0]), np.array([0.0, 0.0, 2.0, 0.0, -1.0j, 0.0]),
+               np.zeros(5), cplx(nw), (0.0,) * 10 + (1.0,), ()]
+    blocks = [np.zeros((0, 0)), cplx(3, 3), cplx(9, 9), cplx(nw, nw)]
+    shapes = [(7, 7), (3, 11), (11, 3), (1, 6), (16, 2), (nw, nw), (nw, 5), (0, 4), (4, 0),
+              (0, 0)]
+    for symbol in symbols:
+        for block in blocks:
+            op = OperatorMatrix(block, symbol, nw)
+            for rows, cols in shapes:
+                got = op.window(rows, cols)
+                assert got.flags.writeable and not np.shares_memory(got, op.block)
+                assert np.array_equal(got, oracle.window(op.block, op.symbol, rows, cols))
+            assert np.array_equal(op.window(6), oracle.window(op.block, op.symbol, 6, 6))
+
+
 def test_plain_array_is_its_own_dense_view():
     a = np.arange(16.0).reshape(4, 4)
     op = OperatorMatrix(a)
@@ -229,6 +257,33 @@ def test_operator_algebra_path_builds_no_dense_view():
     assert max(op.block_size for op in (shift.S, element.X, element.N)) <= 3 + 8 + 2
 
 
+def test_power_identities_spread_the_shift_once_and_copy_no_intermediate(monkeypatch):
+    # Record what each spread is computed for, whether each copy happens
+    # inside a product or difference, and how many of those run.
+    spreads, copies, inside, operations = [], [], [], []
+    real_spread, real_copy = core._band_spread, core._frozen_array
+    monkeypatch.setattr(core, "_band_spread",
+                        lambda a, rel_tol: spreads.append(a) or real_spread(a, rel_tol))
+    monkeypatch.setattr(core, "_frozen_array",
+                        lambda a: copies.append(bool(inside)) or real_copy(a))
+    for name in ("__matmul__", "__sub__"):
+        def traced(self, other, real=getattr(OperatorMatrix, name), name=name):
+            operations.append(name)
+            inside.append(name)
+            try:
+                return real(self, other)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(OperatorMatrix, name, traced)
+    kernel = TridiagonalKernel(6, (1.0,) * 6, (0.5j, 0.4, -0.2, 0.3, -0.6j, 0.1 + 0.2j))
+    shift = shift_from_kernel(kernel, 512)
+    assert verify_power_identities(shift, 10)["passed"]
+    # Spread once across construction, validation and the powers.
+    assert sum(a is shift.S for a in spreads) == 1
+    assert len(operations) > 30 and copies
+    assert not any(copies), "a product or difference copied what it had just formed"
+
+
 # ------------------------------------------------------ negative controls --
 
 def test_perturbed_correction_is_caught(monkeypatch):
@@ -249,6 +304,43 @@ def test_perturbed_correction_is_caught(monkeypatch):
     monkeypatch.setattr(commutant, "relabeled_window", lambda *args: x)
     with pytest.raises(HardyPerturbError, match="commutation residual"):
         commutant_element(symbol, kernel, nw, shift=shift)
+
+
+def test_overflowing_product_is_rejected_and_intermediates_are_read_only():
+    nw = 8
+    big = OperatorMatrix(np.full((3, 3), 1e200), (0.0, 1.0), nw)
+    huge = OperatorMatrix.toeplitz((1e200,), nw)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="entries must be finite"):
+            big @ big
+        with pytest.raises(ValueError, match="entries must be finite"):
+            huge @ OperatorMatrix.toeplitz((0.0, 1e200), nw)
+        with pytest.raises(ValueError, match="entries must be finite"):
+            OperatorMatrix.toeplitz((-1.7e308,), nw) - OperatorMatrix.toeplitz((1.7e308,), nw)
+    a = OperatorMatrix(np.eye(3), (0.5, 1.0), nw)
+    b = OperatorMatrix.toeplitz((0.0, 1.0, 2.0), nw)
+    for result in (a @ b, a - b, b @ b, b - b):
+        for arr in (result.block, result.symbol):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
+
+
+def test_commutation_row_fails_between_its_tolerance_and_the_builder_limit(monkeypatch):
+    # A 1e-9 defect passes the builder's tau_res limit but not the row's 1e-10.
+    real = commutant.relabeled_window
+
+    def bumped(kernel, symbol, width, nw):
+        x = real(kernel, symbol, width, nw)
+        block = x.block.copy()
+        block[3, 0] += 1e-9
+        return OperatorMatrix(block, x.symbol, nw)
+
+    monkeypatch.setattr(commutant, "relabeled_window", bumped)
+    rows = suite.check_commutant_suite(64, DEFAULT_TOL, 0)
+    row = next(r for r in rows if r["claim"].startswith("commutant members commute"))
+    assert 1e-10 < row["computed"] < DEFAULT_TOL.tau_res
+    assert not row["passed"]
 
 
 def test_support_violation_is_reported_and_fails_the_powers():
