@@ -67,8 +67,8 @@ def commutant_element(
     The multiplication matrix in f-basis coordinates comes from the same
     triangular change-of-basis solve as the shift construction, on the
     leading ``n + deg + 2`` window where it differs from ``T``; relabeling
-    to the monomial basis gives ``X``, the Toeplitz part is read off the
-    symbol directly, and ``N = X - T``.  The structural invariants
+    to the monomial basis gives ``X``, the Toeplitz part ``T`` shares its
+    symbol, and ``N = X - T``, none of them copied.  The structural invariants
     (``N`` supported in the first ``n`` columns, ``X`` commuting with the
     shift) are verified before returning; a violation signals a
     construction bug, not bad input.  The commutation residual is kept on
@@ -79,8 +79,9 @@ def commutant_element(
         raise PreconditionError("symbol degree too close to the working order")
     width = kernel.n + symbol.degree + 2
     x = relabeled_window(kernel, symbol.coeffs, width, working_order)
-    t = OperatorMatrix.toeplitz(symbol.coeffs, working_order)
-    n_op = OperatorMatrix(x.block - t.window(width), size=working_order)
+    t = OperatorMatrix._formed(np.zeros((0, 0), dtype=np.complex128), x.symbol, working_order)
+    n_op = OperatorMatrix._formed(x.block - t.window(width), np.zeros(0, dtype=np.complex128),
+                                  working_order)
     scale = max(1.0, x.max_abs())
     spill = n_op.max_abs(cols=slice(kernel.n, None))
     if spill > tol.tau_res * scale:

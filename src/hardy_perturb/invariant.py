@@ -109,14 +109,7 @@ class SubspaceModel:
 
     def phi(self, i: int, working_order: int) -> TruncatedVector:
         """The model vector ``phi_i = z^i p_i theta - q_i`` as a Taylor slice."""
-        theta = blaschke_taylor(self.theta, working_order).coeffs
-        pc = self.p[i].coeffs
-        prod = np.convolve(pc, theta)[:working_order] if pc.size else np.zeros(working_order)
-        vec = np.zeros(working_order, dtype=np.complex128)
-        vec[i:] = prod[: working_order - i]
-        qc = self.q[i].coeffs
-        vec[: qc.size] -= qc[:working_order]
-        return TruncatedVector(vec)
+        return TruncatedVector(_phi(self, i, blaschke_taylor(self.theta, working_order).coeffs))
 
     def to_json(self) -> dict:
         return {
@@ -125,6 +118,15 @@ class SubspaceModel:
             "p": [[[c.real, c.imag] for c in poly.coeffs] for poly in self.p],
             "q": [[[c.real, c.imag] for c in poly.coeffs] for poly in self.q],
         }
+
+
+def _phi(model: SubspaceModel, i: int, theta: np.ndarray) -> np.ndarray:
+    """``phi_i = z^i p_i theta - q_i`` to the length of theta's Taylor slice."""
+    nw, pc, qc = theta.shape[0], model.p[i].coeffs, model.q[i].coeffs
+    vec = np.zeros(nw, dtype=np.complex128)
+    vec[i:] = np.convolve(pc, theta)[: nw - i] if pc.size else 0.0
+    vec[: qc.size] -= qc[:nw]
+    return vec
 
 
 def s1_model(a0: complex, b0: complex, theta: BlaschkeProduct) -> SubspaceModel:
@@ -166,12 +168,13 @@ def model_generators(
     """
     n = model.n
     theta = blaschke_taylor(model.theta, working_order)
-    v_theta = theta.valuation(1e-14)
-    cols = [model.phi(i, working_order).coeffs for i in range(n)]
-    for k in range(depth + 1):
-        cols.append(_shifted_taylor(theta.coeffs, n + k))
-    frontier = min(working_order, n + depth + v_theta)
-    return np.column_stack(cols), frontier
+    gens = np.zeros((working_order, n + depth + 1), dtype=np.complex128)
+    for i in range(n):
+        gens[:, i] = _phi(model, i, theta.coeffs)
+    for k in range(n, min(n + depth + 1, working_order)):
+        gens[k:, k] = theta.coeffs[: working_order - k]
+    frontier = min(working_order, n + depth + theta.valuation(1e-14))
+    return gens, frontier
 
 
 def default_tail_depth(model: SubspaceModel, working_order: int) -> int:
@@ -224,10 +227,14 @@ def _model_space(model: SubspaceModel, tol: ToleranceConfig, reach: int) -> tupl
     ``m >= reach`` is the least order holding every ``phi_i``, ``S phi_i`` and
     ``closing = z^n p_{n-1} theta``.  ``A`` is ``P_{K'} M_z`` on ``K'``, ``E`` an
     orthonormal basis of ``K`` and ``perp`` one of ``M^perp = K (-) span{phi_i}``
-    in ``E`` coordinates.
+    in ``E`` coordinates.  The read-only result is kept per ``(m, tol)`` in
+    ``model._space_memo`` (not a dataclass field).
     """
     n, p, q = model.n, model.p, model.q
     m = max([reach] + [n + c.coeffs.size for c in p] + [c.coeffs.size + 1 for c in q])
+    memo = model.__dict__.setdefault("_space_memo", {})
+    if (m, tol) in memo:
+        return memo[m, tol]
     a, shifted = _tm_frame(model.theta, m)
     phi = np.zeros((a.shape[0], n + 1), dtype=np.complex128)
     for i, (pi, qi) in enumerate(zip(p, q)):
@@ -238,7 +245,10 @@ def _model_space(model: SubspaceModel, tol: ToleranceConfig, reach: int) -> tupl
     _, basis = _split(shifted[:, n:], tol.tau_rank)
     norms = np.linalg.norm(phi[:, :n], axis=0)
     _, perp = _split(basis.conj().T @ phi[:, :n] / np.where(norms > 0.0, norms, 1.0), tol.tau_rank)
-    return a, basis, phi[:, :n], phi[:, n], perp
+    memo[m, tol] = found = (a, basis, phi[:, :n], phi[:, n], perp)
+    for arr in found:
+        arr.setflags(write=False)
+    return found
 
 
 def _lift(op: OperatorMatrix, a: np.ndarray) -> np.ndarray:
@@ -249,7 +259,8 @@ def _lift(op: OperatorMatrix, a: np.ndarray) -> np.ndarray:
     for coeff in op.symbol[::-1]:
         out = out @ a + coeff * np.eye(len(a))
     k = op.block_size
-    out[:k, :k] += op.block - OperatorMatrix.toeplitz(op.symbol, k).window(k)
+    toeplitz = OperatorMatrix._formed(np.zeros((0, 0), dtype=np.complex128), op.symbol, k)
+    out[:k, :k] += op.block - toeplitz.window(k)
     return out
 
 
@@ -459,7 +470,9 @@ def _exact_model(M: Subspace, shift: NShift, tol: ToleranceConfig) -> SubspaceMo
     zeros = np.roots(den.conj())
     if ((np.abs(zeros) <= tol.tau_rank) | (np.abs(zeros) >= 1.0)).any():
         return None
-    p = sum(c * np.pad(h, ((j, 0), (0, 0)))[: frontier + den.size] for j, c in enumerate(den))
+    p = np.zeros((frontier + den.size, h.shape[1]), dtype=np.complex128)
+    for j, c in enumerate(den):
+        p[j:] += c * h[: p.shape[0] - j]
     found, rank = None, 0
     for v in range(frontier - n + 1):
         rem = _long_division(p, np.concatenate([np.zeros(n + v), P.polyfromroots(zeros)]))[1]
@@ -475,9 +488,10 @@ def _exact_model(M: Subspace, shift: NShift, tol: ToleranceConfig) -> SubspaceMo
     lead = head[np.flatnonzero(np.abs(head) > tol.tau_rank)[0]]
     theta = BlaschkeProduct(abs(lead) / lead, ref.zeros)
     m = max(2 * n, shift.S.block_size) + 1
-    heads = np.linalg.solve(_den_frame(theta, m), np.pad(found[2], ((0, m - n), (0, 0))))
+    frame = _den_frame(theta, m)
+    heads = np.linalg.solve(frame, np.pad(found[2], ((0, m - n), (0, 0))))
     try:
-        model, remainder = _frame_model(shift, theta, m, heads, tol)
+        model, remainder = _frame_model(shift, theta, frame, heads, tol)
         _require_consistent(model, shift, M.working_order, tol)
     except (ExtractionError, ModelInconsistencyError):
         return None
@@ -688,22 +702,23 @@ def _long_division(w: np.ndarray, divisor: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _frame_model(
-    shift: NShift, theta: BlaschkeProduct, m: int, lead: np.ndarray, tol: ToleranceConfig
+    shift: NShift, theta: BlaschkeProduct, frame: np.ndarray, lead: np.ndarray,
+    tol: ToleranceConfig,
 ) -> tuple[SubspaceModel, float]:
     """The model whose ``M cap K'`` is spanned by ``lead`` and ``z^j theta``, ``n <= j < m``.
 
-    :func:`_peel` reads the ``phi_i`` in :func:`_tm_frame` coordinates (``m``
-    past ``2 n`` and the block of ``S``).  Over theta's ``den`` and ``num``, ``U
-    = den phi_i``, ``W = den S^{n-i} phi_i = den (z + F)^{n-i} phi_i``, ``p_i =
-    W / (z^n num)`` and ``q_i = (z^i p_i num - U) / den``, with the largest
-    relative remainder.
+    ``frame`` is :func:`_den_frame` of ``theta`` at ``m``.  :func:`_peel` reads
+    the ``phi_i`` in :func:`_tm_frame` coordinates (``m`` past ``2 n`` and the
+    block of ``S``).  Over theta's ``den`` and ``num``, ``U = den phi_i``, ``W =
+    den S^{n-i} phi_i = den (z + F)^{n-i} phi_i``, ``p_i = W / (z^n num)`` and
+    ``q_i = (z^i p_i num - U) / den``, with the largest relative remainder.
     """
-    n, (a, shifted) = shift.n, _tm_frame(theta, m)
+    n, (a, shifted) = shift.n, _tm_frame(theta, frame.shape[0] - theta.degree)
     gens = np.hstack([np.eye(a.shape[0], lead.shape[0]) @ lead, shifted[:, n:]])
     phi, _ = _peel(_lift(shift.S, a), _split(gens, tol.tau_rank)[0], n, tol)
     den, num = theta.denominator().coeffs, theta.numerator().coeffs
     step = shift.F.window(shift.F.reach(n), n)
-    dens = _den_frame(theta, m) @ phi
+    dens = frame @ phi
     p, q, worst = [], [], 0.0
     for i in range(n):
         w, head = dens[:, i], phi[:n, i]
@@ -750,7 +765,7 @@ def _closure_model(
         raise TruncationError(f"S^k f, k <= {n}, does not fit working order {nw}")
     roots = Polynomial(orbit[n:, n]).roots()
     theta = BlaschkeProduct(1.0, tuple(roots[np.abs(roots) < 1.0 - _BOUNDARY_MARGIN]))
-    model, worst = _frame_model(shift, theta, m, orbit[:m, :n], tol)
+    model, worst = _frame_model(shift, theta, _den_frame(theta, m), orbit[:m, :n], tol)
     return model, {"h_roots": roots, "division_remainder": worst}
 
 

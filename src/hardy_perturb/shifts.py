@@ -142,14 +142,16 @@ def relabeled_window(
     ``f_m -> z^m`` reads it on the monomial basis.  ``f_m = z^m`` for
     ``m >= n``, so the product differs from ``T`` only in the first ``n``
     columns, down to row ``n + deg``; a ``width`` covering that is exact,
-    and only that window is solved.  Structural zeros are snapped.
+    and only that window is solved, by one LAPACK ``ztrtrs`` call.
+    Structural zeros are snapped.
     """
     t = OperatorMatrix.toeplitz(symbol, working_order)
     g = f_basis_matrix(kernel, width)
-    x = scipy.linalg.solve_triangular(g, t.window(width) @ g, lower=True)
-    scale = max(1.0, OperatorMatrix(x, t.symbol, working_order).max_abs())
+    x = np.ascontiguousarray(scipy.linalg.lapack.ztrtrs(g, t.window(width) @ g, lower=1)[0])
+    # Outside the window the result is t, so this is its max_abs.
+    scale = max(1.0, t.max_abs(), float(np.abs(x).max()))
     x[np.abs(x) < _STRUCTURAL_ZERO * scale] = 0.0
-    return OperatorMatrix(x, t.symbol, working_order)
+    return OperatorMatrix._formed(x, t.symbol, working_order)
 
 
 def shift_from_kernel(

@@ -21,6 +21,11 @@ the library's model, shift and subspace types.  The ``taylor_*`` oracles
 compute the same model-side verdicts on that space with every vector expanded
 in Taylor coefficients to a length set by theta's zeros, where the library uses
 closed-form Takenaka-Malmquist coordinates.
+
+``model_generators`` stacks the generators one column at a time, each ``phi_i``
+from its own Taylor series of theta, and ``lift`` compresses an operator to
+those coordinates through the window of a Toeplitz operator built for it; the
+library fills one array from one series and copies no symbol for that window.
 """
 
 import numpy as np
@@ -42,7 +47,7 @@ from hardy_perturb.inner import (
 )
 from hardy_perturb.invariant import (
     _escape, _fit_polynomial_factor, _normalize_direction, _shifted_taylor, _split,
-    _vector_to_polynomial, model_generators,
+    _vector_to_polynomial,
 )
 
 
@@ -214,6 +219,34 @@ def default_tail_depth(model, nw):
     """
     slack = nw - model.n - max(model.theta.degree, 1)
     return max(4, min((nw - model.n - model.theta.degree) // 3, slack - 40))
+
+
+def model_generators(model, nw, depth):
+    """``[phi_0..phi_{n-1}, z^n theta, .., z^{n+depth} theta]`` one column at a time,
+    each ``phi_i`` from its own Taylor series of theta, and the frontier."""
+    cols = []
+    for i in range(model.n):
+        series = blaschke_taylor(model.theta, nw).coeffs
+        pc, qc = model.p[i].coeffs, model.q[i].coeffs
+        prod = np.convolve(pc, series)[:nw] if pc.size else np.zeros(nw)
+        vec = np.zeros(nw, dtype=np.complex128)
+        vec[i:] = prod[: nw - i]
+        vec[: qc.size] -= qc[:nw]
+        cols.append(vec)
+    theta = blaschke_taylor(model.theta, nw)
+    cols += [_shifted_taylor(theta.coeffs, model.n + k) for k in range(depth + 1)]
+    return np.column_stack(cols), min(nw, model.n + depth + theta.valuation(1e-14))
+
+
+def lift(op, a):
+    """``P_{K'} op`` on ``K'``: the symbol at ``a`` by Horner, plus the block's
+    departure from the window of a Toeplitz operator built for it."""
+    out = np.zeros_like(a)
+    for coeff in op.symbol[::-1]:
+        out = out @ a + coeff * np.eye(len(a))
+    k = op.block_size
+    out[:k, :k] += op.block - OperatorMatrix.toeplitz(op.symbol, k).window(k)
+    return out
 
 
 def build_subspace(model, nw, tol=DEFAULT_TOL):

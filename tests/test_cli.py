@@ -273,6 +273,44 @@ class TestSubspaceCommands:
         result = invoke(runner, ["subspace", command, "--config", str(cfg)])
         assert result.exit_code == 0
 
+    @pytest.mark.parametrize("fixture", ["rank-one", "two-perturbation"])
+    @pytest.mark.parametrize("command", ["cyclic", "codim"])
+    def test_model_verdicts_equal_a_run_without_the_frame_memo(self, runner, tmp_path,
+                                                               monkeypatch, command, fixture):
+        import hardy_perturb.cli as cli
+        import hardy_perturb.invariant as invariant
+        from hardy_perturb.invariant import _closure_model
+        from hardy_perturb.suite import _two_perturbation_example
+
+        payload = RANK_ONE
+        if fixture == "two-perturbation":
+            model, _ = _closure_model(_two_perturbation_example(64), [1.0, -0.3, 0.2])
+            payload = {**TWO_PERTURBATION, "model": model.to_json()}
+        cfg = tmp_path / "cfg.json"
+        write(cfg, payload)
+        frames = []
+        real_frame, real_consistent = invariant._tm_frame, cli._require_consistent
+        monkeypatch.setattr(invariant, "_tm_frame",
+                            lambda theta, m: frames.append(m) or real_frame(theta, m))
+        args = ["subspace", command, "--config", str(cfg)]
+        shared = invoke(runner, args)
+        reused = len(frames)
+
+        def forgetting(model, *rest):
+            report = real_consistent(model, *rest)
+            vars(model).pop("_space_memo")
+            return report
+
+        monkeypatch.setattr(cli, "_require_consistent", forgetting)
+        frames.clear()
+        cleared = invoke(runner, args)
+        assert (shared.exit_code, shared.output) == (cleared.exit_code, cleared.output)
+        # The 1-shift verdicts read the consistency check's frame; the
+        # 2-perturbation is refused by cyclic before any frame is read.
+        refused = (command, fixture) == ("cyclic", "two-perturbation")
+        assert shared.exit_code == (1 if refused else 0)
+        assert reused == 1 and len(frames) == (1 if refused else 2)
+
 
 class TestCommutantCommands:
     def test_element_with_flag_symbol(self, runner, tmp_path):

@@ -284,6 +284,25 @@ def test_power_identities_spread_the_shift_once_and_copy_no_intermediate(monkeyp
     assert not any(copies), "a product or difference copied what it had just formed"
 
 
+def test_commutant_members_copy_only_their_symbol(monkeypatch):
+    # The symbol is the caller's, so its Toeplitz operator copies it (and an
+    # empty block); the window solve, X, T and N are formed, not copied.
+    kernel = TridiagonalKernel(3, (1.0, 0.7j, 1.0), (0.5j, 0.4, -0.2))
+    shift = shift_from_kernel(kernel, 128)
+    rng = np.random.default_rng(2)
+    copies = []
+    real_copy = core._frozen_array
+    monkeypatch.setattr(core, "_frozen_array", lambda a: copies.append(a) or real_copy(a))
+    for degree in range(1, 9):
+        copies.clear()
+        element = commutant_element(random_symbol(rng, degree), kernel, 128, shift=shift)
+        assert len(copies) == 2
+        assert np.shares_memory(element.T.symbol, element.X.symbol)
+        for op in (element.X, element.T, element.N):
+            assert not op.block.flags.writeable and not op.symbol.flags.writeable
+            assert op.block.flags.c_contiguous
+
+
 # ------------------------------------------------------ negative controls --
 
 def test_perturbed_correction_is_caught(monkeypatch):
