@@ -370,15 +370,15 @@ def commutant_element_cmd(phi_text, config_path, truncation, seed, out_path,
     symbol = Polynomial(coeffs)
     element = commutant_element(symbol, kernel, cfg.truncation, cfg.tolerances, s)
     resid = element.commutation_residual
-    n_cols = element.N.entries[: min(cfg.truncation, 16), : kernel.n]
-    spill = float(np.abs(element.N.entries[:, kernel.n:]).max()) if kernel.n < cfg.truncation else 0.0
+    n_cols = element.N.window(min(cfg.truncation, 16), kernel.n)
+    spill = element.N.max_abs(cols=slice(kernel.n, None))
     body = {
         "symbol": [cpair(c) for c in symbol.coeffs],
         "commutation_residual": resid,
         "N_support_ok": spill < 1e-12,
         "N_outside_support_max": spill,
         "N_columns_head": [[cpair(v) for v in row] for row in n_cols],
-        "N_minus_F_max": float(np.abs(element.N.entries - s.F.entries).max()),
+        "N_minus_F_max": (element.N - s.F).max_abs(),
     }
     if dump_matrices:
         _dump_complex("commutant_X", element.X.entries)

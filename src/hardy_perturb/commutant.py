@@ -4,7 +4,9 @@ Every operator commuting with such a shift is ``T_phi + N`` for a bounded
 symbol ``phi``: the Toeplitz part carries the Taylor coefficients of the
 symbol down its diagonals and the correction ``N`` is supported in the
 first ``n`` columns.  Symbols here are polynomials, the dense finitely
-representable test class.
+representable test class.  Members are built in stacks: those of one kernel
+share window solves, the commutation certificate and, for hyperinvariance,
+the lift to the model space.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _SPREAD_CUT,
     DEFAULT_TOL,
     OperatorMatrix,
     ToleranceConfig,
@@ -24,8 +27,8 @@ from .core import (
 )
 from .errors import HardyPerturbError, PreconditionError
 from .inner import Polynomial
-from .invariant import SubspaceModel, _escape, _lift, _model_space, verify_model
-from .shifts import NShift, TridiagonalKernel, relabeled_window, shift_from_kernel
+from .invariant import SubspaceModel, _escape, _model_space, verify_model
+from .shifts import NShift, TridiagonalKernel, _relabeled, shift_from_kernel
 
 __all__ = [
     "CommutantElement",
@@ -62,41 +65,75 @@ def commutant_element(
     tol: ToleranceConfig | None = None,
     shift: NShift | None = None,
 ) -> CommutantElement:
-    """Build the commutant member with a given polynomial symbol.
+    """Build the commutant member with a given polynomial symbol: a stack of one.
 
     The multiplication matrix in f-basis coordinates comes from the same
     triangular change-of-basis solve as the shift construction, on the
     leading ``n + deg + 2`` window where it differs from ``T``; relabeling
     to the monomial basis gives ``X``, the Toeplitz part ``T`` shares its
-    symbol, and ``N = X - T``, none of them copied.  The structural invariants
-    (``N`` supported in the first ``n`` columns, ``X`` commuting with the
-    shift) are verified before returning; a violation signals a
-    construction bug, not bad input.  The commutation residual is kept on
-    the element.
+    symbol, and ``N = X - T``.  The structural invariants (``N`` supported in
+    the first ``n`` columns, ``X`` commuting with the shift) are verified
+    before returning; a violation signals a construction bug, not bad
+    input.  The commutation residual is kept on the element.
+    """
+    coeffs, x, n_block, resid = _members([symbol], kernel, working_order, tol, shift)
+    x_op = OperatorMatrix._formed(x[0], coeffs[0, : symbol.coeffs.size], working_order)
+    t = OperatorMatrix._formed(np.zeros((0, 0), dtype=np.complex128), x_op.symbol, working_order)
+    n_op = OperatorMatrix._formed(n_block[0], np.zeros(0, dtype=np.complex128), working_order)
+    return CommutantElement(symbol, x_op, t, n_op, float(resid[0]))
+
+
+def _members(symbols: list, kernel: TridiagonalKernel, working_order: int,
+             tol: ToleranceConfig | None, shift: NShift | None) -> tuple:
+    """``(coeffs, X, N, residuals)`` of the commutant members of ``symbols``, built together.
+
+    ``coeffs`` holds the symbols zero padded; ``X`` and ``N`` stack each
+    member's block in a leading corner, zeros past it.  ``residuals`` are
+    :func:`verify_commutation` of each ``X``, read on the windows that
+    :class:`OperatorMatrix` forms ``XS`` and ``SX`` on: past them both are
+    ``T_{z phi}``.  Members of one width share a window solve (its rounding
+    depends on the width).  Checks as in :func:`commutant_element`.
     """
     tol = tol or DEFAULT_TOL
-    if symbol.degree >= working_order - kernel.n - 2:
+    degrees = np.array([symbol.degree for symbol in symbols])
+    if degrees.max() >= working_order - kernel.n - 2:
         raise PreconditionError("symbol degree too close to the working order")
-    width = kernel.n + symbol.degree + 2
-    x = relabeled_window(kernel, symbol.coeffs, width, working_order)
-    t = OperatorMatrix._formed(np.zeros((0, 0), dtype=np.complex128), x.symbol, working_order)
-    n_op = OperatorMatrix._formed(x.block - t.window(width), np.zeros(0, dtype=np.complex128),
-                                  working_order)
-    scale = max(1.0, x.max_abs())
-    spill = n_op.max_abs(cols=slice(kernel.n, None))
-    if spill > tol.tau_res * scale:
-        raise HardyPerturbError(
-            f"internal consistency: N has column support beyond n "
-            f"(max magnitude {spill:.3e})"
-        )
-    if shift is None:
-        shift = shift_from_kernel(kernel, working_order, tol)
-    resid = verify_commutation(x, shift, tol)
-    if resid > tol.tau_res * scale:
-        raise HardyPerturbError(
-            f"internal consistency: commutation residual {resid:.3e}"
-        )
-    return CommutantElement(symbol, x, t, n_op, resid)
+    s = (shift or shift_from_kernel(kernel, working_order, tol)).S
+    if s.size != working_order:
+        raise PreconditionError("operator and shift working orders differ")
+    widths, top = kernel.n + degrees + 2, kernel.n + degrees.max() + 2
+    coeffs = np.zeros((len(symbols), degrees.max() + 1), dtype=np.complex128)
+    for row, symbol in zip(coeffs, symbols):
+        row[: symbol.coeffs.size] = symbol.coeffs
+    blocks, n_blocks = np.zeros((2, len(symbols), top, top), dtype=np.complex128)
+    scale, resid = np.zeros((2, len(symbols)))
+    for w in np.unique(widths).tolist():
+        idx = np.flatnonzero(widths == w)
+        xs_w = min(working_order, max(w, s.block_size + max(w - kernel.n - 2, 0)))
+        sx_w = min(working_order, max(s.block_size, w + s._degree))
+        size = max(xs_w, sx_w, w + 1)
+        x, t = _relabeled(kernel, coeffs[idx], w, size)
+        blocks[idx, :w, :w], n_blocks[idx, :w, :w] = x[:, :w, :w], (x - t)[:, :w, :w]
+        mags = np.abs(x)
+        scale[idx] = mags.max(axis=(1, 2), initial=1.0)
+        xs, sx = np.zeros_like(t), np.zeros_like(t)
+        xs[:, 1:] = sx[:, 1:] = t[:, :-1]
+        xs[:, :xs_w, :xs_w] = x[:, :xs_w, :xs_w] @ s.window(xs_w)
+        sx[:, :sx_w, :sx_w] = s.window(sx_w) @ x[:, :sx_w, :sx_w]
+        # verify_commutation's guard rows, from each X's band spread.
+        diag = np.subtract.outer(np.arange(size), np.arange(size))
+        below = np.where(mags > _SPREAD_CUT * mags.max(axis=(1, 2), keepdims=True), diag, 0)
+        guard = np.maximum(below.max(axis=(1, 2)), max(band_spread(s)[0], 1)) + 1
+        kept = np.arange(size) < (working_order - guard)[:, None]
+        kept = kept[:, :, None] & kept[:, None, :]
+        resid[idx] = np.where(kept, np.abs(xs - sx), 0.0).max(axis=(1, 2))
+    spill = np.abs(n_blocks[:, :, kernel.n:]).max(axis=(1, 2))
+    if (spill > tol.tau_res * scale).any():
+        raise HardyPerturbError(f"internal consistency: N has column support beyond n "
+                                f"(max magnitude {spill.max():.3e})")
+    if (resid > tol.tau_res * scale).any():
+        raise HardyPerturbError(f"internal consistency: commutation residual {resid.max():.3e}")
+    return coeffs, blocks, n_blocks, resid
 
 
 def verify_commutation(X, shift: NShift, tol: ToleranceConfig | None = None) -> float:
@@ -112,6 +149,10 @@ def verify_commutation(X, shift: NShift, tol: ToleranceConfig | None = None) -> 
     comm = x @ s - s @ x
     r = s.size - guard
     return comm.max_abs(slice(None, r), slice(None, r)) if r > 0 else 0.0
+
+
+# Most members built in one stack; bounds the memory of a stacked build.
+_STACK = 256
 
 
 def _random_symbol(rng: np.random.Generator, max_degree: int) -> Polynomial:
@@ -141,7 +182,8 @@ def hyperinvariance_check(
     turned into commutant members ``X``; the report carries the largest
     escape of the subspace under them, computed on the finite model space
     like the invariance certificate, and passes when it stays below
-    ``tau_res``.
+    ``tau_res``.  Members are built, lifted and escaped in stacks of at
+    most ``_STACK``, so memory stays bounded for any ``trials``.
     """
     tol = tol or DEFAULT_TOL
     if trials < 1:
@@ -155,11 +197,18 @@ def hyperinvariance_check(
     rng = np.random.default_rng(seed)
     worst = 0.0
     degrees = []
-    for _ in range(trials):
-        symbol = _random_symbol(rng, max_degree)
-        degrees.append(symbol.degree)
-        x = _lift(commutant_element(symbol, kernel, shift.working_order, tol, shift).X, a)
-        worst = max(worst, _escape(perp, basis.conj().T @ x @ basis))
+    eye = np.eye(len(a))
+    for start in range(0, trials, _STACK):
+        symbols = [_random_symbol(rng, max_degree) for _ in range(min(_STACK, trials - start))]
+        degrees += [symbol.degree for symbol in symbols]
+        coeffs, _, n_blocks, _ = _members(symbols, kernel, shift.working_order, tol, shift)
+        # _lift of every member at once: each symbol at A by Horner, plus N.
+        x = np.zeros((len(symbols),) + a.shape, dtype=np.complex128)
+        for coeff in coeffs.T[::-1]:
+            x = x @ a + coeff[:, None, None] * eye
+        k = n_blocks.shape[1]
+        x[:, :k, :k] += n_blocks
+        worst = max(worst, float(_escape(perp, basis.conj().T @ x @ basis).max()))
     return {
         "trials": trials,
         "seed": seed,

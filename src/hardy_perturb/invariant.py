@@ -264,11 +264,12 @@ def _lift(op: OperatorMatrix, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _escape(perp: np.ndarray, compressed: np.ndarray) -> float:
-    """How far ``op*`` moves ``M^perp`` out of itself: ``norm((I - P_M) op P_M)``."""
-    moved = compressed.conj().T @ perp
+def _escape(perp: np.ndarray, compressed: np.ndarray) -> np.ndarray | float:
+    """How far ``op*`` moves ``M^perp`` out of itself: ``norm((I - P_M) op P_M)``,
+    for one compressed ``op`` or each of a stack, by one SVD call."""
+    moved = compressed.conj().swapaxes(-1, -2) @ perp
     moved -= perp @ (perp.conj().T @ moved)
-    return float(np.linalg.norm(moved, 2)) if moved.size else 0.0
+    return np.linalg.svd(moved, compute_uv=False).max(axis=-1, initial=0.0)
 
 
 def verify_model(
@@ -316,7 +317,7 @@ def verify_model(
         "phi_vs_tail": float((np.linalg.norm(phi - basis @ coords, axis=0) / unit).max()),
         "chain": chain,
         "last_chain": float(np.linalg.norm(s_phi[:, -1] - closing) / s_norms[-1]),
-        "invariance_residual": _escape(perp, compressed),
+        "invariance_residual": float(_escape(perp, compressed)),
         "condition_limit": _CONDITION_LIMIT,
     }
     report["max_residual"] = max(report[name] for name in _CONDITIONS)

@@ -132,26 +132,33 @@ def f_basis_matrix(kernel: TridiagonalKernel, working_order: int) -> np.ndarray:
     return g
 
 
-def relabeled_window(
-    kernel: TridiagonalKernel, symbol, width: int, working_order: int
-) -> OperatorMatrix:
-    """Multiplication by a polynomial symbol in f-basis coordinates.
+def _relabeled(kernel: TridiagonalKernel, coeffs: np.ndarray, width: int, size: int) -> tuple:
+    """Multiplication by a stack of polynomial symbols in f-basis coordinates.
 
-    The matrix is ``G^{-1} T G`` with ``G`` the lower-bidiagonal f-basis
-    columns and ``T`` the Toeplitz matrix of the symbol; relabeling
-    ``f_m -> z^m`` reads it on the monomial basis.  ``f_m = z^m`` for
-    ``m >= n``, so the product differs from ``T`` only in the first ``n``
-    columns, down to row ``n + deg``; a ``width`` covering that is exact,
-    and only that window is solved, by one LAPACK ``ztrtrs`` call.
-    Structural zeros are snapped.
+    Each matrix is ``G^{-1} T G`` with ``G`` the lower-bidiagonal f-basis
+    columns and ``T`` the Toeplitz matrix of a symbol (a row of ``coeffs``);
+    relabeling ``f_m -> z^m`` reads it on the monomial basis.  ``f_m = z^m``
+    for ``m >= n``, so the product differs from ``T`` only in the first ``n``
+    columns, down to row ``n + deg``: a ``width`` covering that is exact.
+    Every window is solved by one LAPACK ``ztrtrs`` call, structural zeros
+    snapped.  Returns the leading ``size > width`` windows of the products
+    and of the ``T``.
     """
-    t = OperatorMatrix.toeplitz(symbol, working_order)
+    count = len(coeffs)
+    t = np.zeros((count, size * size), dtype=np.complex128)
+    for d in range(min(coeffs.shape[1], size)):  # diagonal d: flat d * size on, step size + 1
+        t[:, d * size :: size + 1] = coeffs[:, d, None]
+    t = t.reshape(count, size, size)
     g = f_basis_matrix(kernel, width)
-    x = np.ascontiguousarray(scipy.linalg.lapack.ztrtrs(g, t.window(width) @ g, lower=1)[0])
-    # Outside the window the result is t, so this is its max_abs.
-    scale = max(1.0, t.max_abs(), float(np.abs(x).max()))
-    x[np.abs(x) < _STRUCTURAL_ZERO * scale] = 0.0
-    return OperatorMatrix._formed(x, t.symbol, working_order)
+    rhs = (t[:, :width, :width] @ g).transpose(1, 0, 2).reshape(width, count * width)
+    x = scipy.linalg.lapack.ztrtrs(g, rhs, lower=1)[0].reshape(width, count, width)
+    x = x.transpose(1, 0, 2)
+    # Outside the window the product is T, so this is max(1, its max_abs()).
+    scale = np.maximum(np.abs(x).max(axis=(1, 2)), np.abs(t).max(axis=(1, 2), initial=1.0))
+    x[np.abs(x) < _STRUCTURAL_ZERO * scale[:, None, None]] = 0.0
+    out = t.copy()
+    out[:, :width, :width] = x
+    return out, t
 
 
 def shift_from_kernel(
@@ -171,8 +178,11 @@ def shift_from_kernel(
     tol = tol or DEFAULT_TOL
     if working_order < kernel.n + 3:
         raise TruncationError("working order too small for this kernel")
-    s = relabeled_window(kernel, Z_SYMBOL, kernel.n + 2, working_order)
+    width = kernel.n + 2
+    x, _ = _relabeled(kernel, np.array([Z_SYMBOL], dtype=np.complex128), width, width + 1)
     mz = OperatorMatrix.toeplitz(Z_SYMBOL, working_order)
+    s = OperatorMatrix._formed(np.ascontiguousarray(x[0, :width, :width]), mz.symbol,
+                               working_order)
     shift = NShift(kernel.n, s, s - mz, provenance="kernel")
     report = validate_n_shift(shift, tol)
     if not report.clause_iii:

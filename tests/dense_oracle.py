@@ -26,6 +26,10 @@ closed-form Takenaka-Malmquist coordinates.
 from its own Taylor series of theta, and ``lift`` compresses an operator to
 those coordinates through the window of a Toeplitz operator built for it; the
 library fills one array from one series and copies no symbol for that window.
+
+``member_by_member`` and ``hyperinvariance_member_by_member`` build commutant
+members one at a time, each with its own window solve, commutator, lift and
+escape; the library builds the members of one kernel together, as a stack.
 """
 
 import numpy as np
@@ -46,9 +50,10 @@ from hardy_perturb.inner import (
     _BOUNDARY_MARGIN, is_inner_numeric, is_outer_polynomial, rational_inner_from_taylor,
 )
 from hardy_perturb.invariant import (
-    _escape, _fit_polynomial_factor, _normalize_direction, _shifted_taylor, _split,
+    _fit_polynomial_factor, _model_space, _normalize_direction, _shifted_taylor, _split,
     _vector_to_polynomial,
 )
+from hardy_perturb.shifts import f_basis_matrix
 
 
 def band_spread(a, rel_tol=1e-12):
@@ -247,6 +252,52 @@ def lift(op, a):
     k = op.block_size
     out[:k, :k] += op.block - OperatorMatrix.toeplitz(op.symbol, k).window(k)
     return out
+
+
+def escape(perp, compressed):
+    """How far ``op*`` moves ``M^perp`` out of itself: ``norm((I - P_M) op P_M)``."""
+    moved = compressed.conj().T @ perp
+    moved -= perp @ (perp.conj().T @ moved)
+    return float(np.linalg.norm(moved, 2)) if moved.size else 0.0
+
+
+def relabeled_window(kernel, symbol, width, nw):
+    """``G^{-1} T G`` on the leading ``width`` window, one member at a time.
+
+    The library's former per-member relabeling: one ``ztrtrs`` call per
+    window, structural zeros snapped, Toeplitz outside the window.
+    """
+    t = OperatorMatrix.toeplitz(symbol, nw)
+    g = f_basis_matrix(kernel, width)
+    x = np.ascontiguousarray(scipy.linalg.lapack.ztrtrs(g, t.window(width) @ g, lower=1)[0])
+    scale = max(1.0, t.max_abs(), float(np.abs(x).max()))
+    x[np.abs(x) < 1e-14 * scale] = 0.0
+    return OperatorMatrix(x, t.symbol, nw)
+
+
+def member_by_member(symbol, kernel, nw, shift, tol=DEFAULT_TOL):
+    """``(X, T, N, commutation residual)`` of one commutant member, built on its own.
+
+    The library's former ``commutant_element``: its own window solve, its own
+    ``X S - S X`` through :func:`verify_commutation`.
+    """
+    x = relabeled_window(kernel, symbol.coeffs, kernel.n + symbol.degree + 2, nw)
+    t = OperatorMatrix.toeplitz(x.symbol, nw)
+    n_op = OperatorMatrix(x.block - t.window(x.block_size), size=nw)
+    return x, t, n_op, commutant.verify_commutation(x, shift, tol)
+
+
+def hyperinvariance_member_by_member(model, shift, kernel, trials, tol=DEFAULT_TOL, seed=0,
+                                     max_degree=8):
+    """Largest escape of ``M^perp`` on the model space, lifting one member at a time."""
+    a, basis, _, _, perp = _model_space(model, tol, kernel.n + max_degree + 2)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        symbol = commutant._random_symbol(rng, max_degree)
+        x = lift(member_by_member(symbol, kernel, shift.working_order, shift, tol)[0], a)
+        worst = max(worst, escape(perp, basis.conj().T @ x @ basis))
+    return worst
 
 
 def build_subspace(model, nw, tol=DEFAULT_TOL):
@@ -485,7 +536,7 @@ def taylor_verify_model(model, shift, tol=DEFAULT_TOL):
         "phi_vs_tail": float((np.linalg.norm(phi - basis @ coords, axis=0) / unit).max()),
         "chain": chain,
         "last_chain": float(np.linalg.norm(s_phi[:, -1] - closing) / s_norms[-1]),
-        "invariance_residual": _escape(perp, compressed),
+        "invariance_residual": escape(perp, compressed),
     }
     report["max_residual"] = max(v for k, v in report.items() if k != "invariance_residual")
     return report
@@ -505,7 +556,7 @@ def taylor_hyperinvariance_check(model, shift, kernel, trials, tol=DEFAULT_TOL, 
     for _ in range(trials):
         symbol = commutant._random_symbol(rng, max_degree)
         x = commutant.commutant_element(symbol, kernel, shift.working_order, tol, shift).X
-        worst = max(worst, _escape(perp, _taylor_compress(basis, x)))
+        worst = max(worst, escape(perp, _taylor_compress(basis, x)))
     return {"max_residual": worst, "passed": worst < tol.tau_res}
 
 

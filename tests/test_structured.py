@@ -285,8 +285,8 @@ def test_power_identities_spread_the_shift_once_and_copy_no_intermediate(monkeyp
 
 
 def test_commutant_members_copy_only_their_symbol(monkeypatch):
-    # The symbol is the caller's, so its Toeplitz operator copies it (and an
-    # empty block); the window solve, X, T and N are formed, not copied.
+    # The symbol is copied once, into the stack's coefficient rows, which X
+    # and T share; the window solve, X, T and N are formed, not copied.
     kernel = TridiagonalKernel(3, (1.0, 0.7j, 1.0), (0.5j, 0.4, -0.2))
     shift = shift_from_kernel(kernel, 128)
     rng = np.random.default_rng(2)
@@ -296,7 +296,7 @@ def test_commutant_members_copy_only_their_symbol(monkeypatch):
     for degree in range(1, 9):
         copies.clear()
         element = commutant_element(random_symbol(rng, degree), kernel, 128, shift=shift)
-        assert len(copies) == 2
+        assert len(copies) == 0
         assert np.shares_memory(element.T.symbol, element.X.symbol)
         for op in (element.X, element.T, element.N):
             assert not op.block.flags.writeable and not op.symbol.flags.writeable
@@ -319,10 +319,40 @@ def test_perturbed_correction_is_caught(monkeypatch):
     assert resid > 1e-8
     assert resid == pytest.approx(oracle.verify_commutation(x.entries, shift.S.entries),
                                   abs=EXACT)
-    # Handed that N by its window solve, the builder refuses to return it.
-    monkeypatch.setattr(commutant, "relabeled_window", lambda *args: x)
+    # Handed that N by its stacked window solve, the builder refuses to return it.
+    monkeypatch.setattr(commutant, "_relabeled", _bumped_solve(3, 0, 1e-6))
     with pytest.raises(HardyPerturbError, match="commutation residual"):
         commutant_element(symbol, kernel, nw, shift=shift)
+
+
+def _bumped_solve(row, col, defect, members=None):
+    """The stacked window solve, with ``defect`` added at ``(row, col)`` of the given members."""
+    real = commutant._relabeled
+
+    def bumped(kernel, coeffs, width, size):
+        x, t = real(kernel, coeffs, width, size)
+        x = x.copy()
+        x[slice(None) if members is None else members, row, col] += defect
+        return x, t
+
+    return bumped
+
+
+def test_one_defective_member_of_a_stack_is_caught(monkeypatch):
+    kernel = TridiagonalKernel(2, (1.0, 1.0), (0.6, -0.3 + 0.4j))
+    nw = 64
+    shift = shift_from_kernel(kernel, nw)
+    rng = np.random.default_rng(4)
+    symbols = [Polynomial(rng.standard_normal(4) + 1j * rng.standard_normal(4))
+               for _ in range(50)]
+    # All 50 share a width, so they share one solve; only member 17 is hit.
+    monkeypatch.setattr(commutant, "_relabeled", _bumped_solve(3, 0, 1e-6, [17]))
+    with pytest.raises(HardyPerturbError, match="commutation residual"):
+        commutant._members(symbols, kernel, nw, DEFAULT_TOL, shift)
+    # An entry past column n is a spill, whatever the commutator says.
+    monkeypatch.setattr(commutant, "_relabeled", _bumped_solve(4, kernel.n, 1e-6, [17]))
+    with pytest.raises(HardyPerturbError, match="column support beyond n"):
+        commutant._members(symbols, kernel, nw, DEFAULT_TOL, shift)
 
 
 def test_overflowing_product_is_rejected_and_intermediates_are_read_only():
@@ -347,15 +377,7 @@ def test_overflowing_product_is_rejected_and_intermediates_are_read_only():
 
 def test_commutation_row_fails_between_its_tolerance_and_the_builder_limit(monkeypatch):
     # A 1e-9 defect passes the builder's tau_res limit but not the row's 1e-10.
-    real = commutant.relabeled_window
-
-    def bumped(kernel, symbol, width, nw):
-        x = real(kernel, symbol, width, nw)
-        block = x.block.copy()
-        block[3, 0] += 1e-9
-        return OperatorMatrix(block, x.symbol, nw)
-
-    monkeypatch.setattr(commutant, "relabeled_window", bumped)
+    monkeypatch.setattr(commutant, "_relabeled", _bumped_solve(3, 0, 1e-9))
     rows = suite.check_commutant_suite(64, DEFAULT_TOL, 0)
     row = next(r for r in rows if r["claim"].startswith("commutant members commute"))
     assert 1e-10 < row["computed"] < DEFAULT_TOL.tau_res
