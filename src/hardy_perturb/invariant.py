@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import functools
-import warnings
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -71,12 +70,6 @@ _CONDITION_LIMIT = 1e-6
 _VANISHING_LIMIT = 1e-6
 # The inner-function screen fails theta when a lag correlation or its norm defect exceeds this.
 _INNER_SCREEN_LIMIT = 1e-3
-# A polynomial-factor fit stops at this relative residual.
-_FIT_STOP = 1e-9
-# A polynomial-factor fit warns when its best relative residual exceeds this.
-_FIT_WARN = 1e-7
-# A higher-degree fit replaces the best one only below this factor of its residual.
-_FIT_IMPROVEMENT = 0.9
 # Tail generators past deg theta in a built stack; also the rows it leaves past den * stack.
 _TAIL_MARGIN = 8
 # The tail-Prony fit tries denominators up to this degree, on this many rows per degree.
@@ -146,15 +139,6 @@ def s1_model(a0: complex, b0: complex, theta: BlaschkeProduct) -> SubspaceModel:
     p0 = Polynomial(np.array([1.0, (b0 / a0) * abs(t0) ** 2], dtype=np.complex128))
     q0 = Polynomial((t0 / a0) * np.array([a0 - 1.0, b0], dtype=np.complex128))
     return SubspaceModel(1, theta, (p0,), (q0,))
-
-
-def _shifted_taylor(theta_vec: np.ndarray, k: int) -> np.ndarray:
-    """Exact truncation of ``z^k theta``: coefficients shifted, overflow dropped."""
-    n = theta_vec.shape[0]
-    out = np.zeros(n, dtype=np.complex128)
-    if k < n:
-        out[k:] = theta_vec[: n - k]
-    return out
 
 
 def model_generators(
@@ -477,29 +461,51 @@ def _exact_model(M: Subspace, shift: NShift, tol: ToleranceConfig) -> SubspaceMo
     found, rank = None, 0
     for v in range(frontier - n + 1):
         rem = _long_division(p, np.concatenate([np.zeros(n + v), P.polyfromroots(zeros)]))[1]
-        u, s, _ = np.linalg.svd(rem, full_matrices=False)
+        s = np.linalg.svd(rem, compute_uv=False)
         rank = int(np.count_nonzero(s > tol.tau_rank * np.linalg.norm(den)))
         if rank > n:
             break
-        found = (v, rank, u[:, :n])
+        found = (v, rank, rem)
     if rank <= n or found is None or found[1] != n or M.dim != frontier - found[0] + 1:
         return None
-    ref = BlaschkeProduct(1.0, tuple(np.concatenate([np.zeros(found[0]), zeros])))
-    head = blaschke_taylor(ref, ref.degree + 1).coeffs
-    lead = head[np.flatnonzero(np.abs(head) > tol.tau_rank)[0]]
-    theta = BlaschkeProduct(abs(lead) / lead, ref.zeros)
-    m = max(2 * n, shift.S.block_size) + 1
-    frame = _den_frame(theta, m)
-    heads = np.linalg.solve(frame, np.pad(found[2], ((0, m - n), (0, 0))))
     try:
-        model, remainder = _frame_model(shift, theta, frame, heads, tol)
-        _require_consistent(model, shift, M.working_order, tol)
+        model = _divided_model(shift, np.concatenate([np.zeros(found[0]), zeros]), found[2],
+                               M.working_order, tol)
     except (ExtractionError, ModelInconsistencyError):
         return None
     spanned = M.invariant_certified or principal_angles(
         M, orthonormalize(model_generators(model, M.working_order, M.dim - n - 1)[0], tol)
     ).max() <= tol.tau_angle
-    return model if remainder <= _CONDITION_LIMIT and spanned else None
+    return model if spanned else None
+
+
+def _divided_model(
+    shift: NShift, zeros: tuple | np.ndarray, rem: np.ndarray, working_order: int,
+    tol: ToleranceConfig,
+) -> SubspaceModel:
+    """The model of ``M`` from ``rem = den h mod z^n prod (z - a)`` over columns ``h`` of ``M``.
+
+    ``a`` runs over theta's ``zeros`` (origin included) and ``den`` is theta's
+    denominator, so ``rem`` is ``den P_K h``, ``K = H^2 (-) z^n theta H^2``; its
+    range, solved against :func:`_den_frame`, is ``M cap K`` for :func:`_frame_model`.
+    Theta's first significant Taylor coefficient is made positive real.  Certificate:
+    division remainder at most ``_CONDITION_LIMIT`` (else :class:`ExtractionError`),
+    then :func:`_require_consistent`.
+    """
+    n = shift.n
+    u = np.linalg.svd(rem, full_matrices=False)[0][:, :n]
+    ref = BlaschkeProduct(1.0, tuple(zeros))
+    head = blaschke_taylor(ref, ref.degree + 1).coeffs
+    lead = head[np.flatnonzero(np.abs(head) > tol.tau_rank)[0]]
+    theta = BlaschkeProduct(abs(lead) / lead, ref.zeros)
+    m = max(2 * n, shift.S.block_size) + 1
+    frame = _den_frame(theta, m)
+    heads = np.linalg.solve(frame, np.pad(u, ((0, m - n), (0, 0))))
+    model, remainder = _frame_model(shift, theta, frame, heads, tol)
+    if remainder > _CONDITION_LIMIT:
+        raise ExtractionError(f"division remainder {remainder:.3e} exceeds {_CONDITION_LIMIT:.0e}")
+    _require_consistent(model, shift, working_order, tol)
+    return model
 
 
 def _normalize_direction(vec: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
@@ -515,78 +521,6 @@ def _normalize_direction(vec: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     return out * (abs(lead) / lead)
 
 
-def _fit_polynomial_factor(
-    target: np.ndarray,
-    theta_coeffs: np.ndarray,
-    offset: int,
-    tol: ToleranceConfig,
-    max_degree: int = 24,
-) -> tuple[Polynomial, float]:
-    """Least-squares fit of ``p`` in ``target = z^offset p theta``.
-
-    Columns are the shifted theta expansions, which are near-orthonormal
-    because theta is inner; the residual drop detects the polynomial degree
-    without the noise amplification a raw series division suffers when
-    ``1/theta`` has poles inside the disc.
-    """
-    nw = target.shape[0]
-    dmax = min(max_degree, max(0, nw - offset - 8))
-    rows = min(nw, offset + dmax + max(24, theta_coeffs.shape[0] // 4))
-    cols = np.column_stack(
-        [_shifted_taylor(theta_coeffs, offset + d)[:rows] for d in range(dmax + 1)]
-    )
-    t = target[:rows]
-    scale = np.linalg.norm(t)
-    if scale == 0.0:
-        return Polynomial(np.zeros(0)), 0.0
-    best: tuple[Polynomial, float] | None = None
-    for d in range(dmax + 1):
-        sol, *_ = np.linalg.lstsq(cols[:, : d + 1], t, rcond=None)
-        resid = float(np.linalg.norm(cols[:, : d + 1] @ sol - t) / scale)
-        if best is None or resid < best[1] * _FIT_IMPROVEMENT:
-            best = (Polynomial(sol), resid)
-        if resid < _FIT_STOP:
-            return Polynomial(sol), resid
-    poly, resid = best
-    if resid > _FIT_WARN:
-        warnings.warn(
-            f"no polynomial factor up to degree {dmax} matches "
-            f"(best relative residual {resid:.3e})",
-            stacklevel=3,
-        )
-    return poly, resid
-
-
-def _vector_to_polynomial(
-    vec: TruncatedVector,
-    tol: ToleranceConfig,
-    label: str,
-    cutoff: float | None = None,
-) -> tuple[Polynomial, float]:
-    """Truncate a coefficient slice to a polynomial, reporting the tail.
-
-    ``cutoff`` overrides the relative significance threshold; extraction
-    passes its measured noise floor so noise never masquerades as degree.
-    """
-    floor = 0.0 if cutoff is None else cutoff
-    c = vec.coeffs.copy()
-    scale = float(np.abs(c).max()) if c.size else 0.0
-    threshold = max(tol.tau_rank * scale, floor)
-    if scale == 0.0 or scale <= threshold:
-        return Polynomial(np.zeros(0)), float(np.linalg.norm(c))
-    sig = np.flatnonzero(np.abs(c) > threshold)
-    degree = int(sig[-1])
-    tail = float(np.linalg.norm(c[degree + 1 :]))
-    if degree >= vec.working_order - 4:
-        warnings.warn(
-            f"{label} does not truncate to a polynomial inside the coefficient "
-            f"window (significant coefficients up to index {degree}, "
-            f"tail norm {tail:.3e})",
-            stacklevel=3,
-        )
-    return Polynomial(c[: degree + 1]), tail
-
-
 def extract_model(
     M: Subspace,
     shift: NShift,
@@ -597,10 +531,10 @@ def extract_model(
     :func:`_exact_model` reads a certified stack with a frontier, such as
     :func:`build_subspace` returns.  Otherwise this peels the wandering
     vectors ``phi_j`` of the nested images ``S^j M``, identifies the
-    plain-shift wandering vector of ``S^n M`` with ``z^n theta``, rationalizes
-    ``theta`` into a finite Blaschke product, and fits each ``p_i`` in
-    ``S^{n-i} phi_i = z^n p_i theta`` against shifted theta expansions (then
-    ``q_i = z^i p_i theta - phi_i``).
+    plain-shift wandering vector of ``S^n M`` with ``z^n theta`` and
+    rationalizes ``theta`` into a finite Blaschke product; ``p_i`` and ``q_i``
+    follow from ``den phi_i`` (rows up to ``M.frontier``) by the exact path's
+    division, under its certificate (:func:`_divided_model`).
 
     Every stage lies in ``M``, which holds ``S M``, so :func:`_peel` runs in
     coordinates of ``M.basis`` from the split :func:`wandering_dimension`
@@ -616,14 +550,13 @@ def extract_model(
     tol = tol or DEFAULT_TOL
     n = shift.n
     nw = M.working_order
-    s = shift.S
     _require_invariant(M, shift, tol)
 
     found = _recovery(M, shift, tol)
     if isinstance(found, SubspaceModel):
         return found
     empty = _truncation_error(M) if M.invariant_certified else None
-    phi_dirs, (cur, image) = _peel(s, M.basis, n, tol, found, empty)
+    phi_dirs, (cur, image) = _peel(shift.S, M.basis, n, tol, found, empty)
     g, _ = _peel(OperatorMatrix.toeplitz(Z_SYMBOL, nw), cur @ image, 1, tol)
     gvec = g[:, 0]
     if np.abs(gvec[:n]).max(initial=0.0) > _VANISHING_LIMIT:
@@ -636,33 +569,15 @@ def extract_model(
     theta_vec = TruncatedVector(theta_raw[:theta_window])
     # Fast-fail screen; lags stay inside half the theta window because the
     # high lags are dominated by the truncated theta tail.  The decisive
-    # validation is the rational reconstruction below.
+    # validation is the division's certificate below.
     _, diag = is_inner_numeric(theta_vec, tol, max_lag=min(24, theta_vec.working_order // 2))
     if diag["max_correlation"] > _INNER_SCREEN_LIMIT or diag["norm_defect"] > _INNER_SCREEN_LIMIT:
         raise ExtractionError(f"extracted tail generator fails the inner test: {diag}")
-    theta_b = rational_inner_from_taylor(theta_vec, tol)
-    theta_exact = blaschke_taylor(theta_b, nw)
-
-    p_list, q_list = [], []
-    for i in range(n):
-        img = phi_dirs[:, i]
-        for _ in range(n - i):
-            img = s @ img
-        p_i, p_resid = _fit_polynomial_factor(img, theta_exact.coeffs, n, tol)
-        prod = (
-            np.convolve(p_i.coeffs, theta_exact.coeffs)[:nw]
-            if p_i.coeffs.size
-            else np.zeros(nw, dtype=np.complex128)
-        )
-        q_raw = _shifted_taylor(prod, i) - phi_dirs[:, i]
-        q_i, _ = _vector_to_polynomial(
-            TruncatedVector(q_raw[: min(theta_vec.working_order, 48)]), tol, f"q_{i}",
-            cutoff=10.0 * p_resid,
-        )
-        p_list.append(p_i)
-        q_list.append(q_i)
-
-    return SubspaceModel(n, theta_b, tuple(p_list), tuple(q_list))
+    theta = rational_inner_from_taylor(theta_vec, tol)
+    rows, den = nw if M.frontier is None else M.frontier, theta.denominator().coeffs
+    dh = np.column_stack([np.convolve(den, phi)[:rows] for phi in phi_dirs[:rows].T])
+    divisor = np.concatenate([np.zeros(n), P.polyfromroots(theta.zeros)])
+    return _divided_model(shift, theta.zeros, _long_division(dh, divisor)[1], nw, tol)
 
 
 def _peel(s: np.ndarray | OperatorMatrix, cur: np.ndarray, stages: int, tol: ToleranceConfig,

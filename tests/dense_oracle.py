@@ -9,9 +9,12 @@ symbol.
 
 ``extract_model`` is the range side's orthogonal peel on N-row subspaces: each
 stage is split under the dense ``S`` and ``S M_j`` is re-orthonormalized at N
-rows; the library peels in coordinates of the input basis, or reads a
-certified generator stack exactly.  ``build_subspace`` builds the deep
-generator stacks this peel needs, at ``default_tail_depth``.
+rows, and ``p_i`` and ``q_i`` are fitted by least squares against shifted theta
+expansions (``_fit_polynomial_factor``, ``_vector_to_polynomial``); the library
+peels in coordinates of the input basis, or reads a certified generator stack
+exactly, and reads ``p_i`` and ``q_i`` by exact division on every path.
+``build_subspace`` builds the deep generator stacks this peel needs, at
+``default_tail_depth``.
 
 The model-side oracles (``verify_model``, ``finite_codimension``,
 ``hyperinvariance_check``, ``check_cyclic``) check a subspace model on
@@ -32,6 +35,8 @@ members one at a time, each with its own window solve, commutator, lift and
 escape; the library builds the members of one kernel together, as a stack.
 """
 
+import warnings
+
 import numpy as np
 import scipy.linalg
 
@@ -49,10 +54,7 @@ from hardy_perturb.errors import (
 from hardy_perturb.inner import (
     _BOUNDARY_MARGIN, is_inner_numeric, is_outer_polynomial, rational_inner_from_taylor,
 )
-from hardy_perturb.invariant import (
-    _fit_polynomial_factor, _model_space, _normalize_direction, _shifted_taylor, _split,
-    _vector_to_polynomial,
-)
+from hardy_perturb.invariant import _model_space, _normalize_direction, _split
 from hardy_perturb.shifts import f_basis_matrix
 
 
@@ -347,14 +349,77 @@ def verify_model(model, shift, nw, tol=DEFAULT_TOL, depth=None):
     return report
 
 
+def _shifted_taylor(theta_vec, k):
+    """Exact truncation of ``z^k theta``: coefficients shifted, overflow dropped."""
+    n = theta_vec.shape[0]
+    out = np.zeros(n, dtype=np.complex128)
+    if k < n:
+        out[k:] = theta_vec[: n - k]
+    return out
+
+
+def _fit_polynomial_factor(target, theta_coeffs, offset, tol, max_degree=24):
+    """Least-squares fit of ``p`` in ``target = z^offset p theta``, and its residual.
+
+    Columns are the shifted theta expansions, near-orthonormal because theta is
+    inner; the fit stops at relative residual 1e-9, a higher degree replaces the
+    best only below 0.9 of its residual, and a best residual above 1e-7 warns.
+    """
+    nw = target.shape[0]
+    dmax = min(max_degree, max(0, nw - offset - 8))
+    rows = min(nw, offset + dmax + max(24, theta_coeffs.shape[0] // 4))
+    cols = np.column_stack(
+        [_shifted_taylor(theta_coeffs, offset + d)[:rows] for d in range(dmax + 1)]
+    )
+    t = target[:rows]
+    scale = np.linalg.norm(t)
+    if scale == 0.0:
+        return Polynomial(np.zeros(0)), 0.0
+    best = None
+    for d in range(dmax + 1):
+        sol, *_ = np.linalg.lstsq(cols[:, : d + 1], t, rcond=None)
+        resid = float(np.linalg.norm(cols[:, : d + 1] @ sol - t) / scale)
+        if best is None or resid < best[1] * 0.9:
+            best = (Polynomial(sol), resid)
+        if resid < 1e-9:
+            return Polynomial(sol), resid
+    poly, resid = best
+    if resid > 1e-7:
+        warnings.warn(f"no polynomial factor up to degree {dmax} matches "
+                      f"(best relative residual {resid:.3e})", stacklevel=3)
+    return poly, resid
+
+
+def _vector_to_polynomial(vec, tol, label, cutoff=None):
+    """Truncate a coefficient slice to a polynomial, reporting the tail.
+
+    ``cutoff`` overrides the relative significance threshold; extraction
+    passes its measured noise floor so noise never masquerades as degree.
+    """
+    floor = 0.0 if cutoff is None else cutoff
+    c = vec.coeffs.copy()
+    scale = float(np.abs(c).max()) if c.size else 0.0
+    threshold = max(tol.tau_rank * scale, floor)
+    if scale == 0.0 or scale <= threshold:
+        return Polynomial(np.zeros(0)), float(np.linalg.norm(c))
+    sig = np.flatnonzero(np.abs(c) > threshold)
+    degree = int(sig[-1])
+    tail = float(np.linalg.norm(c[degree + 1 :]))
+    if degree >= vec.working_order - 4:
+        warnings.warn(f"{label} does not truncate to a polynomial inside the coefficient "
+                      f"window (significant coefficients up to index {degree}, "
+                      f"tail norm {tail:.3e})", stacklevel=3)
+    return Polynomial(c[: degree + 1]), tail
+
+
 def extract_model(M, shift, tol=DEFAULT_TOL):
     """The model of an invariant subspace, peeled on N-row subspaces.
 
     Stage ``j`` splits ``M_j`` under the dense ``S`` and re-orthonormalizes
     ``S M_j`` at N rows, one row of frontier further each time; ``S^n M`` is
     split under the dense ``M_z`` and theta is read up to 8 coefficients below
-    its frontier.  Theta, ``p_i`` and ``q_i`` are then fitted with the
-    library's helpers.
+    its frontier.  Theta is rationalized as the library does; ``p_i`` and ``q_i``
+    are fitted by least squares.
     """
     n, nw = shift.n, M.working_order
     s = shift.S.entries

@@ -10,8 +10,12 @@ rows under the dense ``S`` and ``M_z``, on stacks at its own deep
 ``default_tail_depth``.  On each input both must raise the same exception type
 or give the same model: theta's zeros within 1e-8 under the best matching (its
 Taylor coefficients for repeated zeros), and every ``p_i`` and ``q_i`` within
-1e-8 relative.
+1e-8 relative.  The peel ends in the exact path's division: on criterion 6's
+closures it must give ``_closure_model``'s theta and ``phi_i``, and a wrong
+theta must fail the division certificate.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -292,6 +296,60 @@ def test_criterion_6_closures_take_the_orthogonal_path():
         space = krylov_closure(shift, seed_vec, 40)
         assert wandering_dimension(space, shift) == 1
         assert not read_exactly(space)
+
+
+def criterion_6_closures():
+    """Criterion 6's 100 conditioned trials: shift, seed and depth-40 Krylov closure."""
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        _, shift, seed_vec = sample_conditioned_trial(rng, 128, 40)
+        yield shift, seed_vec, krylov_closure(shift, seed_vec, 40)
+
+
+def unit_gap(a, b):
+    """Distance between the unit vectors along ``a`` and ``b``, phases aligned."""
+    a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
+    inner = np.vdot(b, a)
+    return float(np.linalg.norm(a - b * inner / abs(inner)))
+
+
+def test_criterion_6_closures_match_their_exact_closure_models():
+    # The orthogonal peel ends in the exact division: each closure gives the
+    # theta and phi_i directions of _closure_model on the same seed, with no warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for shift, seed_vec, space in criterion_6_closures():
+            got = extract_model(space, shift)
+            want, _ = _closure_model(shift, seed_vec.coeffs)
+            a, b = np.asarray(got.theta.zeros), np.asarray(want.theta.zeros)
+            rows, cols = linear_sum_assignment(np.abs(a[:, None] - b[None, :]))
+            assert a.size == b.size and np.abs(a[rows] - b[cols]).max(initial=0.0) < 1e-10
+            for i in range(shift.n):
+                assert unit_gap(got.phi(i, 128).coeffs, want.phi(i, 128).coeffs) < 1e-10
+
+
+def test_a_wrong_theta_fails_the_division_certificate(monkeypatch):
+    # Theta's first zero moved by a relative 1e-3 leaves a division remainder
+    # far above the limit; a constant theta has no zero to move.
+    rational = invariant.rational_inner_from_taylor
+
+    def moved(vec, tol):
+        theta = rational(vec, tol)
+        if not theta.zeros:
+            return theta
+        return BlaschkeProduct(theta.constant, (theta.zeros[0] * (1 + 1e-3),) + theta.zeros[1:])
+
+    honest = [extract_model(space, shift) for shift, _, space in criterion_6_closures()]
+    monkeypatch.setattr(invariant, "rational_inner_from_taylor", moved)
+    refused = 0
+    for want, (shift, _, space) in zip(honest, criterion_6_closures()):
+        if want.theta.degree:
+            with pytest.raises(ExtractionError, match=r"division remainder .* exceeds 1e-06"):
+                extract_model(space, shift)
+            refused += 1
+        else:
+            assert_same_model(extract_model(space, shift), want)
+    assert refused == 79
 
 
 def test_factored_widths_follow_the_structure(monkeypatch):
