@@ -92,13 +92,9 @@ def _jsonify(x):
     raise TypeError(f"not JSON serializable: {type(x)}")
 
 
-def _dump_matrix(path: str, matrix: np.ndarray) -> None:
-    np.savetxt(path, matrix, fmt="%.17g", delimiter=",")
-
-
 def _dump_complex(path_stem: str, matrix: np.ndarray) -> None:
-    _dump_matrix(path_stem + "_re.csv", matrix.real)
-    _dump_matrix(path_stem + "_im.csv", matrix.imag)
+    for part, values in (("re", matrix.real), ("im", matrix.imag)):
+        np.savetxt(f"{path_stem}_{part}.csv", values, fmt="%.17g", delimiter=",")
 
 
 def common_options(fn):

@@ -21,13 +21,10 @@ from .core import (
     OperatorMatrix,
     ToleranceConfig,
     band_spread,
-    invariance_residual,
-    krylov_closure,
-    TruncatedVector,
 )
 from .errors import HardyPerturbError, PreconditionError
 from .inner import Polynomial
-from .invariant import SubspaceModel, _escape, _model_space, verify_model
+from .invariant import SubspaceModel, _closure_model, _escape, _lift, _model_space, verify_model
 from .shifts import NShift, TridiagonalKernel, _relabeled, shift_from_kernel
 
 __all__ = [
@@ -76,37 +73,36 @@ def commutant_element(
     before returning; a violation signals a construction bug, not bad
     input.  The commutation residual is kept on the element.
     """
-    coeffs, x, n_block, resid = _members([symbol], kernel, working_order, tol, shift)
+    coeffs, x, n_block, resid = _members(symbol.coeffs[None], kernel, working_order, tol, shift)
     x_op = OperatorMatrix._formed(x[0], coeffs[0, : symbol.coeffs.size], working_order)
     t = OperatorMatrix._formed(np.zeros((0, 0), dtype=np.complex128), x_op.symbol, working_order)
     n_op = OperatorMatrix._formed(n_block[0], np.zeros(0, dtype=np.complex128), working_order)
     return CommutantElement(symbol, x_op, t, n_op, float(resid[0]))
 
 
-def _members(symbols: list, kernel: TridiagonalKernel, working_order: int,
+def _members(coeffs: np.ndarray, kernel: TridiagonalKernel, working_order: int,
              tol: ToleranceConfig | None, shift: NShift | None) -> tuple:
-    """``(coeffs, X, N, residuals)`` of the commutant members of ``symbols``, built together.
+    """``(coeffs, X, N, residuals)`` of the commutant members of symbol rows, built together.
 
-    ``coeffs`` holds the symbols zero padded; ``X`` and ``N`` stack each
-    member's block in a leading corner, zeros past it.  ``residuals`` are
+    Row ``j`` of ``coeffs`` holds symbol ``j``'s coefficients, zero padded;
+    the returned ``coeffs`` is cut to the largest degree.  ``X`` and ``N``
+    stack each member's block in a leading corner, zeros past it.  ``residuals`` are
     :func:`verify_commutation` of each ``X``, read on the windows that
     :class:`OperatorMatrix` forms ``XS`` and ``SX`` on: past them both are
     ``T_{z phi}``.  Members of one width share a window solve (its rounding
     depends on the width).  Checks as in :func:`commutant_element`.
     """
     tol = tol or DEFAULT_TOL
-    degrees = np.array([symbol.degree for symbol in symbols])
+    degrees = np.where(coeffs != 0, np.arange(coeffs.shape[1]), -1).max(axis=1, initial=-1)
     if degrees.max() >= working_order - kernel.n - 2:
         raise PreconditionError("symbol degree too close to the working order")
     s = (shift or shift_from_kernel(kernel, working_order, tol)).S
     if s.size != working_order:
         raise PreconditionError("operator and shift working orders differ")
     widths, top = kernel.n + degrees + 2, kernel.n + degrees.max() + 2
-    coeffs = np.zeros((len(symbols), degrees.max() + 1), dtype=np.complex128)
-    for row, symbol in zip(coeffs, symbols):
-        row[: symbol.coeffs.size] = symbol.coeffs
-    blocks, n_blocks = np.zeros((2, len(symbols), top, top), dtype=np.complex128)
-    scale, resid = np.zeros((2, len(symbols)))
+    coeffs = coeffs[:, : degrees.max() + 1]
+    blocks, n_blocks = np.zeros((2, len(coeffs), top, top), dtype=np.complex128)
+    scale, resid = np.zeros((2, len(coeffs)))
     for w in np.unique(widths).tolist():
         idx = np.flatnonzero(widths == w)
         xs_w = min(working_order, max(w, s.block_size + max(w - kernel.n - 2, 0)))
@@ -155,12 +151,14 @@ def verify_commutation(X, shift: NShift, tol: ToleranceConfig | None = None) -> 
 _STACK = 256
 
 
-def _random_symbol(rng: np.random.Generator, max_degree: int) -> Polynomial:
-    deg = int(rng.integers(1, max_degree + 1))
-    radii = np.sqrt(rng.uniform(0.0, 1.0, deg + 1))
-    phases = rng.uniform(0.0, 2 * np.pi, deg + 1)
-    coeffs = radii * np.exp(1j * phases)
-    return Polynomial(coeffs)
+def _random_symbols(rng: np.random.Generator, count: int, max_degree: int) -> np.ndarray:
+    """``count`` zero-padded symbols: degrees uniform in 1..max_degree, coefficients in the disc."""
+    squares, turns = np.zeros((2, count, max_degree + 1))
+    for row in range(count):
+        deg = int(rng.integers(1, max_degree + 1))
+        squares[row, : deg + 1] = rng.random(deg + 1)
+        turns[row, : deg + 1] = rng.random(deg + 1)
+    return np.sqrt(squares) * np.exp(1j * (2 * np.pi * turns))
 
 
 def hyperinvariance_check(
@@ -199,11 +197,11 @@ def hyperinvariance_check(
     degrees = []
     eye = np.eye(len(a))
     for start in range(0, trials, _STACK):
-        symbols = [_random_symbol(rng, max_degree) for _ in range(min(_STACK, trials - start))]
-        degrees += [symbol.degree for symbol in symbols]
-        coeffs, _, n_blocks, _ = _members(symbols, kernel, shift.working_order, tol, shift)
+        drawn = _random_symbols(rng, min(_STACK, trials - start), max_degree)
+        coeffs, _, n_blocks, _ = _members(drawn, kernel, shift.working_order, tol, shift)
+        degrees.append(coeffs.shape[1] - 1)
         # _lift of every member at once: each symbol at A by Horner, plus N.
-        x = np.zeros((len(symbols),) + a.shape, dtype=np.complex128)
+        x = np.zeros((len(coeffs),) + a.shape, dtype=np.complex128)
         for coeff in coeffs.T[::-1]:
             x = x @ a + coeff[:, None, None] * eye
         k = n_blocks.shape[1]
@@ -227,41 +225,52 @@ def irreducibility_probe(
 ) -> dict:
     """Check that no sampled nontrivial invariant subspace is reducing.
 
-    A reducing subspace would also be invariant under the adjoint; for each
-    sampled invariant subspace the probe records the adjoint escape
-    ``norm((I - P) S* P)``, which must stay above ``tau_res`` away from the
-    trivial subspaces.
+    Each sample records the adjoint escape ``norm(P_M S P_{M^perp})``, which
+    is 0 for a reducing ``M`` and must stay above ``tau_res``.  By default the
+    samples are the exact models (:func:`_closure_model`) of the cyclic closures
+    of three seeded polynomials, with their codimension (0, the whole space,
+    is trivial); ``S`` maps ``M^perp`` into ``K'``, so the escape is exact in
+    :func:`_model_space` coordinates.  Caller-given subspaces carry their
+    dimension and get ``S*`` applied below the frontier less ``S``'s band spread.
     """
     tol = tol or DEFAULT_TOL
-    nw = shift.working_order
+    samples = []
     if subspaces is None:
         rng = np.random.default_rng(seed)
-        subspaces = []
-        depth = min((nw - 2) // max(band_spread(shift.S)[0], 1), nw // 2)
         for _ in range(3):
             deg = int(rng.integers(1, 5))
             coeffs = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
-            seed_vec = TruncatedVector.from_coefficients(coeffs, nw)
-            subspaces.append(krylov_closure(shift, seed_vec, depth, tol))
-    samples = []
-    reducing_found = False
-    adjoint = shift.S.entries.conj().T
-    for M in subspaces:
-        if M.dim == 0 or M.dim == nw:
-            samples.append({"dimension": M.dim, "skipped": "trivial"})
-            continue
-        rows = M.frontier if M.frontier is not None else M.working_order
-        rows = max(1, rows - band_spread(shift.S)[0] - 1)
-        escape = invariance_residual(M, adjoint, rows=rows)
-        is_reducing = escape <= tol.tau_res
-        reducing_found = reducing_found or is_reducing
-        samples.append({
-            "dimension": M.dim,
-            "adjoint_escape": escape,
-            "reducing": is_reducing,
-        })
-    return {
-        "samples": samples,
-        "nontrivial_reducing_found": reducing_found,
-        "passed": not reducing_found,
-    }
+            model, _ = _closure_model(shift, coeffs, tol)
+            a, basis, _, _, perp = _model_space(model, tol, shift.S.block_size)
+            samples.append({"codimension": perp.shape[1]})
+            if perp.shape[1]:  # _escape of op = S*: how far S moves M^perp out of itself
+                escape = _escape(basis @ perp, _lift(shift.S, a).conj().T)
+                samples[-1]["adjoint_escape"] = float(escape)
+    else:
+        spread = band_spread(shift.S)[0]
+        for M in subspaces:
+            samples.append({"dimension": M.dim})
+            if 0 < M.dim < M.working_order:
+                rows = M.frontier if M.frontier is not None else M.working_order
+                image = _adjoint_image(shift.S, M.basis)
+                resid = (image - M.basis @ (M.basis.conj().T @ image))[: max(1, rows - spread - 1)]
+                samples[-1]["adjoint_escape"] = float(np.linalg.norm(resid, 2))
+    for sample in samples:
+        if "adjoint_escape" in sample:
+            sample["reducing"] = sample["adjoint_escape"] <= tol.tau_res
+        else:
+            sample["skipped"] = "trivial"
+    reducing_found = any(sample.get("reducing", False) for sample in samples)
+    return {"samples": samples, "nontrivial_reducing_found": reducing_found,
+            "passed": not reducing_found}
+
+
+def _adjoint_image(op: OperatorMatrix, x: np.ndarray) -> np.ndarray:
+    """``op* x`` for a column stack ``x``, one sliced add per symbol diagonal like ``op @ x``."""
+    k = op.block_size
+    out = np.zeros(x.shape, dtype=np.complex128)
+    out[:k] = op.block.conj().T @ x[:k]
+    for d in np.flatnonzero(op.symbol):
+        top = max(k, d)
+        out[top - d: op.size - d] += np.conj(op.symbol[d]) * x[top:]
+    return out

@@ -10,7 +10,8 @@ wrapped in three small value types:
   its subspace's ``frontier``.
 * :class:`OperatorMatrix` holds an operator in the monomial basis (column
   ``m`` is the image of ``z**m``) as a lower Toeplitz symbol plus a finite
-  leading block; its dense matrix is built only when ``entries`` is read.
+  leading block; ``entries``, its dense matrix, is built anew on each read
+  and kept nowhere.
 * :class:`Subspace` holds an orthonormal basis of a finite-dimensional
   approximation of a closed subspace.
 
@@ -34,7 +35,6 @@ __all__ = [
     "TruncatedVector",
     "OperatorMatrix",
     "Subspace",
-    "as_matrix",
     "band_spread",
     "invariance_residual",
     "krylov_closure",
@@ -153,13 +153,6 @@ class TruncatedVector:
         full[: c.shape[0]] = c
         return cls(full)
 
-    @classmethod
-    def monomial(cls, k: int, working_order: int) -> "TruncatedVector":
-        if not 0 <= k < working_order:
-            raise DimensionMismatchError("monomial degree outside working order")
-        c = np.zeros(working_order, dtype=np.complex128)
-        c[k] = 1.0
-        return cls(c)
 
 
 # Default relative cut of band_spread; an OperatorMatrix caches its spread at it.
@@ -217,8 +210,8 @@ class OperatorMatrix:
     the symbols, and cost nothing of order ``size**2`` unless a block is that
     large.  A window writes only the nonzero symbol diagonals, one strided
     slice each, so ``M_z**10`` costs one diagonal, not eleven.
-    ``entries``, the dense matrix, is built on first access and cached
-    read-only.
+    ``entries``, the dense matrix, is a read-only view built on each read
+    and not kept; the library reads it only to dump a matrix.
 
     Arrays handed to the constructor are copied; the blocks and symbols of
     products and differences, which the operations form themselves, are
@@ -268,8 +261,9 @@ class OperatorMatrix:
     def shape(self) -> tuple[int, int]:
         return self.size, self.size
 
-    @functools.cached_property
+    @property
     def entries(self) -> np.ndarray:
+        """The dense matrix: the block when it is the whole matrix, else a new read-only array."""
         if self.block_size == self.size:
             return self.block
         dense = self.window(self.size)
@@ -378,13 +372,6 @@ def multiplication_by_z_matrix(working_order: int) -> np.ndarray:
     return m
 
 
-def as_matrix(op) -> np.ndarray:
-    """Coerce an OperatorMatrix or a raw array to its ndarray."""
-    if isinstance(op, OperatorMatrix):
-        return op.entries
-    return np.asarray(op, dtype=np.complex128)
-
-
 def _as_operator(T) -> OperatorMatrix | np.ndarray:
     """The OperatorMatrix of an n-shift or an OperatorMatrix; a raw array as it is.
 
@@ -490,11 +477,19 @@ def rank_report(a, tol: ToleranceConfig | None = None) -> dict:
     """Rank plus diagnostics about the singular-value gap at the cutoff.
 
     Ties near the cutoff are never silently rounded; the report carries the
-    singular values bracketing the cutoff and their ratio.
+    singular values bracketing the cutoff and their ratio.  An operator whose
+    symbol vanishes outside its block (every ``F``) is its block bordered by
+    zeros and is ranked on the block; any other operator on its dense matrix
+    (no caller in the library ranks one).
     """
     tol = tol or DEFAULT_TOL
-    mat = a.basis if isinstance(a, Subspace) else as_matrix(a)
+    if isinstance(a, OperatorMatrix):
+        mat = a.window(a.size) if a.symbol[a._present()].any() else a.block
+    else:
+        mat = a.basis if isinstance(a, Subspace) else np.asarray(a, dtype=np.complex128)
     s = np.linalg.svd(mat, compute_uv=False) if mat.size else np.zeros(0)
+    if isinstance(a, OperatorMatrix) and s.size < a.size:
+        s = np.append(s, 0.0)  # the zero rows and columns past the block
     rank, gap = _rank_cut(s, tol.tau_rank)
     if rank == 0:
         return {"rank": 0, "sigma_max": 0.0, "sigma_at_cut": None,

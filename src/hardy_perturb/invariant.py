@@ -243,7 +243,7 @@ def _lift(op: OperatorMatrix, a: np.ndarray) -> np.ndarray:
     for coeff in op.symbol[::-1]:
         out = out @ a + coeff * np.eye(len(a))
     k = op.block_size
-    toeplitz = OperatorMatrix._formed(np.zeros((0, 0), dtype=np.complex128), op.symbol, k)
+    toeplitz = OperatorMatrix._formed(np.zeros((0, 0), dtype=np.complex128), op.symbol, op.size)
     out[:k, :k] += op.block - toeplitz.window(k)
     return out
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .analysis import self_commutator
-from .commutant import _members, _random_symbol, commutant_element, hyperinvariance_check
+from .commutant import _members, _random_symbols, commutant_element, hyperinvariance_check
 from .core import (
     DEFAULT_TOL,
     OperatorMatrix,
@@ -303,8 +303,7 @@ def check_commutant_suite(nw: int, tol: ToleranceConfig, seed: int) -> list:
     worst_support = 0.0
     shifts = [shift_from_kernel(kernel, nw, tol) for kernel in kernels]
     for kernel, shift in zip(kernels, shifts):
-        symbols = [_random_symbol(rng, 8) for _ in range(50)]
-        _, _, n_blocks, resid = _members(symbols, kernel, nw, tol, shift)
+        _, _, n_blocks, resid = _members(_random_symbols(rng, 50, 8), kernel, nw, tol, shift)
         worst_comm = max(worst_comm, float(resid.max()))
         worst_support = max(worst_support, float(np.abs(n_blocks[:, :, kernel.n:]).max()))
     rows.append(_row("commutant members commute (150 random symbols)",

@@ -3,6 +3,7 @@ import pytest
 
 from hardy_perturb import (
     BlaschkeProduct,
+    OperatorMatrix,
     TridiagonalKernel,
     shift_from_columns,
     shift_from_kernel,
@@ -10,6 +11,32 @@ from hardy_perturb import (
 )
 
 NW = 96
+
+
+class DenseRead(AssertionError):
+    """An operator's dense matrix, or a window of at least half its order each way, was formed."""
+
+
+@pytest.fixture
+def no_dense(monkeypatch):
+    """Make every dense read of an :class:`OperatorMatrix` raise :class:`DenseRead`.
+
+    ``entries`` raises on any read; ``window`` raises when both its sides are
+    at least half the working order.  Returns the exception class.
+    """
+    def entries(op):
+        raise DenseRead(f"entries of an operator of order {op.size}")
+
+    real_window = OperatorMatrix.window
+
+    def window(op, rows, cols=None):
+        if 2 * min(rows, rows if cols is None else cols) >= op.size:
+            raise DenseRead(f"a {rows} x {cols} window of an operator of order {op.size}")
+        return real_window(op, rows, cols)
+
+    monkeypatch.setattr(OperatorMatrix, "entries", property(entries))
+    monkeypatch.setattr(OperatorMatrix, "window", window)
+    return DenseRead
 
 
 @pytest.fixture

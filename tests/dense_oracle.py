@@ -33,6 +33,11 @@ library fills one array from one series and copies no symbol for that window.
 ``member_by_member`` and ``hyperinvariance_member_by_member`` build commutant
 members one at a time, each with its own window solve, commutator, lift and
 escape; the library builds the members of one kernel together, as a stack.
+
+``rank_report`` is the full SVD of an operator's dense matrix; the library
+ranks an operator with a zero symbol on its block.  ``taylor_adjoint_escape``
+applies ``S`` to the Taylor expansion of ``M^perp``; the library's
+irreducibility probe reads the same norm in Takenaka-Malmquist coordinates.
 """
 
 import warnings
@@ -45,8 +50,8 @@ from hardy_perturb import (
     blaschke_taylor, commutant,
 )
 from hardy_perturb.core import (
-    invariance_residual, krylov_closure, numerical_rank, orthonormalize, principal_angles,
-    subspace_difference,
+    _rank_cut, invariance_residual, krylov_closure, numerical_rank, orthonormalize,
+    principal_angles, subspace_difference,
 )
 from hardy_perturb.errors import (
     ExtractionError, PreconditionError, TruncationError, UnsupportedConfigurationError,
@@ -263,6 +268,18 @@ def escape(perp, compressed):
     return float(np.linalg.norm(moved, 2)) if moved.size else 0.0
 
 
+def rank_report(a, tol=DEFAULT_TOL):
+    """The rank report of the dense matrix of ``a``: a full SVD of ``a.entries``."""
+    mat = a.entries if isinstance(a, OperatorMatrix) else np.asarray(a, dtype=np.complex128)
+    s = np.linalg.svd(mat, compute_uv=False) if mat.size else np.zeros(0)
+    rank, gap = _rank_cut(s, tol.tau_rank)
+    if rank == 0:
+        return {"rank": 0, "sigma_max": 0.0, "sigma_at_cut": None,
+                "sigma_below_cut": None, "gap_ratio": None}
+    return {"rank": rank, "sigma_max": float(s[0]), "sigma_at_cut": float(s[rank - 1]),
+            "sigma_below_cut": float(s[rank]) if rank < s.size else None, "gap_ratio": gap}
+
+
 def relabeled_window(kernel, symbol, width, nw):
     """``G^{-1} T G`` on the leading ``width`` window, one member at a time.
 
@@ -296,7 +313,7 @@ def hyperinvariance_member_by_member(model, shift, kernel, trials, tol=DEFAULT_T
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
-        symbol = commutant._random_symbol(rng, max_degree)
+        symbol = Polynomial(commutant._random_symbols(rng, 1, max_degree)[0])
         x = lift(member_by_member(symbol, kernel, shift.working_order, shift, tol)[0], a)
         worst = max(worst, escape(perp, basis.conj().T @ x @ basis))
     return worst
@@ -487,7 +504,7 @@ def hyperinvariance_check(space, shift, kernel, trials, tol=DEFAULT_TOL, seed=0,
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
-        symbol = commutant._random_symbol(rng, max_degree)
+        symbol = Polynomial(commutant._random_symbols(rng, 1, max_degree)[0])
         element = commutant.commutant_element(symbol, kernel, space.working_order, tol, shift)
         worst = max(worst, invariance_residual(space, element.X.entries))
     return {"max_residual": worst, "passed": worst < tol.tau_res}
@@ -607,6 +624,15 @@ def taylor_verify_model(model, shift, tol=DEFAULT_TOL):
     return report
 
 
+def taylor_adjoint_escape(model, shift, tol=DEFAULT_TOL):
+    """``norm(P_M S P_{M^perp})`` on ``L`` rows: ``S`` on the expanded ``M^perp``, less its
+    part in ``M^perp`` (what is left lies in ``M``)."""
+    basis, _, _, perp = taylor_model_space(model, tol, shift.S.block_size)
+    vecs = basis @ perp
+    image = OperatorMatrix(shift.S.block, shift.S.symbol, vecs.shape[0]) @ vecs
+    return float(np.linalg.norm(image - vecs @ (vecs.conj().T @ image), 2))
+
+
 def taylor_codimension(model, tol=DEFAULT_TOL):
     """``dim M^perp`` on ``L`` rows."""
     return taylor_model_space(model, tol, 0)[3].shape[1]
@@ -619,7 +645,7 @@ def taylor_hyperinvariance_check(model, shift, kernel, trials, tol=DEFAULT_TOL, 
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
-        symbol = commutant._random_symbol(rng, max_degree)
+        symbol = Polynomial(commutant._random_symbols(rng, 1, max_degree)[0])
         x = commutant.commutant_element(symbol, kernel, shift.working_order, tol, shift).X
         worst = max(worst, escape(perp, _taylor_compress(basis, x)))
     return {"max_residual": worst, "passed": worst < tol.tau_res}

@@ -483,3 +483,56 @@ class TestConfigHandling:
         write(cfg, {"input": RANK_ONE["model"], "truncation": 64})
         result = runner.invoke(main, ["shift", "verify", "--config", str(cfg)])
         assert result.exit_code == 2
+
+
+# demo paper and the twelve other commands, each with a config the tests above use.
+GUARDED = {
+    "shift build": (["shift", "build"], TWO_PERTURBATION),
+    "shift verify": (["shift", "verify"], TWO_PERTURBATION),
+    "shift powers": (["shift", "powers", "--m-max", "5"], RANK_ONE),
+    "subspace build": (["subspace", "build"], RANK_ONE),
+    "subspace check": (["subspace", "check"], RANK_ONE),
+    "subspace extract": (["subspace", "extract"], RANK_ONE),
+    "subspace cyclic": (["subspace", "cyclic"], RANK_ONE),
+    "subspace codim": (["subspace", "codim"], RANK_ONE),
+    "commutant element": (["commutant", "element", "--phi", "1,0,1"], RANK_ONE),
+    "commutant hyper": (["commutant", "hyper", "--trials", "50"], RANK_ONE),
+    "commutant irreducible": (["commutant", "irreducible"], RANK_ONE),
+    "analyze normality": (["analyze", "normality"], RANK_ONE),
+    "demo paper": (["demo", "paper"], None),
+}
+
+
+def _run_guarded(runner, tmp_path, name, truncation):
+    args, payload = GUARDED[name]
+    args = args + ["--truncation", str(truncation)]
+    if payload is not None:
+        cfg = tmp_path / "cfg.json"
+        write(cfg, payload)
+        args += ["--config", str(cfg)]
+    return runner.invoke(main, args)
+
+
+@pytest.fixture(scope="module")
+def codes_at_128(tmp_path_factory):
+    runner, tmp_path = CliRunner(), tmp_path_factory.mktemp("guard")
+    return {name: _run_guarded(runner, tmp_path, name, 128).exit_code for name in GUARDED}
+
+
+class TestNoDenseGuard:
+    @pytest.mark.parametrize("name", sorted(GUARDED))
+    def test_every_command_runs_at_4096_without_a_dense_matrix(self, runner, tmp_path,
+                                                               no_dense, codes_at_128, name):
+        result = _run_guarded(runner, tmp_path, name, 4096)
+        assert not isinstance(result.exception, no_dense), result.exception
+        assert result.exit_code == codes_at_128[name] == 0
+
+    def test_dump_matrices_trips_the_guard(self, runner, tmp_path, no_dense, monkeypatch):
+        # The control: the one dense read left in the library is the dump.
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        write(cfg, TWO_PERTURBATION)
+        result = runner.invoke(main, ["shift", "build", "--config", str(cfg),
+                                      "--truncation", "4096", "--dump-matrices"])
+        assert isinstance(result.exception, no_dense)
+        assert not list(tmp_path.glob("*.csv"))

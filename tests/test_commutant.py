@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 
 from hardy_perturb import (
+    DEFAULT_TOL,
+    NShift,
     OperatorMatrix,
     Polynomial,
+    Subspace,
     TridiagonalKernel,
     TruncatedVector,
     build_subspace,
     commutant_element,
+    finite_codimension,
     hyperinvariance_check,
     irreducibility_probe,
     multiplication_by_z_matrix,
@@ -17,7 +21,9 @@ from hardy_perturb import (
     verify_commutation,
 )
 from hardy_perturb.errors import PreconditionError
+from hardy_perturb.invariant import _closure_model, _escape
 
+import dense_oracle as oracle
 from conftest import NW
 
 
@@ -214,6 +220,71 @@ class TestIrreducibility:
         rep = irreducibility_probe(one_plus_z_shift, one_plus_z_kernel, seed=5)
         assert rep["passed"]
         assert len(rep["samples"]) == 3
+
+
+class TestIrreducibilityOnModelSpaces:
+    KERNELS = [
+        TridiagonalKernel(1, (1.0,), (1.0,)),
+        TridiagonalKernel(2, (1.0, 1.0), (0.6, -0.3 + 0.4j)),
+        TridiagonalKernel(3, (1.0, 1.0, 1.0), (0.5j, 0.4, -0.2)),
+        TridiagonalKernel(1, (1.0,), (0.0,)),
+    ]
+
+    @staticmethod
+    def closures(shift, seed):
+        """The probe's three closure models: the same seeded draws."""
+        rng = np.random.default_rng(seed)
+        models = []
+        for _ in range(3):
+            deg = int(rng.integers(1, 5))
+            coeffs = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
+            models.append(_closure_model(shift, coeffs)[0])
+        return models
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("k", range(4))
+    def test_escape_and_codimension_match_the_taylor_oracle(self, k, seed):
+        kernel = self.KERNELS[k]
+        shift = shift_from_kernel(kernel, NW)
+        rep = irreducibility_probe(shift, kernel, seed=seed)
+        for sample, model in zip(rep["samples"], self.closures(shift, seed), strict=True):
+            assert sample["codimension"] == model.theta.degree == finite_codimension(None, model)
+            if sample["codimension"] == 0:
+                assert sample == {"codimension": 0, "skipped": "trivial"}
+                continue
+            want = oracle.taylor_adjoint_escape(model, shift)
+            assert abs(sample["adjoint_escape"] - want) <= 1e-12
+            assert sample["adjoint_escape"] > 0.1 and not sample["reducing"]
+
+    def test_probe_is_independent_of_the_working_order(self, one_plus_z_kernel):
+        small, large = (irreducibility_probe(shift_from_kernel(one_plus_z_kernel, nw),
+                                             one_plus_z_kernel, seed=3)["samples"]
+                        for nw in (NW, 4096))
+        for a, b in zip(small, large, strict=True):
+            assert (a["codimension"], a["reducing"]) == (b["codimension"], b["reducing"])
+            assert a["adjoint_escape"] == pytest.approx(b["adjoint_escape"], abs=1e-12)
+
+    def test_reducing_subspace_is_reported(self):
+        # Control: a coordinate subspace of a diagonal operator reduces it.
+        diag = OperatorMatrix(np.diag(np.arange(1.0, 11.0)), size=NW)
+        shift = NShift(1, diag, diag)
+        space = Subspace(np.eye(NW, dtype=np.complex128)[:, [0, 2, 5]])
+        rep = irreducibility_probe(shift, None, subspaces=[space])
+        sample = rep["samples"][0]
+        assert sample["adjoint_escape"] < DEFAULT_TOL.tau_res and sample["reducing"] is True
+        assert rep["nontrivial_reducing_found"] and not rep["passed"]
+
+    def test_escape_helper_on_a_reducing_and_a_moved_complement(self):
+        # Control on _escape: a diagonal operator keeps a coordinate
+        # complement, the backward shift moves e_1 onto e_0.
+        perp = np.eye(6, dtype=np.complex128)[:, [1, 4]]
+        assert _escape(perp, np.diag(np.arange(1.0, 7.0))) < DEFAULT_TOL.tau_res
+        assert _escape(perp, np.eye(6, k=-1)) == pytest.approx(1.0)
+
+    def test_probe_reads_no_dense_matrix(self, one_plus_z_kernel, no_dense):
+        rep = irreducibility_probe(shift_from_kernel(one_plus_z_kernel, 65536),
+                                   one_plus_z_kernel, seed=0)
+        assert rep["passed"] and [s["codimension"] for s in rep["samples"]] == [1, 1, 1]
 
 
 def test_toeplitz_matrix_shape():

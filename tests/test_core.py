@@ -17,7 +17,8 @@ from hardy_perturb import core
 from hardy_perturb.core import band_spread, invariance_residual, rank_report
 from hardy_perturb.errors import DimensionMismatchError, TruncationError
 
-from conftest import NW, theta_half_taylor_oracle
+import dense_oracle as oracle
+from conftest import NW, theta_half_taylor_oracle, two_perturbation
 
 
 def vec(coeffs, nw=NW):
@@ -98,6 +99,78 @@ class TestNumericalRank:
         assert rep["gap_ratio"] > 1e9
 
 
+def _zero_symbol_operators(nw=128):
+    """Operators whose symbol vanishes outside the block: zero, full-rank and
+    order-size blocks, and blocks of random rank 1-4, with no symbol, a zero
+    symbol (a kernel shift's ``F``) or a symbol the whole block covers."""
+    rng = np.random.default_rng(41)
+
+    def gauss(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    blocks = [("zero", np.zeros((5, 5))), ("empty", np.zeros((0, 0)))]
+    blocks += [(f"full-{k}", gauss(k, k)) for k in (1, 3, 7)]
+    blocks += [("order-size", gauss(nw, nw)), ("order-size-rank-3", gauss(nw, 3) @ gauss(3, nw))]
+    for rank in (1, 2, 3, 4):
+        k = int(rng.integers(rank + 1, 12))
+        blocks.append((f"rank-{rank}-of-{k}", gauss(k, rank) @ gauss(rank, k)))
+    ops = []
+    for name, block in blocks:
+        ops.append((name, OperatorMatrix(block, size=nw)))
+        ops.append((name + "-zero-symbol", OperatorMatrix(block, (0.0, 0.0), nw)))
+    ops.append(("order-size-covers-symbol", OperatorMatrix(blocks[5][1], (0.0, 1.0), nw)))
+    return ops
+
+
+ZERO_SYMBOL_OPERATORS = _zero_symbol_operators()
+
+
+class TestRankOnTheBlock:
+    @pytest.mark.parametrize("name,op", ZERO_SYMBOL_OPERATORS,
+                             ids=[name for name, _ in ZERO_SYMBOL_OPERATORS])
+    def test_report_equals_the_dense_svd(self, name, op):
+        got, want = rank_report(op), oracle.rank_report(op)
+        assert set(got) == set(want)
+        assert got["rank"] == want["rank"]
+        top = want["sigma_max"]
+        for key in ("sigma_max", "sigma_at_cut"):
+            assert (got[key] is None) == (want[key] is None)
+            if want[key] is not None:
+                assert got[key] == pytest.approx(want[key], rel=1e-12)
+        # Past the cut only rounding is left: equal to the SVD's rounding floor.
+        below = (got["sigma_below_cut"], want["sigma_below_cut"])
+        assert (below[0] is None) == (below[1] is None)
+        if below[1] is not None:
+            assert abs(below[0] - below[1]) <= 1e-13 * top
+        gaps = (got["gap_ratio"], want["gap_ratio"])
+        if below[1] is not None and below[1] > 1e-10 * top:
+            assert gaps[0] == pytest.approx(gaps[1], rel=1e-9)
+        else:
+            assert all(g is None or g > 1e9 for g in gaps)
+
+    def test_a_nonzero_symbol_is_ranked_on_the_dense_matrix(self):
+        op = OperatorMatrix(np.zeros((1, 1)), (0.0, 1.0), 16)  # the truncated M_z
+        assert rank_report(op) == oracle.rank_report(op)
+        assert numerical_rank(op) == 15
+
+    def test_rank_of_f_at_order_65536_reads_only_the_block(self, no_dense):
+        assert numerical_rank(two_perturbation(65536).F) == 1
+
+    def test_rank_two_f_fails_the_rank_row(self, monkeypatch):
+        # Control: F with columns z^2 and z^3 has rank 2, which the
+        # "2-perturbation: rank F" row must refuse.
+        from hardy_perturb import shift_from_columns, suite
+
+        def rank_two(nw):
+            return shift_from_columns(2, [[0, 0, 1.0], [0, 0, 0, 1.0]], nw)
+
+        assert numerical_rank(rank_two(128).F) == 2
+        monkeypatch.setattr(suite, "_two_perturbation_example", rank_two)
+        row = {r["claim"]: r for r in suite.check_two_perturbation_block(128, core.DEFAULT_TOL)}
+        assert row["2-perturbation: rank F"]["computed"] == 2
+        assert not row["2-perturbation: rank F"]["passed"]
+
+
 class TestSubspaceDifference:
     def test_full_space_under_plain_shift(self):
         full = Subspace(np.eye(NW, dtype=np.complex128))
@@ -155,7 +228,7 @@ class TestSubspaceDifference:
 class TestKrylovClosure:
     def test_constants_generate_everything(self):
         out = krylov_closure(
-            multiplication_by_z_matrix(NW), TruncatedVector.monomial(0, NW), NW - 1
+            multiplication_by_z_matrix(NW), TruncatedVector.from_coefficients([1.0], NW), NW - 1
         )
         assert out.dim == NW
 

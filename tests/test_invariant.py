@@ -156,7 +156,7 @@ class TestWanderingDimension:
         assert abs(overlap - 1.0) < 1e-10
 
     def test_non_invariant_input_rejected(self, one_plus_z_shift):
-        line = orthonormalize([TruncatedVector.monomial(0, NW)])
+        line = orthonormalize([TruncatedVector.from_coefficients([1.0], NW)])
         with pytest.raises(PreconditionError):
             wandering_dimension(line, one_plus_z_shift)
 

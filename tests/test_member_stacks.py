@@ -67,12 +67,20 @@ def symbols(rng, count):
             for d in (1 + i % 8 for i in range(count))]
 
 
+def rows(stack):
+    """The coefficient rows of a list of symbols, zero padded, as ``_members`` takes them."""
+    out = np.zeros((len(stack), max(symbol.coeffs.size for symbol in stack)), np.complex128)
+    for row, symbol in zip(out, stack):
+        row[: symbol.coeffs.size] = symbol.coeffs
+    return out
+
+
 @pytest.mark.parametrize("count", [1, 3, 50])
 @pytest.mark.parametrize("kernel", KERNELS, ids=IDS)
 def test_stacked_members_match_the_member_by_member_oracle(kernel, count):
     shift = shift_from_kernel(kernel, NW)
     stack = symbols(np.random.default_rng([32, kernel.n, count]), count)
-    coeffs, x, n_blocks, resid = commutant._members(stack, kernel, NW, DEFAULT_TOL, shift)
+    coeffs, x, n_blocks, resid = commutant._members(rows(stack), kernel, NW, DEFAULT_TOL, shift)
     for i, symbol in enumerate(stack):
         want_x, want_t, want_n, want_resid = oracle.member_by_member(symbol, kernel, NW, shift)
         w = want_x.block_size
@@ -158,6 +166,10 @@ def _count_solves(monkeypatch):
     return solves, stacks
 
 
+def _degrees(coeffs):
+    return [Polynomial(row).degree for row in coeffs]
+
+
 def test_commutant_suite_solves_each_width_of_a_kernel_once(monkeypatch):
     solves, stacks = _count_solves(monkeypatch)
     rows = suite.check_commutant_suite(128, DEFAULT_TOL, 0)
@@ -171,11 +183,11 @@ def test_commutant_suite_solves_each_width_of_a_kernel_once(monkeypatch):
     # member, then the 50 hyperinvariance members, again one solve per width.
     want, rng = [], np.random.default_rng(0)
     for n in (1, 2, 3):
-        degrees = [commutant._random_symbol(rng, 8).degree for _ in range(50)]
+        degrees = _degrees(commutant._random_symbols(rng, 50, 8))
         want += [(n, degrees.count(d), n + d + 2) for d in sorted(set(degrees))]
     want.append((1, 1, 1 + 4 + 2))
     rng = np.random.default_rng(0)
-    degrees = [commutant._random_symbol(rng, 8).degree for _ in range(50)]
+    degrees = _degrees(commutant._random_symbols(rng, 50, 8))
     want += [(1, degrees.count(d), 1 + d + 2) for d in sorted(set(degrees))]
     assert members == want
     assert len(members) <= 3 * 8 + 1 + 8

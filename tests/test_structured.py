@@ -241,6 +241,15 @@ def test_plain_array_is_its_own_dense_view():
     assert op.entries is op.block and np.array_equal(op.entries, a)
 
 
+def test_dense_view_is_built_on_each_read_and_kept_nowhere():
+    op = OperatorMatrix(np.ones((2, 2)), (0.0, 1.0), 6)
+    first = op.entries
+    assert np.array_equal(first, oracle.window(op.block, op.symbol, 6, 6))
+    assert not first.flags.writeable
+    assert op.entries is not first and np.array_equal(op.entries, first)
+    assert "entries" not in vars(op)
+
+
 def test_operator_algebra_path_builds_no_dense_view():
     kernel = TridiagonalKernel(3, (1.0, 0.7j, 1.0), (0.5j, 0.4, -0.2))
     nw = 512
@@ -343,8 +352,8 @@ def test_one_defective_member_of_a_stack_is_caught(monkeypatch):
     nw = 64
     shift = shift_from_kernel(kernel, nw)
     rng = np.random.default_rng(4)
-    symbols = [Polynomial(rng.standard_normal(4) + 1j * rng.standard_normal(4))
-               for _ in range(50)]
+    symbols = np.array([rng.standard_normal(4) + 1j * rng.standard_normal(4)
+                        for _ in range(50)])
     # All 50 share a width, so they share one solve; only member 17 is hit.
     monkeypatch.setattr(commutant, "_relabeled", _bumped_solve(3, 0, 1e-6, [17]))
     with pytest.raises(HardyPerturbError, match="commutation residual"):
