@@ -24,7 +24,9 @@ from .core import (
 )
 from .errors import HardyPerturbError, PreconditionError
 from .inner import Polynomial
-from .invariant import SubspaceModel, _closure_model, _escape, _lift, _model_space, verify_model
+from .invariant import (
+    SubspaceModel, _closure_model, _escape, _lifted_shift, _model_space, verify_model,
+)
 from .shifts import NShift, TridiagonalKernel, _relabeled, shift_from_kernel
 
 __all__ = [
@@ -149,6 +151,8 @@ def verify_commutation(X, shift: NShift, tol: ToleranceConfig | None = None) -> 
 
 # Most members built in one stack; bounds the memory of a stacked build.
 _STACK = 256
+# Nontrivial closures a default irreducibility probe samples, and the most draws it may take.
+_PROBE_SAMPLES, _PROBE_DRAWS = 3, 30
 
 
 def _random_symbols(rng: np.random.Generator, count: int, max_degree: int) -> np.ndarray:
@@ -218,7 +222,7 @@ def hyperinvariance_check(
 
 def irreducibility_probe(
     shift: NShift,
-    kernel: TridiagonalKernel,
+    kernel: TridiagonalKernel | None,
     tol: ToleranceConfig | None = None,
     subspaces=None,
     seed: int = 0,
@@ -228,24 +232,31 @@ def irreducibility_probe(
     Each sample records the adjoint escape ``norm(P_M S P_{M^perp})``, which
     is 0 for a reducing ``M`` and must stay above ``tau_res``.  By default the
     samples are the exact models (:func:`_closure_model`) of the cyclic closures
-    of three seeded polynomials, with their codimension (0, the whole space,
-    is trivial); ``S`` maps ``M^perp`` into ``K'``, so the escape is exact in
-    :func:`_model_space` coordinates.  Caller-given subspaces carry their
-    dimension and get ``S*`` applied below the frontier less ``S``'s band spread.
+    of seeded polynomials, with their codimension (0, the whole space, is
+    trivial), drawn until ``_PROBE_SAMPLES`` are nontrivial; a probe that finds
+    fewer in ``_PROBE_DRAWS`` draws fails and says why.  ``S`` maps ``M^perp``
+    into ``K'``, so the escape is exact in :func:`_model_space` coordinates at
+    the read's order.  Caller-given subspaces carry their dimension and get
+    ``S*`` applied below the frontier less ``S``'s band spread.  A ``kernel``,
+    when given, must build ``shift``, else :class:`PreconditionError`.
     """
     tol = tol or DEFAULT_TOL
+    if kernel is not None:
+        _require_builds(kernel, shift, tol)
     samples = []
+    found = 0
     if subspaces is None:
         rng = np.random.default_rng(seed)
-        for _ in range(3):
+        while found < _PROBE_SAMPLES and len(samples) < _PROBE_DRAWS:
             deg = int(rng.integers(1, 5))
             coeffs = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
-            model, _ = _closure_model(shift, coeffs, tol)
-            a, basis, _, _, perp = _model_space(model, tol, shift.S.block_size)
+            model, read = _closure_model(shift, coeffs, tol)
+            a, basis, _, _, perp = _model_space(model, tol, read["order"])
             samples.append({"codimension": perp.shape[1]})
             if perp.shape[1]:  # _escape of op = S*: how far S moves M^perp out of itself
-                escape = _escape(basis @ perp, _lift(shift.S, a).conj().T)
+                escape = _escape(basis @ perp, _lifted_shift(model, shift, a).conj().T)
                 samples[-1]["adjoint_escape"] = float(escape)
+                found += 1
     else:
         spread = band_spread(shift.S)[0]
         for M in subspaces:
@@ -261,8 +272,24 @@ def irreducibility_probe(
         else:
             sample["skipped"] = "trivial"
     reducing_found = any(sample.get("reducing", False) for sample in samples)
-    return {"samples": samples, "nontrivial_reducing_found": reducing_found,
-            "passed": not reducing_found}
+    report = {"samples": samples, "nontrivial_reducing_found": reducing_found,
+              "passed": not reducing_found}
+    if subspaces is None and found < _PROBE_SAMPLES:
+        report["passed"] = False
+        report["reason"] = (f"{found} nontrivial closures in {len(samples)} draws, "
+                            f"{_PROBE_SAMPLES} needed")
+    return report
+
+
+def _require_builds(kernel: TridiagonalKernel, shift: NShift, tol: ToleranceConfig) -> None:
+    """:class:`PreconditionError` unless ``kernel`` builds ``shift`` (blocks within ``tau_res``)."""
+    if kernel.n != shift.n:
+        raise PreconditionError(f"kernel has n = {kernel.n}, shift has n = {shift.n}")
+    built = shift_from_kernel(kernel, shift.working_order, tol).S
+    k = max(built.block_size, shift.S.block_size)
+    gap = float(np.abs(built.window(k) - shift.S.window(k)).max(initial=0.0))
+    if gap > tol.tau_res:
+        raise PreconditionError(f"kernel builds another shift: blocks differ by {gap:.3e}")
 
 
 def _adjoint_image(op: OperatorMatrix, x: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ import functools
 
 import numpy as np
 from numpy.polynomial import polynomial as P
+import scipy.linalg
 
 from .core import (
     DEFAULT_TOL,
@@ -191,9 +192,14 @@ def _tm_frame(theta: BlaschkeProduct, m: int) -> tuple[np.ndarray, np.ndarray]:
     # z G_k = l_k G_k + c_k B_{k+1} and <B_{k+1}, G_l> = c_l prod_{k<j<l} (-conj l_j)
     # for l > k; the extra last row, with c_dim = 1, holds <z G_k, B_dim>.
     rows = np.eye(dim + 1, dim, -1, dtype=np.complex128)
+    low = max(m - 1, 0)  # l_j = 0 below m: column k < m - 1 is e_{k+1}
+    tail = zeros[low:]
+    # Column k of the cumulative product holds prod_{k<j<=l} (-conj l_j) in row l.
+    idx = np.arange(tail.size)
+    factors = np.where(idx[:, None] > idx, -tail.conj()[:, None], 1.0)
+    products = c[low:dim] * c[low + 1 :, None] * np.cumprod(factors, axis=0)
+    rows[low + 1 :, low:] = np.where(idx[:, None] >= idx, products, 0.0)
     np.fill_diagonal(rows, zeros)
-    for k in range(max(m - 1, 0), dim):  # l_j = 0 below m: column k < m - 1 is e_{k+1}
-        rows[k + 1 :, k] = c[k] * c[k + 1 :] * np.cumprod(np.append(1.0, -zeros[k + 1 :].conj()))
     # z^m theta = u B_dim with u = theta.constant (-1)^deg, and M_z^r compresses to
     # A^r, so <G_k, z^j theta> = <z^{m-j} G_k, z^m theta> = (beta A^{m-j-1})_k.
     a, beta = rows[:dim], rows[dim] * np.conj(theta.constant) * (-1) ** theta.degree
@@ -212,14 +218,16 @@ def _model_space(model: SubspaceModel, tol: ToleranceConfig, reach: int) -> tupl
     ``closing = z^n p_{n-1} theta``.  ``A`` is ``P_{K'} M_z`` on ``K'``, ``E`` an
     orthonormal basis of ``K`` and ``perp`` one of ``M^perp = K (-) span{phi_i}``
     in ``E`` coordinates.  The read-only result is kept per ``(m, tol)`` in
-    ``model._space_memo`` (not a dataclass field).
+    ``model._space_memo`` (not a dataclass field); the frame is the one
+    :func:`_frame_model` left on the model when it was read at order ``m``.
     """
     n, p, q = model.n, model.p, model.q
     m = max([reach] + [n + c.coeffs.size for c in p] + [c.coeffs.size + 1 for c in q])
     memo = model.__dict__.setdefault("_space_memo", {})
     if (m, tol) in memo:
         return memo[m, tol]
-    a, shifted = _tm_frame(model.theta, m)
+    read = model.__dict__.get("_read_frame")
+    a, shifted = read[1:3] if read is not None and read[0] == m else _tm_frame(model.theta, m)
     phi = np.zeros((a.shape[0], n + 1), dtype=np.complex128)
     for i, (pi, qi) in enumerate(zip(p, q)):
         phi[:, i] = shifted[:, i : i + pi.coeffs.size] @ pi.coeffs
@@ -241,11 +249,22 @@ def _lift(op: OperatorMatrix, a: np.ndarray) -> np.ndarray:
     departure from its Toeplitz window, on ``1..z^{k-1} = G_0..G_{k-1}`` (``k <= m``)."""
     out = np.zeros_like(a)
     for coeff in op.symbol[::-1]:
-        out = out @ a + coeff * np.eye(len(a))
+        out = out @ a
+        out.flat[:: len(a) + 1] += coeff
     k = op.block_size
-    toeplitz = OperatorMatrix._formed(np.zeros((0, 0), dtype=np.complex128), op.symbol, op.size)
-    out[:k, :k] += op.block - toeplitz.window(k)
+    departure = np.array(op.block)
+    for d, coeff in enumerate(op.symbol[:k]):  # diagonal d: flat d * k on, step k + 1
+        departure.flat[d * k :: k + 1] -= coeff
+    out[:k, :k] += departure
     return out
+
+
+def _lifted_shift(model: SubspaceModel, shift: NShift, a: np.ndarray) -> np.ndarray:
+    """``_lift(shift.S, a)``: the one :func:`_frame_model` left when it read ``model`` on ``a``."""
+    read = model.__dict__.get("_read_frame")
+    if read is not None and read[1] is a and read[3] is shift.S:
+        return read[4]
+    return _lift(shift.S, a)
 
 
 def _escape(perp: np.ndarray, compressed: np.ndarray) -> np.ndarray | float:
@@ -277,8 +296,17 @@ def verify_model(
         raise DimensionMismatchError(f"working order {working_order} is not the shift's")
     if model.n != shift.n:
         raise PreconditionError(f"model has n = {model.n}, shift has n = {shift.n}")
-    a, basis, phi, closing, perp = _model_space(model, tol, shift.S.block_size)
-    s = _lift(shift.S, a)
+    return _certificate(model, shift, tol, shift.S.block_size)
+
+
+def _certificate(model: SubspaceModel, shift: NShift, tol: ToleranceConfig, reach: int) -> dict:
+    """:func:`verify_model`'s report on :func:`_model_space` at order ``reach`` or past it.
+
+    A model read at its order by :func:`_frame_model` and certified at that
+    order shares the read's frame and lifted ``S``.
+    """
+    a, basis, phi, closing, perp = _model_space(model, tol, reach)
+    s = _lifted_shift(model, shift, a)
     coords = basis.conj().T @ phi
     norms = np.linalg.norm(phi, axis=0)
     unit = np.where(norms > 0.0, norms, 1.0)
@@ -312,7 +340,11 @@ def _require_consistent(
     model: SubspaceModel, shift: NShift, working_order: int, tol: ToleranceConfig
 ) -> dict:
     """:func:`verify_model`'s report; a failed condition raises :class:`ModelInconsistencyError`."""
-    report = verify_model(model, shift, working_order, tol)
+    return _consistent(verify_model(model, shift, working_order, tol), tol)
+
+
+def _consistent(report: dict, tol: ToleranceConfig) -> dict:
+    """A model report, unless a condition failed: then :class:`ModelInconsistencyError`."""
     if report["phi_min_norm"] <= tol.tau_rank:
         raise ModelInconsistencyError("some phi_i is numerically zero", condition="phi_nonzero")
     for name in _CONDITIONS:
@@ -469,8 +501,7 @@ def _exact_model(M: Subspace, shift: NShift, tol: ToleranceConfig) -> SubspaceMo
     if rank <= n or found is None or found[1] != n or M.dim != frontier - found[0] + 1:
         return None
     try:
-        model = _divided_model(shift, np.concatenate([np.zeros(found[0]), zeros]), found[2],
-                               M.working_order, tol)
+        model = _divided_model(shift, np.concatenate([np.zeros(found[0]), zeros]), found[2], tol)
     except (ExtractionError, ModelInconsistencyError):
         return None
     spanned = M.invariant_certified or principal_angles(
@@ -480,8 +511,7 @@ def _exact_model(M: Subspace, shift: NShift, tol: ToleranceConfig) -> SubspaceMo
 
 
 def _divided_model(
-    shift: NShift, zeros: tuple | np.ndarray, rem: np.ndarray, working_order: int,
-    tol: ToleranceConfig,
+    shift: NShift, zeros: tuple | np.ndarray, rem: np.ndarray, tol: ToleranceConfig
 ) -> SubspaceModel:
     """The model of ``M`` from ``rem = den h mod z^n prod (z - a)`` over columns ``h`` of ``M``.
 
@@ -490,7 +520,7 @@ def _divided_model(
     range, solved against :func:`_den_frame`, is ``M cap K`` for :func:`_frame_model`.
     Theta's first significant Taylor coefficient is made positive real.  Certificate:
     division remainder at most ``_CONDITION_LIMIT`` (else :class:`ExtractionError`),
-    then :func:`_require_consistent`.
+    then the model conditions at the read's order (:func:`_certificate`).
     """
     n = shift.n
     u = np.linalg.svd(rem, full_matrices=False)[0][:, :n]
@@ -504,7 +534,7 @@ def _divided_model(
     model, remainder = _frame_model(shift, theta, frame, heads, tol)
     if remainder > _CONDITION_LIMIT:
         raise ExtractionError(f"division remainder {remainder:.3e} exceeds {_CONDITION_LIMIT:.0e}")
-    _require_consistent(model, shift, working_order, tol)
+    _consistent(_certificate(model, shift, tol, m), tol)
     return model
 
 
@@ -577,7 +607,7 @@ def extract_model(
     rows, den = nw if M.frontier is None else M.frontier, theta.denominator().coeffs
     dh = np.column_stack([np.convolve(den, phi)[:rows] for phi in phi_dirs[:rows].T])
     divisor = np.concatenate([np.zeros(n), P.polyfromroots(theta.zeros)])
-    return _divided_model(shift, theta.zeros, _long_division(dh, divisor)[1], nw, tol)
+    return _divided_model(shift, theta.zeros, _long_division(dh, divisor)[1], tol)
 
 
 def _peel(s: np.ndarray | OperatorMatrix, cur: np.ndarray, stages: int, tol: ToleranceConfig,
@@ -607,14 +637,30 @@ def _peel(s: np.ndarray | OperatorMatrix, cur: np.ndarray, stages: int, tol: Tol
     return np.column_stack(phis), (cur, image)
 
 
+def _convolution(coeffs: np.ndarray, cols: int) -> np.ndarray:
+    """The ``(cols + deg) x cols`` matrix of multiplication by the polynomial ``coeffs``.
+
+    Entry ``(j, i)`` is ``coeffs[j - i]``, read off the padded coefficients.
+    """
+    padded = np.concatenate([np.zeros(cols - 1), coeffs, np.zeros(cols - 1)])
+    return padded[np.add.outer(np.arange(cols + coeffs.size - 1), np.arange(cols - 1, -1, -1))]
+
+
 def _long_division(w: np.ndarray, divisor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Quotient and remainder of ``w``'s columns by ``divisor`` from the top (roots in the disc)."""
-    rem, k = np.array(w, dtype=np.complex128), divisor.size
-    quo = np.zeros((max(0, rem.shape[0] - k + 1),) + rem.shape[1:], dtype=np.complex128)
-    for low in range(rem.shape[0] - k, -1, -1):
-        quo[low] = rem[low + k - 1] / divisor[-1]
-        rem[low : low + k] -= np.multiply.outer(divisor, quo[low])
-    return quo, rem[: k - 1]
+    """Quotient and remainder of ``w``'s columns by ``divisor`` from the top (roots in the disc).
+
+    ``w = C quo + rem`` with ``C`` the convolution by ``divisor`` and ``rem`` on
+    the rows below its degree: the rows from there on are upper triangular in
+    ``quo``, solved by one LAPACK ``ztrtrs`` call.
+    """
+    w, k = np.asarray(w, dtype=np.complex128), divisor.size
+    size = w.shape[0] - k + 1
+    if size <= 0:
+        return np.zeros((0,) + w.shape[1:], dtype=np.complex128), w.copy()
+    conv = _convolution(divisor, size)
+    top = w[k - 1 :].reshape(size, -1)
+    quo = scipy.linalg.lapack.ztrtrs(conv[k - 1 :], top, lower=0)[0].reshape(w[k - 1 :].shape)
+    return quo, w[: k - 1] - conv[: k - 1] @ quo
 
 
 def _frame_model(
@@ -625,34 +671,69 @@ def _frame_model(
 
     ``frame`` is :func:`_den_frame` of ``theta`` at ``m``.  :func:`_peel` reads
     the ``phi_i`` in :func:`_tm_frame` coordinates (``m`` past ``2 n`` and the
-    block of ``S``).  Over theta's ``den`` and ``num``, ``U = den phi_i``, ``W =
-    den S^{n-i} phi_i = den (z + F)^{n-i} phi_i``, ``p_i = W / (z^n num)`` and
-    ``q_i = (z^i p_i num - U) / den``, with the largest relative remainder.
+    block of ``S``); :func:`_quotients` gives ``p_i, q_i`` and the largest
+    relative remainder.  The frame ``(A, Z)`` and the lifted ``S`` stay on the
+    model as ``model._read_frame`` (not a dataclass field), for
+    :func:`_model_space` and :func:`_certificate` at order ``m``.
     """
-    n, (a, shifted) = shift.n, _tm_frame(theta, frame.shape[0] - theta.degree)
+    n, m = shift.n, frame.shape[0] - theta.degree
+    a, shifted = _tm_frame(theta, m)
+    s = _lift(shift.S, a)
     gens = np.hstack([np.eye(a.shape[0], lead.shape[0]) @ lead, shifted[:, n:]])
-    phi, _ = _peel(_lift(shift.S, a), _split(gens, tol.tau_rank)[0], n, tol)
+    phi, _ = _peel(s, _split(gens, tol.tau_rank)[0], n, tol)
+    p, q, worst = _quotients(shift, theta, frame @ phi, phi[:n])
+    model = SubspaceModel(n, theta, p, q)
+    model.__dict__["_read_frame"] = (m, a, shifted, shift.S, s)
+    return model, worst
+
+
+def _quotients(
+    shift: NShift, theta: BlaschkeProduct, dens: np.ndarray, heads: np.ndarray
+) -> tuple[tuple, tuple, float]:
+    """``p_i, q_i`` from the columns ``U = den phi_i`` of ``dens`` and the ``phi_i``'s ``heads``.
+
+    ``heads`` holds the first ``n`` Taylor coefficients of each ``phi_i``.  Over
+    theta's ``den`` and ``num``, ``W = den S^{n-i} phi_i = den (z + F)^{n-i}
+    phi_i``, ``p_i = W / (z^n num)`` and ``q_i = (z^i p_i num - U) / den``, all
+    ``n`` columns at once; the float is the largest relative remainder.
+    """
+    n = shift.n
     den, num = theta.denominator().coeffs, theta.numerator().coeffs
-    step = shift.F.window(shift.F.reach(n), n)
-    dens = frame @ phi
-    p, q, worst = [], [], 0.0
-    for i in range(n):
-        w, head = dens[:, i], phi[:n, i]
-        for _ in range(n - i):
-            f = np.append(step @ head, np.zeros(n))
-            w = P.polyadd(np.append(0.0, w), np.convolve(den, f))
-            head = np.append(0.0, head[:-1]) + f[:n]
-        r, rem = _long_division(w, np.concatenate([np.zeros(n), num]))
-        low = P.polysub(np.convolve(np.append(np.zeros(i), r), num), dens[:, i])
-        # Dividing by den from the bottom is dividing the reversals from the top.
-        c, left = _long_division(low[::-1], den[::-1])
-        worst = max(worst, np.linalg.norm(rem) / np.linalg.norm(w),
-                    np.linalg.norm(left) / np.linalg.norm(dens[:, i]))
-        for out, coeffs in ((p, r), (q, c[::-1])):
-            mags = np.abs(coeffs)
-            kept = np.flatnonzero(mags > _ROUNDING * mags.max(initial=0.0))
-            out.append(Polynomial(coeffs[: kept[-1] + 1] if kept.size else coeffs[:0]))
-    return SubspaceModel(n, theta, tuple(p), tuple(q)), worst
+    reach = shift.F.reach(n)
+    step, by_den = shift.F.window(reach, n), _convolution(den, reach)
+    # Column i takes the steps t >= i, n - i in all, each adding one row.
+    w = np.zeros((max(dens.shape[0], by_den.shape[0] - 1) + n, n), dtype=np.complex128)
+    w[: dens.shape[0]] = dens
+    head = np.array(heads)
+    for t in range(n):
+        live = slice(0, t + 1)
+        f = step @ head[:, live]
+        w[1:, live] = w[:-1, live]
+        w[0, live] = 0.0
+        w[: by_den.shape[0], live] += by_den @ f
+        head[1:, live] = head[:-1, live]
+        head[0, live] = 0.0
+        head[:, live] += f[:n]
+    r, rem = _long_division(w, np.concatenate([np.zeros(n), num]))
+    # Column i of r has i zero rows on top, so rolling it down by i makes z^i p_i exactly.
+    size = r.shape[0]
+    low = _convolution(num, size) @ r[(np.arange(size)[:, None] - np.arange(n)) % size, np.arange(n)]
+    low[: dens.shape[0]] -= dens
+    # Dividing by den from the bottom is dividing the reversals from the top.
+    c, left = _long_division(low[::-1], den[::-1])
+    worst = max((np.linalg.norm(rem, axis=0) / np.linalg.norm(w, axis=0)).max(),
+                (np.linalg.norm(left, axis=0) / np.linalg.norm(dens, axis=0)).max())
+    return _trimmed(r), _trimmed(c[::-1]), float(worst)
+
+
+def _trimmed(columns: np.ndarray) -> tuple:
+    """A polynomial per column, cut after its last coefficient above ``_ROUNDING`` of the largest."""
+    mags = np.abs(columns)
+    polys = []
+    for col, mag, cut in zip(columns.T, mags.T, _ROUNDING * mags.max(axis=0, initial=0.0)):
+        kept = np.flatnonzero(mag > cut)
+        polys.append(Polynomial(col[: kept[-1] + 1] if kept.size else col[:0]))
+    return tuple(polys)
 
 
 def _closure_model(
@@ -665,7 +746,8 @@ def _closure_model(
     in the disc (Beurling).  :func:`_frame_model` reads it off the ``S^k f``
     (``k < n``), whose :func:`_tm_frame` coordinates are their coefficients
     for ``m`` past ``2 n``, the block of ``S`` and every ``S^k f``, ``k <= n``.
-    The report carries the roots of ``h`` and the largest division remainder.
+    The report carries the roots of ``h``, the largest division remainder and
+    the read's ``order`` ``m``, at which :func:`_certificate` shares its frame.
     """
     tol = tol or DEFAULT_TOL
     n, nw = shift.n, shift.working_order
@@ -682,7 +764,7 @@ def _closure_model(
     roots = Polynomial(orbit[n:, n]).roots()
     theta = BlaschkeProduct(1.0, tuple(roots[np.abs(roots) < 1.0 - _BOUNDARY_MARGIN]))
     model, worst = _frame_model(shift, theta, _den_frame(theta, m), orbit[:m, :n], tol)
-    return model, {"h_roots": roots, "division_remainder": worst}
+    return model, {"h_roots": roots, "division_remainder": worst, "order": m}
 
 
 def check_cyclic(

@@ -26,12 +26,12 @@ from .core import (
 from .inner import BlaschkeProduct, Polynomial, blaschke_taylor
 from .invariant import (
     SubspaceModel,
+    _certificate,
     _closure_model,
     build_subspace,
     check_cyclic,
     extract_model,
     s1_model,
-    verify_model,
     wandering_dimension,
 )
 from .shifts import (
@@ -260,8 +260,9 @@ H_ROOT_BAND = (0.6, 1.7)
 def check_random_trials(nw: int, tol: ToleranceConfig, seed: int, trials: int = 100) -> list:
     """Exact models of random cyclic closures, each verified against its shift.
 
-    A trial's residual is the larger of the model's ``verify_model`` residual
-    and the remainder of the exact division that produced its ``p_i``.
+    A trial's residual is the larger of the model's ``verify_model`` residual,
+    taken at the read's order on the read's frame, and the remainder of the
+    exact division that produced its ``p_i``.
     """
     nw = max(nw, 128)
     rng = np.random.default_rng(seed)
@@ -274,7 +275,7 @@ def check_random_trials(nw: int, tol: ToleranceConfig, seed: int, trials: int = 
             model, report = _closure_model(shift, coeffs, tol)
             moduli = np.abs(report["h_roots"])
             in_band += bool(((moduli > H_ROOT_BAND[0]) & (moduli < H_ROOT_BAND[1])).any())
-            resid = max(float(verify_model(model, shift, nw, tol)["max_residual"]),
+            resid = max(_certificate(model, shift, tol, report["order"])["max_residual"],
                         report["division_remainder"])
             worst_resid = max(worst_resid, resid)
             if resid > 1e-6:

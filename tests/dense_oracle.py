@@ -13,6 +13,9 @@ rows, and ``p_i`` and ``q_i`` are fitted by least squares against shifted theta
 expansions (``_fit_polynomial_factor``, ``_vector_to_polynomial``); the library
 peels in coordinates of the input basis, or reads a certified generator stack
 exactly, and reads ``p_i`` and ``q_i`` by exact division on every path.
+``long_division`` and ``quotients`` are that division one coefficient row and
+one column at a time; the library solves the top rows by one triangular solve
+and divides all columns at once.
 ``build_subspace`` builds the deep generator stacks this peel needs, at
 ``default_tail_depth``.
 
@@ -43,6 +46,7 @@ irreducibility probe reads the same norm in Takenaka-Malmquist coordinates.
 import warnings
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 import scipy.linalg
 
 from hardy_perturb import (
@@ -478,6 +482,44 @@ def extract_model(M, shift, tol=DEFAULT_TOL):
         p.append(p_i)
         q.append(q_i)
     return SubspaceModel(n, theta, tuple(p), tuple(q))
+
+
+def long_division(w, divisor):
+    """Quotient and remainder of ``w``'s columns by ``divisor``, one row of ``w`` at a time."""
+    rem, k = np.array(w, dtype=np.complex128), divisor.size
+    quo = np.zeros((max(0, rem.shape[0] - k + 1),) + rem.shape[1:], dtype=np.complex128)
+    for low in range(rem.shape[0] - k, -1, -1):
+        quo[low] = rem[low + k - 1] / divisor[-1]
+        rem[low : low + k] -= np.multiply.outer(divisor, quo[low])
+    return quo, rem[: k - 1]
+
+
+def quotients(shift, theta, dens, heads):
+    """``p_i, q_i`` and the largest relative remainder, one column at a time.
+
+    ``W = den S^{n-i} phi_i`` grows one ``np.append`` and ``polyadd`` per step of
+    ``S``; each column is divided on its own by the row loop above.
+    """
+    n = shift.n
+    den, num = theta.denominator().coeffs, theta.numerator().coeffs
+    step = shift.F.window(shift.F.reach(n), n)
+    p, q, worst = [], [], 0.0
+    for i in range(n):
+        w, head = dens[:, i], heads[:, i]
+        for _ in range(n - i):
+            f = np.append(step @ head, np.zeros(n))
+            w = P.polyadd(np.append(0.0, w), np.convolve(den, f))
+            head = np.append(0.0, head[:-1]) + f[:n]
+        r, rem = long_division(w, np.concatenate([np.zeros(n), num]))
+        low = P.polysub(np.convolve(np.append(np.zeros(i), r), num), dens[:, i])
+        c, left = long_division(low[::-1], den[::-1])
+        worst = max(worst, np.linalg.norm(rem) / np.linalg.norm(w),
+                    np.linalg.norm(left) / np.linalg.norm(dens[:, i]))
+        for out, coeffs in ((p, r), (q, c[::-1])):
+            mags = np.abs(coeffs)
+            kept = np.flatnonzero(mags > 1e-12 * mags.max(initial=0.0))
+            out.append(Polynomial(coeffs[: kept[-1] + 1] if kept.size else coeffs[:0]))
+    return tuple(p), tuple(q), worst
 
 
 def finite_codimension(model, nw, tol=DEFAULT_TOL):

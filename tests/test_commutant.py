@@ -3,6 +3,7 @@ import pytest
 
 from hardy_perturb import (
     DEFAULT_TOL,
+    commutant,
     NShift,
     OperatorMatrix,
     Polynomial,
@@ -231,11 +232,11 @@ class TestIrreducibilityOnModelSpaces:
     ]
 
     @staticmethod
-    def closures(shift, seed):
-        """The probe's three closure models: the same seeded draws."""
+    def closures(shift, seed, count):
+        """The probe's first ``count`` closure models: the same seeded draws."""
         rng = np.random.default_rng(seed)
         models = []
-        for _ in range(3):
+        for _ in range(count):
             deg = int(rng.integers(1, 5))
             coeffs = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
             models.append(_closure_model(shift, coeffs)[0])
@@ -247,7 +248,9 @@ class TestIrreducibilityOnModelSpaces:
         kernel = self.KERNELS[k]
         shift = shift_from_kernel(kernel, NW)
         rep = irreducibility_probe(shift, kernel, seed=seed)
-        for sample, model in zip(rep["samples"], self.closures(shift, seed), strict=True):
+        models = self.closures(shift, seed, len(rep["samples"]))
+        assert sum(model.theta.degree > 0 for model in models) == 3 and rep["passed"]
+        for sample, model in zip(rep["samples"], models, strict=True):
             assert sample["codimension"] == model.theta.degree == finite_codimension(None, model)
             if sample["codimension"] == 0:
                 assert sample == {"codimension": 0, "skipped": "trivial"}
@@ -280,6 +283,36 @@ class TestIrreducibilityOnModelSpaces:
         perp = np.eye(6, dtype=np.complex128)[:, [1, 4]]
         assert _escape(perp, np.diag(np.arange(1.0, 7.0))) < DEFAULT_TOL.tau_res
         assert _escape(perp, np.eye(6, k=-1)) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("k,seed", [(0, 221), (2, 62)])
+    def test_probe_draws_past_trivial_closures(self, k, seed):
+        # The first three closures drawn at these seeds are the whole space.
+        kernel = self.KERNELS[k]
+        rep = irreducibility_probe(shift_from_kernel(kernel, NW), kernel, seed=seed)
+        codims = [sample["codimension"] for sample in rep["samples"]]
+        assert codims[:3] == [0, 0, 0] and rep["passed"] and "reason" not in rep
+        assert sum(codim > 0 for codim in codims) == 3 and codims[-1] > 0
+
+    def test_probe_without_a_nontrivial_closure_fails(self, one_plus_z_kernel,
+                                                      one_plus_z_shift, monkeypatch):
+        # Control: every draw closes to the whole space (h = 1 + z has its root on
+        # the circle, outside the boundary margin).
+        real = commutant._closure_model
+        monkeypatch.setattr(commutant, "_closure_model",
+                            lambda shift, coeffs, tol: real(shift, [1.0], tol))
+        rep = irreducibility_probe(one_plus_z_shift, one_plus_z_kernel, seed=0)
+        assert [s["codimension"] for s in rep["samples"]] == [0] * commutant._PROBE_DRAWS
+        assert not rep["passed"] and not rep["nontrivial_reducing_found"]
+        assert rep["reason"] == f"0 nontrivial closures in {commutant._PROBE_DRAWS} draws, 3 needed"
+
+    def test_probe_refuses_a_kernel_that_builds_another_shift(self, kernels):
+        shift = shift_from_kernel(kernels[2], NW)
+        with pytest.raises(PreconditionError, match="kernel has n = 1, shift has n = 3"):
+            irreducibility_probe(shift, kernels[0], seed=0)
+        moved = TridiagonalKernel(3, (1.0, 1.0, 1.0), (0.5j, 0.4, -0.25))
+        with pytest.raises(PreconditionError, match="blocks differ by 5.000e-02"):
+            irreducibility_probe(shift, moved, seed=0)
+        assert irreducibility_probe(shift, kernels[2], seed=0)["passed"]
 
     def test_probe_reads_no_dense_matrix(self, one_plus_z_kernel, no_dense):
         rep = irreducibility_probe(shift_from_kernel(one_plus_z_kernel, 65536),

@@ -3,7 +3,9 @@
 ``invariant._model_space`` keeps its result on the model instance, keyed on the
 order ``m`` and the tolerances, so ``build_subspace``, ``check_cyclic``,
 ``finite_codimension`` and ``hyperinvariance_check`` read one
-Takenaka-Malmquist frame of a model.  The guards count ``_tm_frame`` calls.
+Takenaka-Malmquist frame of a model.  A model read by ``_frame_model`` carries
+the read's frame and lifted ``S``, which its certificate at the read's order
+takes.  The guards count ``_tm_frame`` and ``_lift`` calls.
 The differential tests compare the generator stack and the lifted operators
 with the per-column and Toeplitz-window constructions of ``dense_oracle``, bit
 for bit.
@@ -37,7 +39,10 @@ from hardy_perturb import (
     verify_model,
     wandering_dimension,
 )
-from hardy_perturb.invariant import _lift, _model_space, _tm_frame, model_generators
+from hardy_perturb.invariant import (
+    _certificate, _closure_model, _lift, _model_space, _tm_frame, model_generators,
+)
+from hardy_perturb.suite import _sample_trial, check_random_trials
 
 NW = 256
 THETA = BlaschkeProduct(np.exp(0.7j), (0.5, -0.3 + 0.6j))
@@ -71,12 +76,12 @@ def round_trip(theta):
     return report, wandering, recovered.to_json(), cyclic, witness, codim
 
 
-def test_a_round_trip_builds_three_frames_and_no_cache_outlives_it(frames):
+def test_a_round_trip_builds_two_frames_and_no_cache_outlives_it(frames):
     first = round_trip(THETA)
     count = len(frames)
     # The model's frame (shared by the build, the cyclic witness and the
-    # codimension), the exact read's frame and the recovered model's certificate.
-    assert count <= 3
+    # codimension) and the exact read's frame, which its certificate shares.
+    assert count == 2
     frames.clear()
     # The same theta object, fresh model and shift: the work is done again.
     assert round_trip(THETA) == first
@@ -94,6 +99,35 @@ def test_hyperinvariance_shares_the_certificate_frame(frames):
     assert len(frames) == 2
     hyperinvariance_check(model, shift, kernel, 3)
     assert len(frames) == 2
+
+
+def test_a_random_trial_builds_one_frame_and_one_lift(frames, monkeypatch):
+    lifts = []
+    real = invariant._lift
+    monkeypatch.setattr(invariant, "_lift", lambda op, a: lifts.append(op) or real(op, a))
+    for seed in range(4):
+        frames.clear()
+        lifts.clear()
+        # The closure read and the certificate at its order.
+        assert check_random_trials(128, DEFAULT_TOL, seed, trials=1)[0]["passed"]
+        assert len(frames) == 1 and len(lifts) == 1
+
+
+def test_verify_model_on_a_read_model_equals_a_fresh_copy_bit_for_bit():
+    rng = np.random.default_rng(23)
+    for _ in range(12):
+        shift, coeffs = _sample_trial(rng, 128)
+        other = shift_from_kernel(random_kernel(rng, shift.n), 128)
+        model, report = _closure_model(shift, coeffs)
+        assert "_read_frame" in vars(model)
+        # The read's own order, where its frame is taken, the public order rule,
+        # and another shift of the same n, whose lift the read does not hold.
+        for check in (lambda m: _certificate(m, shift, DEFAULT_TOL, report["order"]),
+                      lambda m: verify_model(m, shift, 128),
+                      lambda m: _certificate(m, other, DEFAULT_TOL, report["order"])):
+            fresh = check(dataclasses.replace(model))
+            first = check(model)
+            assert first == fresh and check(model) == first
 
 
 def test_memo_arrays_are_read_only():
