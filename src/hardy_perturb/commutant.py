@@ -237,8 +237,9 @@ def irreducibility_probe(
     fewer in ``_PROBE_DRAWS`` draws fails and says why.  ``S`` maps ``M^perp``
     into ``K'``, so the escape is exact in :func:`_model_space` coordinates at
     the read's order.  Caller-given subspaces carry their dimension and get
-    ``S*`` applied below the frontier less ``S``'s band spread.  A ``kernel``,
-    when given, must build ``shift``, else :class:`PreconditionError`.
+    ``S*`` applied below the frontier less ``S``'s band spread; with none
+    nontrivial the probe fails and says why.  A ``kernel``, when given, must
+    build ``shift``, else :class:`PreconditionError`.
     """
     tol = tol or DEFAULT_TOL
     if kernel is not None:
@@ -266,6 +267,7 @@ def irreducibility_probe(
                 image = _adjoint_image(shift.S, M.basis)
                 resid = (image - M.basis @ (M.basis.conj().T @ image))[: max(1, rows - spread - 1)]
                 samples[-1]["adjoint_escape"] = float(np.linalg.norm(resid, 2))
+                found += 1
     for sample in samples:
         if "adjoint_escape" in sample:
             sample["reducing"] = sample["adjoint_escape"] <= tol.tau_res
@@ -278,6 +280,9 @@ def irreducibility_probe(
         report["passed"] = False
         report["reason"] = (f"{found} nontrivial closures in {len(samples)} draws, "
                             f"{_PROBE_SAMPLES} needed")
+    elif not found:
+        report["passed"] = False
+        report["reason"] = f"no nontrivial subspace among the {len(samples)} given"
     return report
 
 

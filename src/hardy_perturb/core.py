@@ -464,7 +464,8 @@ def _rank_cut(s: np.ndarray, rel: float) -> tuple[int, float | None]:
     if s.size == 0 or s[0] == 0.0:
         return 0, None
     rank = int(np.count_nonzero(s > rel * s[0]))
-    gap = float(s[rank - 1] / s[rank]) if rank < s.size and s[rank] > 0.0 else None
+    # Python floats: a subnormal dropped value makes the ratio inf, with no overflow warning.
+    gap = float(s[rank - 1]) / float(s[rank]) if rank < s.size and s[rank] > 0.0 else None
     return rank, gap
 
 

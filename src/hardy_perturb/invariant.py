@@ -16,7 +16,6 @@ and decides cyclicity for 1-shifts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import functools
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -441,16 +440,23 @@ def _recovery(
 
 
 def _den_frame(theta: BlaschkeProduct, m: int) -> np.ndarray:
-    """Column ``k``: ``theta.denominator()`` times the basis ``G_k`` of :func:`_tm_frame`."""
-    zeros = np.concatenate([np.zeros(m), theta.zeros])
-    out = np.zeros((zeros.size, zeros.size), dtype=np.complex128)
+    """Column ``k``: ``theta.denominator()`` times the basis ``G_k`` of :func:`_tm_frame`.
+
+    ``den G_k = c_k prod_{j<k} (z - l_j) prod_{j>k} (1 - conj(l_j) z)``, which is
+    ``z^k den`` below ``m``; past it, one prefix product over theta's zeros before
+    ``k`` and one suffix product over those after.
+    """
+    zeros, dim = theta.zeros, m + theta.degree
+    prefix, suffix = [np.ones(1, dtype=np.complex128)], [np.ones(1, dtype=np.complex128)]
+    for a, b in zip(zeros, zeros[::-1]):
+        prefix.append(np.convolve(prefix[-1], [-a, 1.0]))
+        suffix.append(np.convolve(suffix[-1], [1.0, -np.conj(b)]) if b else suffix[-1])
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    den = suffix[-1]
+    out[np.arange(m)[:, None] + np.arange(den.size), np.arange(m)[:, None]] = den
     for k, a in enumerate(zeros):
-        # den G_k = c_k prod_{j<k} (z - l_j) prod_{j>k} (1 - conj(l_j) z): z^k den below m.
-        if k == 0 or k >= m:
-            factors = [[-x, 1.0] for x in zeros[m:k]]
-            factors += [[1.0, -np.conj(x)] for x in zeros[max(k + 1, m) :] if x]
-            col = functools.reduce(np.convolve, factors, np.sqrt([1.0 - abs(a) ** 2]))
-        out[min(k, m) : min(k, m) + col.size, k] = col
+        col = np.sqrt(1.0 - abs(a) ** 2) * np.convolve(prefix[k], suffix[-k - 2])
+        out[m : m + col.size, m + k] = col
     return out
 
 
@@ -466,7 +472,7 @@ def _exact_model(M: Subspace, shift: NShift, tol: ToleranceConfig) -> SubspaceMo
     theta H^2``, of rank ``n`` at ``w = v``, one more per order past it, and
     at most ``n`` below; its range and the ``z^j theta`` span ``M cap K'``.
     Certificate: rows past ``F + d`` vanish, rank ``n``, ``dim M = F - v + 1``
-    (the generator count), no division remainder, :func:`verify_model`; an
+    (the generator count), no read remainder, :func:`verify_model`; an
     uncertified ``M`` (the CLI's raw ``basis``) within ``tau_angle`` of the model's stack.
     """
     n, frontier, h = shift.n, M.frontier, M.basis
@@ -517,10 +523,11 @@ def _divided_model(
 
     ``a`` runs over theta's ``zeros`` (origin included) and ``den`` is theta's
     denominator, so ``rem`` is ``den P_K h``, ``K = H^2 (-) z^n theta H^2``; its
-    range, solved against :func:`_den_frame`, is ``M cap K`` for :func:`_frame_model`.
-    Theta's first significant Taylor coefficient is made positive real.  Certificate:
-    division remainder at most ``_CONDITION_LIMIT`` (else :class:`ExtractionError`),
-    then the model conditions at the read's order (:func:`_certificate`).
+    range, solved against :func:`_den_frame` into frame coordinates, is ``M cap K``
+    for :func:`_frame_model`, which projects out ``p_i, q_i``.  Theta's first
+    significant Taylor coefficient is made positive real.  Certificate: read
+    remainder at most ``_CONDITION_LIMIT`` (else :class:`ExtractionError`), then
+    the model conditions at the read's order (:func:`_certificate`).
     """
     n = shift.n
     u = np.linalg.svd(rem, full_matrices=False)[0][:, :n]
@@ -529,11 +536,10 @@ def _divided_model(
     lead = head[np.flatnonzero(np.abs(head) > tol.tau_rank)[0]]
     theta = BlaschkeProduct(abs(lead) / lead, ref.zeros)
     m = max(2 * n, shift.S.block_size) + 1
-    frame = _den_frame(theta, m)
-    heads = np.linalg.solve(frame, np.pad(u, ((0, m - n), (0, 0))))
-    model, remainder = _frame_model(shift, theta, frame, heads, tol)
+    heads = np.linalg.solve(_den_frame(theta, m), np.pad(u, ((0, m - n), (0, 0))))
+    model, remainder = _frame_model(shift, theta, m, heads, tol)
     if remainder > _CONDITION_LIMIT:
-        raise ExtractionError(f"division remainder {remainder:.3e} exceeds {_CONDITION_LIMIT:.0e}")
+        raise ExtractionError(f"read remainder {remainder:.3e} exceeds {_CONDITION_LIMIT:.0e}")
     _consistent(_certificate(model, shift, tol, m), tol)
     return model
 
@@ -664,66 +670,40 @@ def _long_division(w: np.ndarray, divisor: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _frame_model(
-    shift: NShift, theta: BlaschkeProduct, frame: np.ndarray, lead: np.ndarray,
-    tol: ToleranceConfig,
+    shift: NShift, theta: BlaschkeProduct, m: int, lead: np.ndarray, tol: ToleranceConfig,
 ) -> tuple[SubspaceModel, float]:
     """The model whose ``M cap K'`` is spanned by ``lead`` and ``z^j theta``, ``n <= j < m``.
 
-    ``frame`` is :func:`_den_frame` of ``theta`` at ``m``.  :func:`_peel` reads
-    the ``phi_i`` in :func:`_tm_frame` coordinates (``m`` past ``2 n`` and the
-    block of ``S``); :func:`_quotients` gives ``p_i, q_i`` and the largest
-    relative remainder.  The frame ``(A, Z)`` and the lifted ``S`` stay on the
-    model as ``model._read_frame`` (not a dataclass field), for
-    :func:`_model_space` and :func:`_certificate` at order ``m``.
+    :func:`_peel` reads the ``phi_i`` in :func:`_tm_frame` coordinates of ``K' =
+    H^2 (-) z^m theta H^2`` (``m`` past ``2 n`` and the block of ``S``), and the
+    same frame gives ``p_i, q_i`` by projection.  Theta is inner, so the columns
+    ``z^j theta`` of ``Z`` are orthonormal; ``v_i = S^{n-i} phi_i = z^n p_i theta``
+    stays in ``K'`` while ``n + deg p_i < m``, where the lifted ``S`` computes it
+    exactly.  So ``p_i = Z[:, n:]* v_i``, and ``q_i = z^i p_i theta - phi_i``, a
+    polynomial, is the first ``m`` rows of ``Z[:, i:] p_i - phi_i`` (``G_k = z^k``
+    below ``m``).  The float is the largest relative read remainder: the part of
+    ``v_i`` off the ``z^{n+j} theta`` and the rows of ``q_i`` past ``m``, which
+    vanish unless ``m`` is too small or the model wrong.  The frame ``(A, Z)`` and
+    the lifted ``S`` stay on the model as ``model._read_frame`` (not a dataclass
+    field), for :func:`_model_space` and :func:`_certificate` at order ``m``.
     """
-    n, m = shift.n, frame.shape[0] - theta.degree
+    n = shift.n
     a, shifted = _tm_frame(theta, m)
     s = _lift(shift.S, a)
     gens = np.hstack([np.eye(a.shape[0], lead.shape[0]) @ lead, shifted[:, n:]])
     phi, _ = _peel(s, _split(gens, tol.tau_rank)[0], n, tol)
-    p, q, worst = _quotients(shift, theta, frame @ phi, phi[:n])
-    model = SubspaceModel(n, theta, p, q)
-    model.__dict__["_read_frame"] = (m, a, shifted, shift.S, s)
-    return model, worst
-
-
-def _quotients(
-    shift: NShift, theta: BlaschkeProduct, dens: np.ndarray, heads: np.ndarray
-) -> tuple[tuple, tuple, float]:
-    """``p_i, q_i`` from the columns ``U = den phi_i`` of ``dens`` and the ``phi_i``'s ``heads``.
-
-    ``heads`` holds the first ``n`` Taylor coefficients of each ``phi_i``.  Over
-    theta's ``den`` and ``num``, ``W = den S^{n-i} phi_i = den (z + F)^{n-i}
-    phi_i``, ``p_i = W / (z^n num)`` and ``q_i = (z^i p_i num - U) / den``, all
-    ``n`` columns at once; the float is the largest relative remainder.
-    """
-    n = shift.n
-    den, num = theta.denominator().coeffs, theta.numerator().coeffs
-    reach = shift.F.reach(n)
-    step, by_den = shift.F.window(reach, n), _convolution(den, reach)
-    # Column i takes the steps t >= i, n - i in all, each adding one row.
-    w = np.zeros((max(dens.shape[0], by_den.shape[0] - 1) + n, n), dtype=np.complex128)
-    w[: dens.shape[0]] = dens
-    head = np.array(heads)
+    # Column i takes the steps t >= i, n - i in all.
+    v = phi.copy()
     for t in range(n):
-        live = slice(0, t + 1)
-        f = step @ head[:, live]
-        w[1:, live] = w[:-1, live]
-        w[0, live] = 0.0
-        w[: by_den.shape[0], live] += by_den @ f
-        head[1:, live] = head[:-1, live]
-        head[0, live] = 0.0
-        head[:, live] += f[:n]
-    r, rem = _long_division(w, np.concatenate([np.zeros(n), num]))
-    # Column i of r has i zero rows on top, so rolling it down by i makes z^i p_i exactly.
-    size = r.shape[0]
-    low = _convolution(num, size) @ r[(np.arange(size)[:, None] - np.arange(n)) % size, np.arange(n)]
-    low[: dens.shape[0]] -= dens
-    # Dividing by den from the bottom is dividing the reversals from the top.
-    c, left = _long_division(low[::-1], den[::-1])
-    worst = max((np.linalg.norm(rem, axis=0) / np.linalg.norm(w, axis=0)).max(),
-                (np.linalg.norm(left, axis=0) / np.linalg.norm(dens, axis=0)).max())
-    return _trimmed(r), _trimmed(c[::-1]), float(worst)
+        v[:, : t + 1] = s @ v[:, : t + 1]
+    tail = shifted[:, n:]
+    p = tail.conj().T @ v
+    q = np.column_stack([shifted[:, i : i + m - n] @ p[:, i] for i in range(n)]) - phi
+    worst = max((np.linalg.norm(v - tail @ p, axis=0) / np.linalg.norm(v, axis=0)).max(),
+                (np.linalg.norm(q[m:], axis=0) / np.linalg.norm(phi, axis=0)).max())
+    model = SubspaceModel(n, theta, _trimmed(p), _trimmed(q[:m]))
+    model.__dict__["_read_frame"] = (m, a, shifted, shift.S, s)
+    return model, float(worst)
 
 
 def _trimmed(columns: np.ndarray) -> tuple:
@@ -746,7 +726,7 @@ def _closure_model(
     in the disc (Beurling).  :func:`_frame_model` reads it off the ``S^k f``
     (``k < n``), whose :func:`_tm_frame` coordinates are their coefficients
     for ``m`` past ``2 n``, the block of ``S`` and every ``S^k f``, ``k <= n``.
-    The report carries the roots of ``h``, the largest division remainder and
+    The report carries the roots of ``h``, the largest read remainder and
     the read's ``order`` ``m``, at which :func:`_certificate` shares its frame.
     """
     tol = tol or DEFAULT_TOL
@@ -763,8 +743,8 @@ def _closure_model(
         raise TruncationError(f"S^k f, k <= {n}, does not fit working order {nw}")
     roots = Polynomial(orbit[n:, n]).roots()
     theta = BlaschkeProduct(1.0, tuple(roots[np.abs(roots) < 1.0 - _BOUNDARY_MARGIN]))
-    model, worst = _frame_model(shift, theta, _den_frame(theta, m), orbit[:m, :n], tol)
-    return model, {"h_roots": roots, "division_remainder": worst, "order": m}
+    model, worst = _frame_model(shift, theta, m, orbit[:m, :n], tol)
+    return model, {"h_roots": roots, "read_remainder": worst, "order": m}
 
 
 def check_cyclic(

@@ -173,17 +173,19 @@ def shift_from_kernel(
     invertible matrix since every ``a_s`` is nonzero); relabeling
     ``f_m -> z^m`` turns it into the shift matrix on the monomial basis.
     Only the leading ``n + 2`` window differs from ``M_z``, so only that
-    window is solved.
+    window is solved; ``F`` is that window less ``M_z``'s, with a zero symbol.
     """
     tol = tol or DEFAULT_TOL
     if working_order < kernel.n + 3:
         raise TruncationError("working order too small for this kernel")
     width = kernel.n + 2
-    x, _ = _relabeled(kernel, np.array([Z_SYMBOL], dtype=np.complex128), width, width + 1)
-    mz = OperatorMatrix.toeplitz(Z_SYMBOL, working_order)
-    s = OperatorMatrix._formed(np.ascontiguousarray(x[0, :width, :width]), mz.symbol,
+    x, t = _relabeled(kernel, np.array([Z_SYMBOL], dtype=np.complex128), width, width + 1)
+    block = x[0, :width, :width]
+    s = OperatorMatrix._formed(block.copy(), np.array(Z_SYMBOL, dtype=np.complex128),
                                working_order)
-    shift = NShift(kernel.n, s, s - mz, provenance="kernel")
+    f = OperatorMatrix._formed(block - t[0, :width, :width], np.zeros(2, dtype=np.complex128),
+                               working_order)
+    shift = NShift(kernel.n, s, f, provenance="kernel")
     report = validate_n_shift(shift, tol)
     if not report.clause_iii:
         raise NotLeftInvertibleError(

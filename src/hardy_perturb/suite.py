@@ -261,8 +261,8 @@ def check_random_trials(nw: int, tol: ToleranceConfig, seed: int, trials: int = 
     """Exact models of random cyclic closures, each verified against its shift.
 
     A trial's residual is the larger of the model's ``verify_model`` residual,
-    taken at the read's order on the read's frame, and the remainder of the
-    exact division that produced its ``p_i``.
+    taken at the read's order on the read's frame, and the read remainder of
+    the projection that produced its ``p_i, q_i``.
     """
     nw = max(nw, 128)
     rng = np.random.default_rng(seed)
@@ -276,7 +276,7 @@ def check_random_trials(nw: int, tol: ToleranceConfig, seed: int, trials: int = 
             moduli = np.abs(report["h_roots"])
             in_band += bool(((moduli > H_ROOT_BAND[0]) & (moduli < H_ROOT_BAND[1])).any())
             resid = max(_certificate(model, shift, tol, report["order"])["max_residual"],
-                        report["division_remainder"])
+                        report["read_remainder"])
             worst_resid = max(worst_resid, resid)
             if resid > 1e-6:
                 failures.append((trial, f"residual {resid:.2e}"))

@@ -12,10 +12,14 @@ stage is split under the dense ``S`` and ``S M_j`` is re-orthonormalized at N
 rows, and ``p_i`` and ``q_i`` are fitted by least squares against shifted theta
 expansions (``_fit_polynomial_factor``, ``_vector_to_polynomial``); the library
 peels in coordinates of the input basis, or reads a certified generator stack
-exactly, and reads ``p_i`` and ``q_i`` by exact division on every path.
-``long_division`` and ``quotients`` are that division one coefficient row and
-one column at a time; the library solves the top rows by one triangular solve
-and divides all columns at once.
+exactly, and on every path reads ``p_i`` and ``q_i`` as coordinates in a
+Takenaka-Malmquist frame.  ``long_division`` divides one coefficient row at a
+time, where the library's reductions mod ``z^n prod (z - a)`` solve the top
+rows by one triangular solve.  ``quotients`` gives the ``p_i`` and ``q_i`` of
+the same ``phi_i`` by dividing ``den S^{n-i} phi_i`` one column at a time, where
+the library projects onto the read's frame; ``den_frame`` builds each column of
+``den G_k`` by its own product, where the library shares prefix and suffix
+products.
 ``build_subspace`` builds the deep generator stacks this peel needs, at
 ``default_tail_depth``.
 
@@ -43,6 +47,7 @@ applies ``S`` to the Taylor expansion of ``M^perp``; the library's
 irreducibility probe reads the same norm in Takenaka-Malmquist coordinates.
 """
 
+import functools
 import warnings
 
 import numpy as np
@@ -511,7 +516,13 @@ def quotients(shift, theta, dens, heads):
             w = P.polyadd(np.append(0.0, w), np.convolve(den, f))
             head = np.append(0.0, head[:-1]) + f[:n]
         r, rem = long_division(w, np.concatenate([np.zeros(n), num]))
-        low = P.polysub(np.convolve(np.append(np.zeros(i), r), num), dens[:, i])
+        # Not P.polysub, which trims top rows that cancel: dividing by den from
+        # the bottom must keep every row, or a zero of theta near the origin
+        # (den's top coefficient below rounding) shifts the quotient by a row.
+        conv = np.convolve(np.append(np.zeros(i), r), num)
+        low = np.zeros(max(conv.size, dens.shape[0]), dtype=np.complex128)
+        low[: conv.size] = conv
+        low[: dens.shape[0]] -= dens[:, i]
         c, left = long_division(low[::-1], den[::-1])
         worst = max(worst, np.linalg.norm(rem) / np.linalg.norm(w),
                     np.linalg.norm(left) / np.linalg.norm(dens[:, i]))
@@ -520,6 +531,21 @@ def quotients(shift, theta, dens, heads):
             kept = np.flatnonzero(mags > 1e-12 * mags.max(initial=0.0))
             out.append(Polynomial(coeffs[: kept[-1] + 1] if kept.size else coeffs[:0]))
     return tuple(p), tuple(q), worst
+
+
+def den_frame(theta, m):
+    """Column ``k``: ``theta.denominator()`` times the Takenaka-Malmquist ``G_k``, one
+    ``functools.reduce`` of ``np.convolve`` over the factors of each column."""
+    zeros = np.concatenate([np.zeros(m), theta.zeros])
+    out = np.zeros((zeros.size, zeros.size), dtype=np.complex128)
+    for k, a in enumerate(zeros):
+        # den G_k = c_k prod_{j<k} (z - l_j) prod_{j>k} (1 - conj(l_j) z): z^k den below m.
+        if k == 0 or k >= m:
+            factors = [[-x, 1.0] for x in zeros[m:k]]
+            factors += [[1.0, -np.conj(x)] for x in zeros[max(k + 1, m) :] if x]
+            col = functools.reduce(np.convolve, factors, np.sqrt([1.0 - abs(a) ** 2]))
+        out[min(k, m) : min(k, m) + col.size, k] = col
+    return out
 
 
 def finite_codimension(model, nw, tol=DEFAULT_TOL):

@@ -32,7 +32,7 @@ def closure(shift, coeffs):
     """The closure model, after checking it verifies at rounding level."""
     model, report = _closure_model(shift, coeffs)
     assert verify_model(model, shift, shift.working_order)["max_residual"] < 1e-12
-    assert report["division_remainder"] < 1e-12
+    assert report["read_remainder"] < 1e-12
     return model, report
 
 

@@ -215,7 +215,20 @@ class TestIrreducibility:
         rep = irreducibility_probe(one_plus_z_shift, one_plus_z_kernel,
                                    subspaces=[Subspace(np.eye(NW, dtype=np.complex128))])
         assert rep["samples"][0].get("skipped") == "trivial"
-        assert rep["passed"]
+        # A verdict on no nontrivial sample could not have failed, so it must not pass.
+        assert not rep["passed"]
+        assert rep["reason"] == "no nontrivial subspace among the 1 given"
+
+    def test_one_nontrivial_given_subspace_passes(self, one_plus_z_kernel, one_plus_z_shift,
+                                                  theta_half):
+        # Control: next to a trivial sample, one nontrivial subspace is enough.
+        from hardy_perturb.core import Subspace
+
+        space, _ = build_subspace(s1_model(1.0, 1.0, theta_half), one_plus_z_shift, NW)
+        rep = irreducibility_probe(one_plus_z_shift, one_plus_z_kernel,
+                                   subspaces=[Subspace(np.eye(NW, dtype=np.complex128)), space])
+        assert [sample.get("skipped") for sample in rep["samples"]] == ["trivial", None]
+        assert rep["passed"] and "reason" not in rep
 
     def test_default_family(self, one_plus_z_kernel, one_plus_z_shift):
         rep = irreducibility_probe(one_plus_z_shift, one_plus_z_kernel, seed=5)

@@ -1,19 +1,23 @@
-"""The closure read's divisions against the row and column loops of ``dense_oracle``.
+"""The reads' divisions and projections against the row and column loops of ``dense_oracle``.
 
 ``invariant._long_division`` solves the top rows of ``w = C quo + rem`` by one
-triangular solve, and ``invariant._quotients`` forms ``den S^{n-i} phi_i`` and
-divides all ``n`` columns at once; ``dense_oracle.long_division`` and
-``dense_oracle.quotients`` divide one row and one column at a time.  The
-summation order differs, so the results agree to a tolerance set from the
-dtype, not bit for bit.
+triangular solve, where ``dense_oracle.long_division`` divides one row at a
+time.  ``invariant._frame_model`` reads ``p_i`` and ``q_i`` by projecting
+``S^{n-i} phi_i`` onto the read's orthonormal ``z^j theta``;
+``dense_oracle.quotients`` divides ``den S^{n-i} phi_i`` of the same ``phi_i``
+one column at a time, the arithmetic the projection replaced, and
+``dense_oracle.den_frame`` forms each column of ``invariant._den_frame`` by its
+own product.  The summation order differs, so the results agree to a tolerance
+set from the dtype, not bit for bit.
 """
 
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 from numpy.polynomial import polynomial as P
 import pytest
 
 import dense_oracle as oracle
-from hardy_perturb import TridiagonalKernel, invariant, shift_from_kernel
+from hardy_perturb import BlaschkeProduct, TridiagonalKernel, invariant, shift_from_kernel
 from hardy_perturb.invariant import _closure_model, _long_division
 from hardy_perturb.suite import check_random_trials
 
@@ -64,27 +68,44 @@ def test_long_division_of_short_inputs_is_the_input():
         assert_division_matches(w, d)
 
 
-def assert_quotients_match(args):
-    p, q, worst = invariant._quotients(*args)
-    want_p, want_q, want_worst = oracle.quotients(*args)
+def record_reads(monkeypatch):
+    """``(shift, theta, m, phi, model, remainder)`` of every ``_frame_model`` read."""
+    seen, peeled = [], []
+    peel, read = invariant._peel, invariant._frame_model
+
+    def recorded_peel(*args, **kwargs):
+        peeled.append(peel(*args, **kwargs))
+        return peeled[-1]
+
+    def recorded_read(shift, theta, m, lead, tol):
+        model, remainder = read(shift, theta, m, lead, tol)
+        seen.append((shift, theta, m, peeled[-1][0], model, remainder))
+        return model, remainder
+
+    monkeypatch.setattr(invariant, "_peel", recorded_peel)
+    monkeypatch.setattr(invariant, "_frame_model", recorded_read)
+    return seen
+
+
+def assert_read_matches_the_division(shift, theta, m, phi, model, remainder):
+    # The division of the same phi_i, from their den-multiplied Taylor coefficients.
+    want_p, want_q, _ = oracle.quotients(shift, theta, oracle.den_frame(theta, m) @ phi,
+                                         phi[: shift.n])
     # The phi_i have unit norm; a p_i or q_i that vanishes is rounding at that scale.
     scale = max([1.0] + [np.abs(c.coeffs).max(initial=0.0) for c in want_p + want_q])
-    for got, want in zip(p + q, want_p + want_q, strict=True):
+    for got, want in zip(model.p + model.q, want_p + want_q, strict=True):
         size = max(got.coeffs.size, want.coeffs.size)
         a, b = (np.pad(c.coeffs, (0, size - c.coeffs.size)) for c in (got, want))
         assert np.abs(a - b).max(initial=0.0) <= RTOL * scale
-    assert abs(worst - want_worst) <= RTOL * max(1.0, want_worst)
+    assert remainder <= RTOL
 
 
 def test_quotients_match_the_column_loop_on_closure_reads(monkeypatch):
-    seen = []
-    real = invariant._quotients
-    monkeypatch.setattr(invariant, "_quotients", lambda *args: seen.append(args) or real(*args))
+    reads = record_reads(monkeypatch)
     assert check_random_trials(128, invariant.DEFAULT_TOL, 7, trials=60)[0]["passed"]
-    assert {args[0].n for args in seen} == {1, 2, 3}
-    monkeypatch.undo()
-    for args in seen:
-        assert_quotients_match(args)
+    assert {read[0].n for read in reads} == {1, 2, 3}
+    for read in reads:
+        assert_read_matches_the_division(*read)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -92,9 +113,7 @@ def test_quotients_match_the_column_loop_near_the_circle(n, monkeypatch):
     # S acts as z on z^n H^2, so the closure of f = z^n g has S^n f = z^n (z^n g):
     # theta has n zeros at the origin and the roots of g in the disc, here two
     # at modulus 0.999.  For n = 1, f = g - g(0) b_0 z gives h = g itself.
-    seen = []
-    real = invariant._quotients
-    monkeypatch.setattr(invariant, "_quotients", lambda *args: seen.append(args) or real(*args))
+    reads = record_reads(monkeypatch)
     rng = np.random.default_rng([32, n])
     for _ in range(4):
         b = tuple(rng.uniform(0.0, 0.9, n) * unit_circle(rng, n))
@@ -106,7 +125,44 @@ def test_quotients_match_the_column_loop_near_the_circle(n, monkeypatch):
         for f in seeds:
             model, _ = _closure_model(shift, f)
             assert np.sum(np.abs(model.theta.zeros) > 0.99) == 2
-    assert len(seen) == (8 if n == 1 else 4)
-    monkeypatch.undo()
-    for args in seen:
-        assert_quotients_match(args)
+    assert len(reads) == (8 if n == 1 else 4)
+    for read in reads:
+        assert_read_matches_the_division(*read)
+
+
+ROOT_MODULI = st.one_of(st.floats(0.0, 3.0), st.just(0.99))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 3), kernel_seed=st.integers(0, 2**32 - 1),
+       moduli=st.lists(ROOT_MODULI, max_size=5), data=st.data())
+@example(n=2, kernel_seed=0, moduli=[7.7e-167], data=None).via("a theta zero near the origin")
+@example(n=1, kernel_seed=0, moduli=[5e-324], data=None).via("a subnormal singular value")
+def test_quotients_match_the_column_loop_on_random_kernels_and_seeds(n, kernel_seed, moduli,
+                                                                     data):
+    # Kernels as the demo's random trials draw them: b uniform in the disc of radius 0.9.
+    rng = np.random.default_rng(kernel_seed)
+    b = tuple(np.sqrt(rng.uniform(size=n)) * 0.9 * unit_circle(rng, n))
+    angles = (data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(moduli),
+                                 max_size=len(moduli))) if data else [0.0] * len(moduli))
+    shift = shift_from_kernel(TridiagonalKernel(n, (1.0,) * n, b), 128)
+    seed = P.polyfromroots(np.multiply(moduli, np.exp(2j * np.pi * np.array(angles))))
+    with pytest.MonkeyPatch.context() as patch:
+        seen = record_reads(patch)
+        _, report = _closure_model(shift, seed)
+    assert len(seen) == 1 and report["read_remainder"] == seen[0][-1] < 1e-13
+    assert_read_matches_the_division(*seen[0])
+
+
+ZEROS = st.lists(st.builds(lambda r, t: r * np.exp(2j * np.pi * t),
+                           st.floats(0.0, 0.999), st.floats(0.0, 1.0)), max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.sampled_from([5, 9, 12]), zeros=ZEROS)
+def test_den_frame_matches_the_per_column_products(m, zeros):
+    theta = BlaschkeProduct(1.0, tuple(zeros))
+    got, want = invariant._den_frame(theta, m), oracle.den_frame(theta, m)
+    # No coefficient of a product of deg theta factors 1 +- a z, |a| < 1, exceeds 2^deg.
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1000 * np.finfo(np.complex128).eps * 2.0 ** len(zeros)

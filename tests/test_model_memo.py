@@ -5,7 +5,8 @@ order ``m`` and the tolerances, so ``build_subspace``, ``check_cyclic``,
 ``finite_codimension`` and ``hyperinvariance_check`` read one
 Takenaka-Malmquist frame of a model.  A model read by ``_frame_model`` carries
 the read's frame and lifted ``S``, which its certificate at the read's order
-takes.  The guards count ``_tm_frame`` and ``_lift`` calls.
+takes.  The guards count ``_tm_frame``, ``_lift``, ``_long_division`` and
+``_den_frame`` calls.
 The differential tests compare the generator stack and the lifted operators
 with the per-column and Toeplitz-window constructions of ``dense_oracle``, bit
 for bit.
@@ -111,6 +112,20 @@ def test_a_random_trial_builds_one_frame_and_one_lift(frames, monkeypatch):
         # The closure read and the certificate at its order.
         assert check_random_trials(128, DEFAULT_TOL, seed, trials=1)[0]["passed"]
         assert len(frames) == 1 and len(lifts) == 1
+
+
+def test_a_random_trial_divides_nothing(monkeypatch):
+    # p_i and q_i are coordinates in the read's frame (one frame and one lift, as
+    # above), so the closure read and its certificate need no division and no
+    # den-multiplied frame.
+    calls = []
+    for name in ("_long_division", "_den_frame"):
+        real = getattr(invariant, name)
+        monkeypatch.setattr(invariant, name,
+                            lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    for seed in range(4):
+        assert check_random_trials(128, DEFAULT_TOL, seed, trials=1)[0]["passed"]
+    assert calls == []
 
 
 def test_verify_model_on_a_read_model_equals_a_fresh_copy_bit_for_bit():

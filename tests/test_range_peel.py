@@ -329,7 +329,7 @@ def test_criterion_6_closures_match_their_exact_closure_models():
 
 
 def test_a_wrong_theta_fails_the_division_certificate(monkeypatch):
-    # Theta's first zero moved by a relative 1e-3 leaves a division remainder
+    # Theta's first zero moved by a relative 1e-3 leaves a read remainder
     # far above the limit; a constant theta has no zero to move.
     rational = invariant.rational_inner_from_taylor
 
@@ -344,7 +344,7 @@ def test_a_wrong_theta_fails_the_division_certificate(monkeypatch):
     refused = 0
     for want, (shift, _, space) in zip(honest, criterion_6_closures()):
         if want.theta.degree:
-            with pytest.raises(ExtractionError, match=r"division remainder .* exceeds 1e-06"):
+            with pytest.raises(ExtractionError, match=r"read remainder .* exceeds 1e-06"):
                 extract_model(space, shift)
             refused += 1
         else:
