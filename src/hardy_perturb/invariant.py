@@ -16,6 +16,7 @@ and decides cyclicity for 1-shifts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -440,23 +441,16 @@ def _recovery(
 
 
 def _den_frame(theta: BlaschkeProduct, m: int) -> np.ndarray:
-    """Column ``k``: ``theta.denominator()`` times the basis ``G_k`` of :func:`_tm_frame`.
-
-    ``den G_k = c_k prod_{j<k} (z - l_j) prod_{j>k} (1 - conj(l_j) z)``, which is
-    ``z^k den`` below ``m``; past it, one prefix product over theta's zeros before
-    ``k`` and one suffix product over those after.
-    """
-    zeros, dim = theta.zeros, m + theta.degree
-    prefix, suffix = [np.ones(1, dtype=np.complex128)], [np.ones(1, dtype=np.complex128)]
-    for a, b in zip(zeros, zeros[::-1]):
-        prefix.append(np.convolve(prefix[-1], [-a, 1.0]))
-        suffix.append(np.convolve(suffix[-1], [1.0, -np.conj(b)]) if b else suffix[-1])
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    den = suffix[-1]
-    out[np.arange(m)[:, None] + np.arange(den.size), np.arange(m)[:, None]] = den
+    """Column ``k``: ``theta.denominator()`` times the basis ``G_k`` of :func:`_tm_frame`."""
+    zeros = np.concatenate([np.zeros(m), theta.zeros])
+    out = np.zeros((zeros.size, zeros.size), dtype=np.complex128)
     for k, a in enumerate(zeros):
-        col = np.sqrt(1.0 - abs(a) ** 2) * np.convolve(prefix[k], suffix[-k - 2])
-        out[m : m + col.size, m + k] = col
+        # den G_k = c_k prod_{j<k} (z - l_j) prod_{j>k} (1 - conj(l_j) z): z^k den below m.
+        if k == 0 or k >= m:
+            factors = [[-x, 1.0] for x in zeros[m:k]]
+            factors += [[1.0, -np.conj(x)] for x in zeros[max(k + 1, m) :] if x]
+            col = functools.reduce(np.convolve, factors, np.sqrt([1.0 - abs(a) ** 2]))
+        out[min(k, m) : min(k, m) + col.size, k] = col
     return out
 
 
@@ -568,9 +562,10 @@ def extract_model(
     :func:`build_subspace` returns.  Otherwise this peels the wandering
     vectors ``phi_j`` of the nested images ``S^j M``, identifies the
     plain-shift wandering vector of ``S^n M`` with ``z^n theta`` and
-    rationalizes ``theta`` into a finite Blaschke product; ``p_i`` and ``q_i``
-    follow from ``den phi_i`` (rows up to ``M.frontier``) by the exact path's
-    division, under its certificate (:func:`_divided_model`).
+    rationalizes ``theta`` into a finite Blaschke product; ``den phi_i`` (rows
+    up to ``M.frontier``) is reduced mod ``z^n prod (z - a)`` by division, and
+    :func:`_divided_model` reads ``p_i`` and ``q_i`` by the frame projection
+    under its read-remainder certificate.
 
     Every stage lies in ``M``, which holds ``S M``, so :func:`_peel` runs in
     coordinates of ``M.basis`` from the split :func:`wandering_dimension`
@@ -605,7 +600,7 @@ def extract_model(
     theta_vec = TruncatedVector(theta_raw[:theta_window])
     # Fast-fail screen; lags stay inside half the theta window because the
     # high lags are dominated by the truncated theta tail.  The decisive
-    # validation is the division's certificate below.
+    # validation is the read-remainder certificate below.
     _, diag = is_inner_numeric(theta_vec, tol, max_lag=min(24, theta_vec.working_order // 2))
     if diag["max_correlation"] > _INNER_SCREEN_LIMIT or diag["norm_defect"] > _INNER_SCREEN_LIMIT:
         raise ExtractionError(f"extracted tail generator fails the inner test: {diag}")

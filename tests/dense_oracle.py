@@ -17,9 +17,7 @@ Takenaka-Malmquist frame.  ``long_division`` divides one coefficient row at a
 time, where the library's reductions mod ``z^n prod (z - a)`` solve the top
 rows by one triangular solve.  ``quotients`` gives the ``p_i`` and ``q_i`` of
 the same ``phi_i`` by dividing ``den S^{n-i} phi_i`` one column at a time, where
-the library projects onto the read's frame; ``den_frame`` builds each column of
-``den G_k`` by its own product, where the library shares prefix and suffix
-products.
+the library projects onto the read's frame.
 ``build_subspace`` builds the deep generator stacks this peel needs, at
 ``default_tail_depth``.
 
@@ -47,7 +45,6 @@ applies ``S`` to the Taylor expansion of ``M^perp``; the library's
 irreducibility probe reads the same norm in Takenaka-Malmquist coordinates.
 """
 
-import functools
 import warnings
 
 import numpy as np
@@ -531,21 +528,6 @@ def quotients(shift, theta, dens, heads):
             kept = np.flatnonzero(mags > 1e-12 * mags.max(initial=0.0))
             out.append(Polynomial(coeffs[: kept[-1] + 1] if kept.size else coeffs[:0]))
     return tuple(p), tuple(q), worst
-
-
-def den_frame(theta, m):
-    """Column ``k``: ``theta.denominator()`` times the Takenaka-Malmquist ``G_k``, one
-    ``functools.reduce`` of ``np.convolve`` over the factors of each column."""
-    zeros = np.concatenate([np.zeros(m), theta.zeros])
-    out = np.zeros((zeros.size, zeros.size), dtype=np.complex128)
-    for k, a in enumerate(zeros):
-        # den G_k = c_k prod_{j<k} (z - l_j) prod_{j>k} (1 - conj(l_j) z): z^k den below m.
-        if k == 0 or k >= m:
-            factors = [[-x, 1.0] for x in zeros[m:k]]
-            factors += [[1.0, -np.conj(x)] for x in zeros[max(k + 1, m) :] if x]
-            col = functools.reduce(np.convolve, factors, np.sqrt([1.0 - abs(a) ** 2]))
-        out[min(k, m) : min(k, m) + col.size, k] = col
-    return out
 
 
 def finite_codimension(model, nw, tol=DEFAULT_TOL):
