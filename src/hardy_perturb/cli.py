@@ -187,7 +187,10 @@ def shift_powers(m_max, config_path, truncation, seed, out_path):
     """Verify the power identities of the configured shift."""
     cfg = load_config(config_path, truncation, seed)
     s, _ = resolve_shift(cfg)
-    m_top = m_max if m_max is not None else int(cfg.options.get("m_max", s.n + 4))
+    try:
+        m_top = m_max if m_max is not None else int(cfg.options.get("m_max", s.n + 4))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"m_max must be an integer, got {cfg.options['m_max']!r}") from exc
     if m_top < 1:
         raise ConfigError(f"m_max must be at least 1, got {m_top}")
     rep = verify_power_identities(s, m_top, cfg.tolerances, seed=cfg.seed)
@@ -266,6 +269,8 @@ def subspace_extract(config_path, truncation, seed, out_path):
     s, _ = _shift_for_subspace(cfg)
     nw = cfg.truncation
     if cfg.options.get("basis") is not None:
+        if not isinstance(cfg.options["basis"], list) or not cfg.options["basis"]:
+            raise ConfigError("basis must be a non-empty list of coefficient vectors")
         cols = np.column_stack([parse_complex_list(v) for v in cfg.options["basis"]])
         if cols.shape[0] != nw:
             raise ConfigError("basis vectors must have length equal to truncation")

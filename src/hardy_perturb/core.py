@@ -530,7 +530,10 @@ def krylov_closure(
 
     Approximates the cyclic subspace generated by ``f`` on the truncation.
     Requires ``depth * band_spread(T) < working_order`` so that the iterates
-    stay inside the representable range.
+    stay inside the representable range.  When ``T`` is an n-shift or its
+    ``S``, the result keeps ``(S, f)`` as ``_krylov_source`` (not a dataclass
+    field), from which :func:`~hardy_perturb.invariant.extract_model` reads the
+    model of the whole closure ``[f]``.
     """
     tol = tol or DEFAULT_TOL
     op = _as_operator(T)
@@ -552,7 +555,10 @@ def krylov_closure(
         iterates[:, k] = vec
     frontier = min(f.working_order, f.valuation(1e-14 * max(1.0, f.norm())) + depth)
     # Invariance holds by construction: T maps each iterate to the next.
-    return orthonormalize(iterates, tol, frontier=frontier, invariant_certified=True)
+    space = orthonormalize(iterates, tol, frontier=frontier, invariant_certified=True)
+    if isinstance(op, OperatorMatrix):
+        object.__setattr__(space, "_krylov_source", (op, f))
+    return space
 
 
 def principal_angles(M1: Subspace, M2: Subspace) -> np.ndarray:

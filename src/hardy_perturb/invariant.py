@@ -47,11 +47,9 @@ from .inner import (
     BlaschkeProduct,
     Polynomial,
     blaschke_taylor,
-    is_inner_numeric,
     is_outer_polynomial,
-    rational_inner_from_taylor,
 )
-from .shifts import Z_SYMBOL, NShift
+from .shifts import NShift
 
 __all__ = [
     "SubspaceModel",
@@ -67,17 +65,13 @@ __all__ = [
 
 # A model condition fails when its relative residual exceeds this.
 _CONDITION_LIMIT = 1e-6
-# Largest coefficient below z^n the plain-shift wandering vector of S^n M may keep.
-_VANISHING_LIMIT = 1e-6
-# The inner-function screen fails theta when a lag correlation or its norm defect exceeds this.
-_INNER_SCREEN_LIMIT = 1e-3
 # Tail generators past deg theta in a built stack; also the rows it leaves past den * stack.
 _TAIL_MARGIN = 8
 # The tail-Prony fit tries denominators up to this degree, on this many rows per degree.
 _PRONY_MAX_DEGREE, _PRONY_ROWS = 16, 32
 # Windows of unit basis columns have a null vector when their least singular value is below this.
 _NULL_CUT = 1e-10
-# Trailing p_i, q_i coefficients below this part of the largest are rounding.
+# Trailing coefficients of p_i, q_i and h below this part of the largest are rounding.
 _ROUNDING = 1e-12
 _CONDITIONS = ("phi_orthogonality", "phi_vs_tail", "chain", "last_chain")
 
@@ -398,7 +392,13 @@ def wandering_dimension(
         raise PreconditionError("subspace must be nonzero")
     _require_invariant(M, shift, tol)
     found = _recovery(M, shift, tol)
-    return 1 if isinstance(found, SubspaceModel) else found[1].shape[1]
+    count = 1 if isinstance(found, SubspaceModel) else found[1].shape[1]
+    if count == 0 and M.invariant_certified:
+        slack = 0 if M.frontier is None else M.working_order - M.frontier
+        raise TruncationError(f"no wandering vector at working order {M.working_order}: {slack} "
+                              "rows of slack (N - frontier) do not hold the truncated tail; "
+                              "raise --truncation")
+    return count
 
 
 def _require_invariant(M: Subspace, shift: NShift, tol: ToleranceConfig) -> None:
@@ -410,32 +410,27 @@ def _require_invariant(M: Subspace, shift: NShift, tol: ToleranceConfig) -> None
             )
 
 
-def _truncation_error(M: Subspace) -> TruncationError:
-    """What an empty peeling stage of a certified invariant ``M`` raises."""
-    slack = 0 if M.frontier is None else M.working_order - M.frontier
-    return TruncationError(f"no wandering vector at working order {M.working_order}: {slack} "
-                           "rows of slack (N - frontier) do not hold the truncated tail; "
-                           "raise --truncation")
-
-
 def _recovery(
     M: Subspace, shift: NShift, tol: ToleranceConfig
 ) -> SubspaceModel | tuple[np.ndarray, np.ndarray]:
-    """``M``'s model by :func:`_exact_model` (given a frontier), else its split ``(image, wander)``.
+    """``M``'s model by an exact reader, else its split ``(image, wander)``.
 
-    The split of ``M`` into ``P_M S M`` and ``M (-) S M`` is in ``M.basis``
-    coordinates; it raises :class:`TruncationError` when ``M`` is certified and
-    ``wander`` empty.  The result is kept as ``M._wandering_memo`` (not a
-    dataclass field) for this shift object and an equal ``tol``.
+    A Krylov closure of ``shift.S`` is read from its seed (:func:`_seed_model`),
+    any other basis by :func:`_exact_model`; else ``M`` splits into ``P_M S M``
+    and ``M (-) S M`` in ``M.basis`` coordinates.  The result is kept as
+    ``M._wandering_memo`` (not a dataclass field) for this shift object and an
+    equal ``tol``.
     """
     cached = getattr(M, "_wandering_memo", None)
     if cached is not None and cached[0] is shift and cached[1] == tol:
         return cached[2]
-    found = _exact_model(M, shift, tol) if M.frontier is not None else None
+    source = getattr(M, "_krylov_source", None)
+    if source is not None and source[0] is shift.S:
+        found = _seed_model(shift, source[1].coeffs, tol)
+    else:
+        found = _exact_model(M, shift, tol)
     if found is None:
         found = _split(M.basis.conj().T @ (shift.S @ M.basis), tol.tau_rank)
-        if found[1].shape[1] == 0 and M.invariant_certified:
-            raise _truncation_error(M)
     object.__setattr__(M, "_wandering_memo", (shift, tol, found))
     return found
 
@@ -455,13 +450,15 @@ def _den_frame(theta: BlaschkeProduct, m: int) -> np.ndarray:
 
 
 def _exact_model(M: Subspace, shift: NShift, tol: ToleranceConfig) -> SubspaceModel | None:
-    """The model of a generator stack with a frontier, read exactly; ``None`` unless certified.
+    """The model of a generator stack, read exactly; ``None`` unless certified.
 
     A column ``h`` of ``phi_i, z^n theta, .., z^{F-v} theta`` (frontier ``F``,
     theta's valuation ``v``) is ``p theta - q``, so ``den h`` (``den = prod (1 -
-    conj(a) z)``, ``d`` nonzero zeros) vanishes past row ``F + d``.  Prony: for
-    the least ``d``, ``den`` nulls the windows ``(h_k, .., h_{k-d})`` of all
-    columns past ``F + d``; the zeros are the roots of its conjugate reversal.
+    conj(a) z)``, ``d`` nonzero zeros) vanishes past row ``F + d``
+    (:func:`_prony_denominator`); the zeros are the roots of its conjugate
+    reversal.  A basis without a frontier is exact on all ``N`` rows (``F = N -
+    1``), so ``den = 1``: only zeros at the origin are read, all that an exactly
+    invariant truncation carries.
     ``den h mod z^{n+w} prod (z - a)`` is ``den P_K h``, ``K = H^2 (-) z^{n+w-v}
     theta H^2``, of rank ``n`` at ``w = v``, one more per order past it, and
     at most ``n`` below; its range and the ``z^j theta`` span ``M cap K'``.
@@ -469,20 +466,10 @@ def _exact_model(M: Subspace, shift: NShift, tol: ToleranceConfig) -> SubspaceMo
     (the generator count), no read remainder, :func:`verify_model`; an
     uncertified ``M`` (the CLI's raw ``basis``) within ``tau_angle`` of the model's stack.
     """
-    n, frontier, h = shift.n, M.frontier, M.basis
-    for d in range(_PRONY_MAX_DEGREE + 1):
-        start, stop = frontier + d + 1, min(h.shape[0], frontier + d + 1 + _PRONY_ROWS)
-        if stop - start <= d:
-            return None
-        windows = np.stack([h[start - j : stop - j] for j in range(d + 1)], axis=-1)
-        _, s, vh = np.linalg.svd(windows.reshape(-1, d + 1), full_matrices=False)
-        if s[-1] <= _NULL_CUT:
-            break
-    else:
-        return None
-    den = vh[-1].conj() / (vh[-1, 0].conj() or 1.0)
-    tail = sum(c * h[start - j : h.shape[0] - j] for j, c in enumerate(den))
-    if np.abs(tail).max() > _NULL_CUT * np.linalg.norm(den):
+    n, h = shift.n, M.basis
+    frontier = h.shape[0] - 1 if M.frontier is None else M.frontier
+    den = np.ones(1) if M.frontier is None else _prony_denominator(h, frontier)
+    if den is None:
         return None
     zeros = np.roots(den.conj())
     if ((np.abs(zeros) <= tol.tau_rank) | (np.abs(zeros) >= 1.0)).any():
@@ -492,7 +479,9 @@ def _exact_model(M: Subspace, shift: NShift, tol: ToleranceConfig) -> SubspaceMo
         p[j:] += c * h[: p.shape[0] - j]
     found, rank = None, 0
     for v in range(frontier - n + 1):
-        rem = _long_division(p, np.concatenate([np.zeros(n + v), P.polyfromroots(zeros)]))[1]
+        # Without zeros off the origin the divisor is z^{n+v}: the remainder is the top rows.
+        divisor = np.concatenate([np.zeros(n + v), P.polyfromroots(zeros)])
+        rem = _long_division(p, divisor)[1] if zeros.size else p[: n + v]
         s = np.linalg.svd(rem, compute_uv=False)
         rank = int(np.count_nonzero(s > tol.tau_rank * np.linalg.norm(den)))
         if rank > n:
@@ -510,25 +499,40 @@ def _exact_model(M: Subspace, shift: NShift, tol: ToleranceConfig) -> SubspaceMo
     return model if spanned else None
 
 
+def _prony_denominator(h: np.ndarray, frontier: int) -> np.ndarray | None:
+    """Prony: the least-degree ``den`` nulling the windows ``(h_k, .., h_{k-d})`` of all
+    columns past ``frontier + d``, if ``den h`` vanishes on every row there; else ``None``."""
+    for d in range(_PRONY_MAX_DEGREE + 1):
+        start, stop = frontier + d + 1, min(h.shape[0], frontier + d + 1 + _PRONY_ROWS)
+        if stop - start <= d:
+            return None
+        windows = np.stack([h[start - j : stop - j] for j in range(d + 1)], axis=-1)
+        _, s, vh = np.linalg.svd(windows.reshape(-1, d + 1), full_matrices=False)
+        if s[-1] <= _NULL_CUT:
+            break
+    else:
+        return None
+    den = vh[-1].conj() / (vh[-1, 0].conj() or 1.0)
+    tail = sum(c * h[start - j : h.shape[0] - j] for j, c in enumerate(den))
+    return None if np.abs(tail).max() > _NULL_CUT * np.linalg.norm(den) else den
+
+
 def _divided_model(
     shift: NShift, zeros: tuple | np.ndarray, rem: np.ndarray, tol: ToleranceConfig
 ) -> SubspaceModel:
-    """The model of ``M`` from ``rem = den h mod z^n prod (z - a)`` over columns ``h`` of ``M``.
+    """:func:`_exact_model`'s back half: the model from ``rem = den h mod z^n prod (z - a)``.
 
-    ``a`` runs over theta's ``zeros`` (origin included) and ``den`` is theta's
-    denominator, so ``rem`` is ``den P_K h``, ``K = H^2 (-) z^n theta H^2``; its
-    range, solved against :func:`_den_frame` into frame coordinates, is ``M cap K``
-    for :func:`_frame_model`, which projects out ``p_i, q_i``.  Theta's first
-    significant Taylor coefficient is made positive real.  Certificate: read
-    remainder at most ``_CONDITION_LIMIT`` (else :class:`ExtractionError`), then
-    the model conditions at the read's order (:func:`_certificate`).
+    ``h`` runs over the columns of the stack, ``a`` over theta's ``zeros`` (origin
+    included) and ``den`` is theta's denominator, so ``rem`` is ``den P_K h``, ``K =
+    H^2 (-) z^n theta H^2``; its range, solved against :func:`_den_frame` into frame
+    coordinates, is ``M cap K`` for :func:`_frame_model`, which projects out ``p_i,
+    q_i`` under :func:`_positive_theta`.  Certificate: read remainder at most
+    ``_CONDITION_LIMIT`` (else :class:`ExtractionError`), then the model conditions
+    at the read's order (:func:`_certificate`).
     """
     n = shift.n
     u = np.linalg.svd(rem, full_matrices=False)[0][:, :n]
-    ref = BlaschkeProduct(1.0, tuple(zeros))
-    head = blaschke_taylor(ref, ref.degree + 1).coeffs
-    lead = head[np.flatnonzero(np.abs(head) > tol.tau_rank)[0]]
-    theta = BlaschkeProduct(abs(lead) / lead, ref.zeros)
+    theta = _positive_theta(zeros, tol)
     m = max(2 * n, shift.S.block_size) + 1
     heads = np.linalg.solve(_den_frame(theta, m), np.pad(u, ((0, m - n), (0, 0))))
     model, remainder = _frame_model(shift, theta, m, heads, tol)
@@ -538,17 +542,12 @@ def _divided_model(
     return model
 
 
-def _normalize_direction(vec: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
-    """Unit norm with the first significant coefficient rotated positive real."""
-    norm = np.linalg.norm(vec)
-    if norm == 0.0:
-        raise ExtractionError("cannot normalize the zero vector")
-    out = vec / norm
-    idx = np.flatnonzero(np.abs(out) > tol.tau_rank)
-    if idx.size == 0:
-        raise ExtractionError("vector has no significant coefficient")
-    lead = out[idx[0]]
-    return out * (abs(lead) / lead)
+def _positive_theta(zeros: tuple | np.ndarray, tol: ToleranceConfig) -> BlaschkeProduct:
+    """The Blaschke product of ``zeros`` with its first significant Taylor coefficient > 0."""
+    ref = BlaschkeProduct(1.0, tuple(zeros))
+    head = blaschke_taylor(ref, ref.degree + 1).coeffs
+    lead = head[np.flatnonzero(np.abs(head) > tol.tau_rank)[0]]
+    return BlaschkeProduct(abs(lead) / lead, ref.zeros)
 
 
 def extract_model(
@@ -556,86 +555,52 @@ def extract_model(
     shift: NShift,
     tol: ToleranceConfig | None = None,
 ) -> SubspaceModel:
-    """Recover the classification data of an invariant subspace.
+    """Recover the classification data of an invariant subspace, exactly.
 
-    :func:`_exact_model` reads a certified stack with a frontier, such as
-    :func:`build_subspace` returns.  Otherwise this peels the wandering
-    vectors ``phi_j`` of the nested images ``S^j M``, identifies the
-    plain-shift wandering vector of ``S^n M`` with ``z^n theta`` and
-    rationalizes ``theta`` into a finite Blaschke product; ``den phi_i`` (rows
-    up to ``M.frontier``) is reduced mod ``z^n prod (z - a)`` by division, and
-    :func:`_divided_model` reads ``p_i`` and ``q_i`` by the frame projection
-    under its read-remainder certificate.
+    A Krylov closure of ``shift.S`` (:func:`~hardy_perturb.core.krylov_closure`)
+    is read from its seed by :func:`_closure_model`: the model of the whole
+    cyclic closure ``[f]``, whatever depth of it the basis spans.  Any other
+    basis is read as a generator stack by :func:`_exact_model` (a basis without
+    a frontier is exact on all its rows).  Both readers certify the model at
+    the read's order, and an input neither certifies raises
+    :class:`ExtractionError`: nothing is read approximately.
 
-    Every stage lies in ``M``, which holds ``S M``, so :func:`_peel` runs in
-    coordinates of ``M.basis`` from the split :func:`wandering_dimension`
-    shares; nothing peeled reaches past ``M.frontier``: theta's window ends 8 below it.
-
-    The wandering vector at each stage must be one-dimensional; anything
-    else signals inadequate truncation or a non-invariant input, and an
-    empty one on a certified invariant input raises :class:`TruncationError`.
     Theta's first significant Taylor coefficient is positive real, and each
     ``phi_i`` has unit norm with its first significant coefficient positive
     real; the returned polynomials inherit that scaling.
     """
     tol = tol or DEFAULT_TOL
-    n = shift.n
-    nw = M.working_order
     _require_invariant(M, shift, tol)
-
     found = _recovery(M, shift, tol)
-    if isinstance(found, SubspaceModel):
-        return found
-    empty = _truncation_error(M) if M.invariant_certified else None
-    phi_dirs, (cur, image) = _peel(shift.S, M.basis, n, tol, found, empty)
-    g, _ = _peel(OperatorMatrix.toeplitz(Z_SYMBOL, nw), cur @ image, 1, tol)
-    gvec = g[:, 0]
-    if np.abs(gvec[:n]).max(initial=0.0) > _VANISHING_LIMIT:
-        raise ExtractionError("image wandering vector does not vanish to order n")
-
-    # Coefficients of the wandering vector lose accuracy toward the
-    # generator frontier; keep a margin below it for the rational fit.
-    theta_window = nw - n if M.frontier is None else max(16, M.frontier - n - 8)
-    theta_raw = _normalize_direction(gvec[n:], tol)
-    theta_vec = TruncatedVector(theta_raw[:theta_window])
-    # Fast-fail screen; lags stay inside half the theta window because the
-    # high lags are dominated by the truncated theta tail.  The decisive
-    # validation is the read-remainder certificate below.
-    _, diag = is_inner_numeric(theta_vec, tol, max_lag=min(24, theta_vec.working_order // 2))
-    if diag["max_correlation"] > _INNER_SCREEN_LIMIT or diag["norm_defect"] > _INNER_SCREEN_LIMIT:
-        raise ExtractionError(f"extracted tail generator fails the inner test: {diag}")
-    theta = rational_inner_from_taylor(theta_vec, tol)
-    rows, den = nw if M.frontier is None else M.frontier, theta.denominator().coeffs
-    dh = np.column_stack([np.convolve(den, phi)[:rows] for phi in phi_dirs[:rows].T])
-    divisor = np.concatenate([np.zeros(n), P.polyfromroots(theta.zeros)])
-    return _divided_model(shift, theta.zeros, _long_division(dh, divisor)[1], tol)
+    if not isinstance(found, SubspaceModel):
+        raise ExtractionError("no exact reader certifies the subspace: a Krylov closure of the "
+                              "shift is read from its seed, any other basis as a generator stack")
+    return found
 
 
-def _peel(s: np.ndarray | OperatorMatrix, cur: np.ndarray, stages: int, tol: ToleranceConfig,
-          first: tuple | None = None,
-          empty: Exception | None = None) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Unit wandering vectors of ``V, s V, ...`` as columns, and the last ``(cur, image)``.
+def _peel(s: np.ndarray, cur: np.ndarray, stages: int, tol: ToleranceConfig) -> np.ndarray:
+    """Unit wandering vectors of ``V, s V, ...`` as columns.
 
     ``cur`` is an orthonormal basis of an ``s``-invariant ``V``.  Every stage
     lies inside ``V``, so each is one SVD of ``cur* s cur``: its range half,
-    mapped back through ``cur``, is the next ``cur`` (``cur @ image`` spans
-    ``s^stages V``), and nothing is orthonormalized at the rows of ``V``.
-    ``first`` is stage 0's split when the caller holds it.  Each stage must be
-    one-dimensional, else :class:`ExtractionError`, or ``empty`` when empty.
+    mapped back through ``cur``, is the next ``cur``, and nothing is
+    orthonormalized at the rows of ``V``.  Each stage must be one-dimensional,
+    else :class:`ExtractionError`; its vector has unit norm and its first
+    significant coefficient positive real.
     """
     phis = []
     for j in range(stages):
         cur = cur @ image if j else cur
-        split = first if j == 0 and first else _split(cur.conj().T @ (s @ cur), tol.tau_rank)
-        image, wander = split
-        if wander.shape[1] == 0 and empty is not None:
-            raise empty
+        image, wander = _split(cur.conj().T @ (s @ cur), tol.tau_rank)
         if wander.shape[1] != 1:
             raise ExtractionError(
                 f"wandering dimension {wander.shape[1]} != 1 while peeling stage {j}"
             )
-        phis.append(_normalize_direction(cur @ wander[:, 0], tol))
-    return np.column_stack(phis), (cur, image)
+        phi = cur @ wander[:, 0]
+        phi /= np.linalg.norm(phi)
+        lead = phi[np.flatnonzero(np.abs(phi) > tol.tau_rank)[0]]
+        phis.append(phi * (abs(lead) / lead))
+    return np.column_stack(phis)
 
 
 def _convolution(coeffs: np.ndarray, cols: int) -> np.ndarray:
@@ -686,7 +651,7 @@ def _frame_model(
     a, shifted = _tm_frame(theta, m)
     s = _lift(shift.S, a)
     gens = np.hstack([np.eye(a.shape[0], lead.shape[0]) @ lead, shifted[:, n:]])
-    phi, _ = _peel(s, _split(gens, tol.tau_rank)[0], n, tol)
+    phi = _peel(s, _split(gens, tol.tau_rank)[0], n, tol)
     # Column i takes the steps t >= i, n - i in all.
     v = phi.copy()
     for t in range(n):
@@ -736,10 +701,29 @@ def _closure_model(
     m = max(2 * n, rows[-1] + 1, shift.S.block_size) + 1
     if m > nw or orbit[-1].any():
         raise TruncationError(f"S^k f, k <= {n}, does not fit working order {nw}")
-    roots = Polynomial(orbit[n:, n]).roots()
+    # Top coefficients of h below _ROUNDING of its largest are rounding: in the
+    # disc they weigh at most that much, and the roots they add lie far outside.
+    # np.roots divides by the top coefficient, so a subnormal one would overflow.
+    roots = _trimmed(orbit[n:, n:])[0].roots()
     theta = BlaschkeProduct(1.0, tuple(roots[np.abs(roots) < 1.0 - _BOUNDARY_MARGIN]))
     model, worst = _frame_model(shift, theta, m, orbit[:m, :n], tol)
     return model, {"h_roots": roots, "read_remainder": worst, "order": m}
+
+
+def _seed_model(shift: NShift, coeffs: np.ndarray, tol: ToleranceConfig) -> SubspaceModel | None:
+    """:func:`_closure_model`'s model of ``[f]``, or ``None`` unless its read remainder and
+    the model conditions at the read's order (:func:`_certificate`) hold; then theta turns
+    to its :func:`_positive_theta` and ``p_i`` back, which leaves every ``p_i theta``."""
+    try:
+        model, read = _closure_model(shift, coeffs, tol)
+        _consistent(_certificate(model, shift, tol, read["order"]), tol)
+    except (TruncationError, ExtractionError, ModelInconsistencyError):
+        return None
+    if read["read_remainder"] > _CONDITION_LIMIT:
+        return None
+    theta = _positive_theta(model.theta.zeros, tol)
+    p = [Polynomial(p_i.coeffs * np.conj(theta.constant)) for p_i in model.p]
+    return SubspaceModel(shift.n, theta, p, model.q)
 
 
 def check_cyclic(

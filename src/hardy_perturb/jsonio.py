@@ -56,6 +56,8 @@ def _uncpair(x) -> complex:
 
 
 def parse_complex_list(xs) -> np.ndarray:
+    if not isinstance(xs, (list, tuple)):
+        raise ConfigError(f"expected a list of numbers or [re, im] pairs, got {xs!r}")
     return np.array([_uncpair(x) for x in xs], dtype=np.complex128)
 
 
@@ -104,6 +106,8 @@ def load_config(
             eff_seed = int(os.environ.get(SEED_ENV_VAR, "0"))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"truncation and seed must be integers: {exc}") from exc
+    if not isinstance(raw.get("tolerances", {}), dict):
+        raise ConfigError(f"tolerances must be an object, got {raw['tolerances']!r}")
     try:
         tols = ToleranceConfig.from_dict(raw.get("tolerances", {}))
     except (TypeError, ValueError) as exc:

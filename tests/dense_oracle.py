@@ -11,11 +11,11 @@ symbol.
 stage is split under the dense ``S`` and ``S M_j`` is re-orthonormalized at N
 rows, and ``p_i`` and ``q_i`` are fitted by least squares against shifted theta
 expansions (``_fit_polynomial_factor``, ``_vector_to_polynomial``); the library
-peels in coordinates of the input basis, or reads a certified generator stack
-exactly, and on every path reads ``p_i`` and ``q_i`` as coordinates in a
-Takenaka-Malmquist frame.  ``long_division`` divides one coefficient row at a
-time, where the library's reductions mod ``z^n prod (z - a)`` solve the top
-rows by one triangular solve.  ``quotients`` gives the ``p_i`` and ``q_i`` of
+has no orthogonal peel: it reads a Krylov closure from its seed and any other
+basis as a generator stack, exactly, and on both paths reads ``p_i`` and
+``q_i`` as coordinates in a Takenaka-Malmquist frame.  ``long_division``
+divides one coefficient row at a time, where the library's reductions mod
+``z^n prod (z - a)`` solve the top rows by one triangular solve.  ``quotients`` gives the ``p_i`` and ``q_i`` of
 the same ``phi_i`` by dividing ``den S^{n-i} phi_i`` one column at a time, where
 the library projects onto the read's frame.
 ``build_subspace`` builds the deep generator stacks this peel needs, at
@@ -65,7 +65,7 @@ from hardy_perturb.errors import (
 from hardy_perturb.inner import (
     _BOUNDARY_MARGIN, is_inner_numeric, is_outer_polynomial, rational_inner_from_taylor,
 )
-from hardy_perturb.invariant import _model_space, _normalize_direction, _split
+from hardy_perturb.invariant import _model_space, _split
 from hardy_perturb.shifts import f_basis_matrix
 
 
@@ -433,6 +433,13 @@ def _vector_to_polynomial(vec, tol, label, cutoff=None):
                       f"window (significant coefficients up to index {degree}, "
                       f"tail norm {tail:.3e})", stacklevel=3)
     return Polynomial(c[: degree + 1]), tail
+
+
+def _normalize_direction(vec, tol):
+    """Unit norm with the first significant coefficient rotated positive real."""
+    out = vec / np.linalg.norm(vec)
+    lead = out[np.flatnonzero(np.abs(out) > tol.tau_rank)[0]]
+    return out * (abs(lead) / lead)
 
 
 def extract_model(M, shift, tol=DEFAULT_TOL):

@@ -49,6 +49,12 @@ BAD_VALUES = {
     "kernel-nan": (["shift", "verify"], {"input": {"n": 1, "a": [[1, 0]], "b": [[np.nan, 0]]}}),
     "truncation-not-a-number": (["shift", "verify"], {"truncation": "abc"}),
     "seed-not-a-number": (["shift", "verify"], {"seed": "abc"}),
+    "tolerances-not-an-object": (["shift", "verify"], {"tolerances": [1, 2]}),
+    "basis-not-a-list": (["subspace", "extract"], {"basis": 5}),
+    "basis-empty": (["subspace", "extract"], {"basis": []}),
+    "seed-vector-not-a-list": (["subspace", "extract"], {"seed_vector": 5}),
+    "phi-not-a-list": (["commutant", "element"], {"phi": 5}),
+    "m-max-not-a-number": (["shift", "powers"], {"m_max": "abc"}),
 }
 
 BROKEN_SUPPORT = {
@@ -196,6 +202,22 @@ class TestSubspaceCommands:
         payload["truncation"] = 128
         payload["seed_vector"] = [[0, 0], [1, 0], [-0.3, 0], [0.2, 0]]
         payload["depth"] = 36
+        write(cfg, payload)
+        result = invoke(runner, ["subspace", "extract", "--config", str(cfg)])
+        assert result.exit_code == 0
+        doc = json.loads(result.output)
+        assert doc["report"]["residuals"]["max_residual"] < 1e-6
+
+    def test_extract_from_seed_vector_at_any_depth(self, runner, tmp_path):
+        # h has a root of modulus 1.23: the depth-40 span leaks past its frontier
+        # and leaves no wandering vector, even at N = 1024.  The closure is read
+        # from the seed exactly.
+        payload = {
+            "truncation": 1024,
+            "input": {"n": 3, "a": [[1, 0]] * 3, "b": [[0, 0.5], [0.4, 0], [-0.2, 0]]},
+            "seed_vector": [[1, 0], [0.3, 0], [0.1, 0]],
+        }
+        cfg = tmp_path / "cfg.json"
         write(cfg, payload)
         result = invoke(runner, ["subspace", "extract", "--config", str(cfg)])
         assert result.exit_code == 0

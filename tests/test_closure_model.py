@@ -2,8 +2,9 @@
 
 ``[f] = span{f, ..., S^{n-1} f} (+) z^n theta_h H^2`` with ``S^n f = z^n h``
 and ``theta_h`` the Blaschke product of the roots of ``h`` in the disc.  The
-numeric path (a depth-40 Krylov closure and ``extract_model``) is the oracle
-on conditioned draws; hand-computed closures cover the edge cases.
+numeric path (a depth-40 Krylov closure and the dense oracle's orthogonal peel,
+``dense_oracle.extract_model``) is the oracle on conditioned draws;
+hand-computed closures cover the edge cases.
 """
 
 import numpy as np
@@ -13,10 +14,13 @@ from hardy_perturb import (
     DEFAULT_TOL,
     BlaschkeProduct,
     Polynomial,
+    TridiagonalKernel,
+    TruncatedVector,
     extract_model,
     finite_codimension,
     krylov_closure,
     shift_from_columns,
+    shift_from_kernel,
     verify_model,
 )
 from hardy_perturb.errors import ExtractionError
@@ -24,6 +28,7 @@ from hardy_perturb.invariant import _closure_model, _long_division, _peel, _tm_f
 from hardy_perturb.suite import _sample_trial, check_random_trials, sample_conditioned_trial
 
 from conftest import rank_one_shift, two_perturbation
+import dense_oracle as oracle
 
 NW = 128
 
@@ -51,7 +56,7 @@ def test_matches_the_numeric_path_on_conditioned_draws():
     worst = 0.0
     for _ in range(40):
         _, shift, seed_vec = sample_conditioned_trial(rng, NW, 40)
-        numeric = extract_model(krylov_closure(shift, seed_vec, 40), shift)
+        numeric = oracle.extract_model(krylov_closure(shift, seed_vec, 40), shift)
         exact, _ = closure(shift, seed_vec.coeffs)
         worst = max(worst, zero_distance(exact.theta.zeros, numeric.theta.zeros))
         assert finite_codimension(None, exact) == finite_codimension(None, numeric)
@@ -106,6 +111,17 @@ def test_root_of_h_next_to_the_circle():
     assert finite_codimension(None, model) == 1
 
 
+def test_subnormal_top_coefficient_of_h():
+    # b = (5e-324, i / 2): S^2 1 = z^2 (1 + 5e-324 z).  The subnormal top
+    # coefficient of h only adds a root far outside the disc, and the roots
+    # are taken without it: dividing by it would overflow.
+    shift = shift_from_kernel(TridiagonalKernel(2, (1.0, 1.0), (5e-324, 0.5j)), NW)
+    model, report = closure(shift, [1.0])
+    assert model.theta.zeros == () and report["h_roots"].size == 0
+    space = krylov_closure(shift, TruncatedVector.from_coefficients([1.0], NW), 40)
+    assert extract_model(space, shift).theta.zeros == ()
+
+
 @pytest.mark.parametrize("zeros", [(0.5,), (0.3j, -0.8), (0.0, 0.6 - 0.2j, -0.4j)])
 def test_exact_division_by_z_n_theta(zeros):
     theta = BlaschkeProduct(np.exp(0.4j), zeros)
@@ -129,7 +145,7 @@ def test_exact_division_by_z_n_theta(zeros):
 def test_peel_refuses_two_generators():
     # Under S^2 the plain closure of 1 needs two generators, 1 and z.
     a, _ = _tm_frame(BlaschkeProduct(), 6)
-    phis, _ = _peel(a, np.eye(6), 3, DEFAULT_TOL)
+    phis = _peel(a, np.eye(6), 3, DEFAULT_TOL)
     np.testing.assert_allclose(phis, np.eye(6)[:, :3], atol=1e-15)
     with pytest.raises(ExtractionError, match="wandering dimension 2"):
         _peel(a @ a, np.eye(6), 1, DEFAULT_TOL)

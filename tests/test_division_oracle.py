@@ -78,7 +78,7 @@ def record_reads(monkeypatch):
 
     def recorded_read(shift, theta, m, lead, tol):
         model, remainder = read(shift, theta, m, lead, tol)
-        seen.append((shift, theta, m, peeled[-1][0], model, remainder))
+        seen.append((shift, theta, m, peeled[-1], model, remainder))
         return model, remainder
 
     monkeypatch.setattr(invariant, "_peel", recorded_peel)

@@ -25,6 +25,7 @@ from hardy_perturb.core import DEFAULT_TOL, Subspace, ToleranceConfig, subspace_
 from hardy_perturb.shifts import gram_columns
 from hardy_perturb.jsonio import model_from_payload
 from hardy_perturb.errors import (
+    ExtractionError,
     ModelInconsistencyError,
     PreconditionError,
     TruncationError,
@@ -216,8 +217,9 @@ class TestExtractModel:
 
     def test_zero_at_0_975_is_a_truncation_error(self, monkeypatch):
         # On the oracles' deep stack the exact path reads the model, but the
-        # orthogonal peel finds no wandering vector: the slack below the
-        # working order does not hold the truncated tail.
+        # split of M under S finds no wandering vector: the slack below the
+        # working order does not hold the truncated tail.  With no exact read,
+        # extraction refuses the stack.
         theta, shift, _ = self.near_circle(0.975)
         space = oracle.build_subspace(s1_model(1.0, 0.5, theta), 256)
         rec = extract_model(space, shift)
@@ -227,7 +229,7 @@ class TestExtractModel:
         monkeypatch.setattr(invariant, "_exact_model", lambda *_: None)
         with pytest.raises(TruncationError, match=r"\d+ rows of slack .*raise --truncation"):
             wandering_dimension(peeled, shift)
-        with pytest.raises(TruncationError, match="raise --truncation"):
+        with pytest.raises(ExtractionError, match="no exact reader certifies"):
             extract_model(peeled, shift)
         # Without the invariance certificate the same basis meets the
         # norm-based precondition, which the truncated tail fails.
@@ -381,9 +383,9 @@ class TestRangeSideStructure:
         return model, shift, space
 
     @classmethod
-    def peeled_space(cls, monkeypatch, nw=NW):
-        """The round trip's model as a raw stack at the oracles' depth, read by the
-        orthogonal peel: the exact path declines."""
+    def split_space(cls, monkeypatch, nw=NW):
+        """The round trip's model as a raw stack at the oracles' depth, with the
+        exact path made to decline: only the split of M under S is read."""
         model, shift = cls.round_trip_model(nw)
         space = oracle.build_subspace(model, nw)
         monkeypatch.setattr(invariant, "_exact_model", lambda *_: None)
@@ -402,23 +404,8 @@ class TestRangeSideStructure:
         monkeypatch.setattr(invariant, "_split", counted)
         return sizes
 
-    def test_wandering_split_is_shared_with_extraction(self, monkeypatch):
-        model, shift, space = self.peeled_space(monkeypatch)
-        fresh = Subspace(space.basis, space.frontier, space.invariant_certified)
-        sizes = self.count_splits(monkeypatch)
-        assert wandering_dimension(space, shift) == 1
-        rec = extract_model(space, shift)
-        # One split of M under S and one plain-shift split of S M, not three; the
-        # exact division splits only in the model space, of n + deg theta + m rows.
-        bound = shift.n + model.theta.degree + max(2 * shift.n, shift.S.block_size) + 1
-        assert [k for k in sizes if k > bound] == [space.dim, space.dim - 1]
-        again = extract_model(fresh, shift)
-        assert [k for k in sizes if k > bound] == [space.dim, space.dim - 1] * 2
-        assert rec.theta.zeros == again.theta.zeros
-        assert np.array_equal(rec.p[0].coeffs, again.p[0].coeffs)
-
     def test_another_shift_object_recomputes(self, monkeypatch):
-        _, shift, space = self.peeled_space(monkeypatch)
+        _, shift, space = self.split_space(monkeypatch)
         twin = shift_from_kernel(TridiagonalKernel(1, (1.0,), (0.7,)), NW)
         other = shift_from_kernel(TridiagonalKernel(1, (1.0,), (-0.2,)), NW)
         sizes = self.count_splits(monkeypatch)
@@ -436,7 +423,7 @@ class TestRangeSideStructure:
         assert principal_angles(split, subspace_difference(space, shift)).max() > 1e-3
 
     def test_another_tolerance_recomputes(self, monkeypatch):
-        _, shift, space = self.peeled_space(monkeypatch)
+        _, shift, space = self.split_space(monkeypatch)
         sizes = self.count_splits(monkeypatch)
         wandering_dimension(space, shift, ToleranceConfig())
         wandering_dimension(space, shift, ToleranceConfig())
@@ -465,9 +452,9 @@ class TestRangeSideStructure:
         assert extract_model(fresh, shift).theta.zeros == calls[0].theta.zeros
         assert len(calls) == 4
 
-    def test_only_the_input_subspace_keeps_its_split(self, monkeypatch, two_perturbation_shift):
-        # n = 2 peels a second stage in coordinates of M: no N-row subspace is
-        # built for S M, so only the input holds a memo.
+    def test_only_the_input_subspace_keeps_its_reading(self, monkeypatch, two_perturbation_shift):
+        # n = 2 reads the closure from its seed: no N-row subspace is built for
+        # S M, and only the input holds a memo, the closure reader's model.
         seed = TruncatedVector.from_coefficients([0.0, 1.0, -0.3, 0.2], NW)
         space = krylov_closure(two_perturbation_shift, seed, 36)
         built = []
@@ -477,28 +464,11 @@ class TestRangeSideStructure:
             return built[-1]
 
         monkeypatch.setattr(invariant, "orthonormalize", recorded)
-        assert extract_model(space, two_perturbation_shift).n == 2
-        assert built == []
-        shift, tol, (image, wander) = vars(space)["_wandering_memo"]
-        assert shift is two_perturbation_shift and tol == DEFAULT_TOL
-        assert image.shape == (space.dim, space.dim - 1) and wander.shape == (space.dim, 1)
-
-    def test_round_trip_factors_n_rows_once(self, monkeypatch):
-        # Mirrors test_round_trip_builds_no_dense_operator for factorizations:
-        # on the orthogonal peel only the stack is factored at N rows.
-        rows = []
-        svd = np.linalg.svd
-
-        def recorded(a, *args, **kwargs):
-            rows.append(a.shape[0])
-            return svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", recorded)
-        _, shift, space = self.peeled_space(monkeypatch, 256)
-        assert wandering_dimension(space, shift) == 1
-        assert len(extract_model(space, shift).theta.zeros) == 3
-        assert rows.count(256) == 1
-        assert max(r for r in rows if r != 256) <= space.dim
+        model = extract_model(space, two_perturbation_shift)
+        assert model.n == 2 and built == []
+        assert vars(space)["_wandering_memo"] == (two_perturbation_shift, DEFAULT_TOL, model)
+        raw, _ = invariant._closure_model(two_perturbation_shift, seed.coeffs)
+        assert model.theta.zeros == raw.theta.zeros
 
     def test_round_trip_builds_no_dense_operator(self, monkeypatch):
         # Mirrors test_model_side_builds_no_square_array for the range side.

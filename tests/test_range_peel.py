@@ -1,18 +1,19 @@
-"""The range side against the dense oracle's orthogonal peel.
+"""The range side's two exact readers against the dense oracle's orthogonal peel.
 
-``invariant.extract_model`` reads a generator stack with a frontier exactly
+``invariant.extract_model`` reads a Krylov closure of the shift from its seed
+(``_closure_model``) and every other basis as a generator stack
 (``_exact_model``: theta's denominator off the rows past the frontier, then
 the Takenaka-Malmquist peel and exact division; a raw basis must also span the
-model's own stack) and peels Krylov closures and whatever the exact path
-declines in coordinates of the input basis.  The oracle
+model's own stack); it refuses what neither certifies.  The oracle
 (``dense_oracle.extract_model``) re-orthonormalizes each image ``S M_j`` at N
 rows under the dense ``S`` and ``M_z``, on stacks at its own deep
 ``default_tail_depth``.  On each input both must raise the same exception type
 or give the same model: theta's zeros within 1e-8 under the best matching (its
 Taylor coefficients for repeated zeros), and every ``p_i`` and ``q_i`` within
-1e-8 relative.  The peel ends in the exact path's division: on criterion 6's
-closures it must give ``_closure_model``'s theta and ``phi_i``, and a wrong
-theta must fail the division certificate.
+1e-8 relative.  On criterion 6's closures the closure reader must give the
+oracle's theta and ``phi_i`` within 1e-10, and a wrong theta must fail its
+read remainder; a closure basis edited and wrapped again carries no seed and
+is refused.
 """
 
 import warnings
@@ -25,6 +26,7 @@ from hardy_perturb import (
     BlaschkeProduct,
     SubspaceModel,
     TridiagonalKernel,
+    TruncatedVector,
     blaschke_taylor,
     build_subspace,
     extract_model,
@@ -40,7 +42,7 @@ from hardy_perturb.errors import (
     ExtractionError, HardyPerturbError, PreconditionError, TruncationError,
 )
 from hardy_perturb.invariant import _closure_model, _peel
-from hardy_perturb.suite import sample_conditioned_trial
+from hardy_perturb.suite import _sample_trial, sample_conditioned_trial
 
 import dense_oracle as oracle
 
@@ -76,8 +78,18 @@ def outcome(extract, space, shift):
 
 
 def read_exactly(space):
-    """Whether the library's last reading of ``space`` was the exact path."""
+    """Whether the library's last reading of ``space`` gave a model (an exact reader)."""
     return isinstance(vars(space)["_wandering_memo"][2], SubspaceModel)
+
+
+def read_by_closure(space, shift, seed_vec):
+    """Whether the library's last reading of ``space`` was the closure reader's model of
+    the seed: ``_closure_model``'s, with theta turned positive and ``p_i`` turned back."""
+    got, (raw, _) = vars(space)["_wandering_memo"][2], _closure_model(shift, seed_vec.coeffs)
+    turn = np.conj(got.theta.constant)
+    return (got.theta.zeros == raw.theta.zeros
+            and all(np.array_equal(a.coeffs, b.coeffs * turn) for a, b in zip(got.p, raw.p))
+            and all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(got.q, raw.q)))
 
 
 def assert_same_model(got, want, taylor=False):
@@ -122,12 +134,16 @@ def test_zero_at_0_955():
 def test_zero_at_0_975_is_a_truncation_error_on_both(monkeypatch):
     theta = BlaschkeProduct(1.0, (0.975 * np.exp(0.7j), 0.3))
     shift, space = s1_space(theta, 256, 0.5)
-    # The exact path reads what the orthogonal peels cannot.
+    # The exact path reads what the oracle's orthogonal peel cannot.
     exact = invariant._exact_model(space, shift, DEFAULT_TOL)
     assert np.abs(np.sort_complex(np.array(exact.theta.zeros))
                   - np.sort_complex(np.array(theta.zeros))).max() < 1e-10
+    # Without it the library refuses the stack, and its split of M under S
+    # finds no wandering vector, as the oracle's peel finds none.
     monkeypatch.setattr(invariant, "_exact_model", lambda *_: None)
-    assert assert_same_outcome(space, shift) is TruncationError
+    assert outcome(oracle.extract_model, space, shift) is TruncationError
+    assert outcome(extract_model, space, shift) is ExtractionError
+    assert outcome(wandering_dimension, space, shift) is TruncationError
     # Without the certificate the truncated tail fails the invariance
     # precondition, on the oracle's stack and on the library's.
     built, _ = build_subspace(s1_model(1.0, 0.5, theta), shift, 256)
@@ -156,23 +172,17 @@ def test_krylov_closures_of_conditioned_draws():
         space = krylov_closure(shift, seed_vec, 40)
         model = assert_same_outcome(space, shift)
         assert not isinstance(model, type)
-        assert not read_exactly(space)
+        assert read_by_closure(space, shift, seed_vec)
         orders.add(model.n)
     assert orders == {1, 2, 3}
 
 
-def test_an_empty_later_stage_raises_the_given_error():
+def test_an_empty_later_stage_is_refused():
     # s fixes e1 and e2 and sends e0 to e1: stage 0 peels e0, stage 1 is empty.
     s = np.array([[0, 0, 0], [1, 1, 0], [0, 0, 1]], dtype=complex)
-    with pytest.raises(TruncationError, match="slack"):
-        _peel(s, np.eye(3), 2, DEFAULT_TOL, empty=TruncationError("no slack"))
     with pytest.raises(ExtractionError, match="wandering dimension 0 != 1 while peeling stage 1"):
         _peel(s, np.eye(3), 2, DEFAULT_TOL)
-    phis, (cur, image) = _peel(s, np.eye(3), 1, DEFAULT_TOL)
-    np.testing.assert_allclose(phis[:, 0], [1, 0, 0], atol=1e-15)
-    s_v = cur @ image
-    np.testing.assert_allclose(np.abs(s_v.conj().T @ s_v), np.eye(2), atol=1e-15)
-    assert np.abs(s_v[0]).max() < 1e-15
+    np.testing.assert_allclose(_peel(s, np.eye(3), 1, DEFAULT_TOL)[:, 0], [1, 0, 0], atol=1e-15)
 
 
 # ------------------------------------------------------------ the exact path --
@@ -259,8 +269,8 @@ def test_round_trips_at_the_structural_depth(zeros):
 
 @pytest.mark.parametrize("radius", [0.5, 0.9, 0.955])
 def test_raw_stacks_round_trip_at_the_structural_depth(radius):
-    # Theta's coefficients past 16 carry mass here, which the orthogonal peel's
-    # window below the shallow frontier does not reach.
+    # Theta's coefficients past 16 carry mass here; the exact path reads theta
+    # off the rows past the frontier, not off a window below it.
     assert_round_trip(BlaschkeProduct(1.0, (radius * np.exp(0.7j), 0.3)), 256, 0.5, raw=True)
 
 
@@ -280,22 +290,65 @@ def test_a_perturbed_column_is_not_read_exactly(certified):
         bent[row, 1] += 1e-6
         bent = orthonormalize(bent, frontier=space.frontier, invariant_certified=certified)
         assert invariant._exact_model(bent, shift, DEFAULT_TOL) is None
-        try:
-            rec = extract_model(bent, shift)
-        except HardyPerturbError:
-            continue
-        a, b = np.asarray(rec.theta.zeros), np.asarray(theta.zeros)
-        rows, cols = linear_sum_assignment(np.abs(a[:, None] - b[None, :]))
-        assert a.size == b.size and np.abs(a[rows] - b[cols]).max() < 1e-4
+        with pytest.raises((ExtractionError, PreconditionError)):
+            extract_model(bent, shift)
 
 
-def test_criterion_6_closures_take_the_orthogonal_path():
+def test_criterion_6_closures_take_the_closure_reader(monkeypatch):
+    calls = []
+    monkeypatch.setattr(invariant, "_exact_model", lambda *args: calls.append(args))
     rng = np.random.default_rng(0)
     for _ in range(100):
         _, shift, seed_vec = sample_conditioned_trial(rng, 128, 40)
         space = krylov_closure(shift, seed_vec, 40)
         assert wandering_dimension(space, shift) == 1
-        assert not read_exactly(space)
+        assert read_by_closure(space, shift, seed_vec)
+    assert calls == []
+
+
+def test_unconditioned_closures_all_read_exactly():
+    # Seeds whose h has roots near the circle leak past a depth-40 span; the
+    # closure reader reads [f] from the seed, whatever the depth.
+    rng = np.random.default_rng(1)
+    for _ in range(100):
+        shift, coeffs = _sample_trial(rng, 128)
+        seed_vec = TruncatedVector.from_coefficients(coeffs, 128)
+        space = krylov_closure(shift, seed_vec, 40)
+        model = extract_model(space, shift)
+        assert read_by_closure(space, shift, seed_vec)
+        assert verify_model(model, shift, 128)["max_residual"] < 1e-6
+
+
+def test_a_bent_closure_basis_is_refused():
+    # The same span changed by 1e-6 past row 0 and wrapped again as certified,
+    # with its frontier, carries no seed: the exact path declines it.
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        _, shift, seed_vec = sample_conditioned_trial(rng, 128, 40)
+        space = krylov_closure(shift, seed_vec, 40)
+        extract_model(space, shift)
+        bent = space.basis.copy()
+        bent[1:] += 1e-6 * rng.standard_normal(bent[1:].shape)
+        again = orthonormalize(bent, frontier=space.frontier, invariant_certified=True)
+        with pytest.raises(ExtractionError, match="no exact reader certifies"):
+            extract_model(again, shift)
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+@pytest.mark.parametrize("kernel", [TridiagonalKernel(1, (1.0,), (0.7,)),
+                                    TridiagonalKernel(2, (1.0, 1.0), (0.3, -0.4j))],
+                         ids=["n1", "n2"])
+def test_frontierless_truncations_read_exactly(monkeypatch, kernel, k):
+    # z^k H^2 cut at N rows is exactly invariant; without a frontier every row
+    # counts as exact, and theta = z^k is read with den = 1, as the oracle peels
+    # it.  Dividing by z^{n+v} takes the top rows: no N-row division is built.
+    shift = shift_from_kernel(kernel, 96)
+    space = Subspace(np.eye(96)[:, k:], None, True)
+    want = oracle.extract_model(space, shift)
+    monkeypatch.setattr(invariant, "_long_division", None)
+    model = extract_model(space, shift)
+    assert_same_model(model, want)
+    assert read_exactly(space) and model.theta.zeros == (0j,) * k
 
 
 def criterion_6_closures():
@@ -313,14 +366,14 @@ def unit_gap(a, b):
     return float(np.linalg.norm(a - b * inner / abs(inner)))
 
 
-def test_criterion_6_closures_match_their_exact_closure_models():
-    # The orthogonal peel ends in the exact division: each closure gives the
-    # theta and phi_i directions of _closure_model on the same seed, with no warning.
+def test_criterion_6_closures_match_the_oracle_peel():
+    # The closure reader gives the theta and phi_i directions the dense
+    # orthogonal peel reads off the same depth-40 closure, with no warning.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for shift, seed_vec, space in criterion_6_closures():
+        for shift, _, space in criterion_6_closures():
             got = extract_model(space, shift)
-            want, _ = _closure_model(shift, seed_vec.coeffs)
+            want = oracle.extract_model(space, shift)
             a, b = np.asarray(got.theta.zeros), np.asarray(want.theta.zeros)
             rows, cols = linear_sum_assignment(np.abs(a[:, None] - b[None, :]))
             assert a.size == b.size and np.abs(a[rows] - b[cols]).max(initial=0.0) < 1e-10
@@ -329,22 +382,24 @@ def test_criterion_6_closures_match_their_exact_closure_models():
 
 
 def test_a_wrong_theta_fails_the_division_certificate(monkeypatch):
-    # Theta's first zero moved by a relative 1e-3 leaves a read remainder
-    # far above the limit; a constant theta has no zero to move.
-    rational = invariant.rational_inner_from_taylor
+    # Theta's first zero moved by a relative 1e-3 before the closure reader's
+    # projection leaves a read remainder far above the limit; a constant theta
+    # has no zero to move.
+    read = invariant._frame_model
 
-    def moved(vec, tol):
-        theta = rational(vec, tol)
-        if not theta.zeros:
-            return theta
-        return BlaschkeProduct(theta.constant, (theta.zeros[0] * (1 + 1e-3),) + theta.zeros[1:])
+    def moved(shift, theta, m, lead, tol):
+        if theta.zeros:
+            zeros = (theta.zeros[0] * (1 + 1e-3),) + theta.zeros[1:]
+            theta = BlaschkeProduct(theta.constant, zeros)
+        return read(shift, theta, m, lead, tol)
 
     honest = [extract_model(space, shift) for shift, _, space in criterion_6_closures()]
-    monkeypatch.setattr(invariant, "rational_inner_from_taylor", moved)
+    monkeypatch.setattr(invariant, "_frame_model", moved)
     refused = 0
-    for want, (shift, _, space) in zip(honest, criterion_6_closures()):
+    for want, (shift, seed_vec, space) in zip(honest, criterion_6_closures()):
         if want.theta.degree:
-            with pytest.raises(ExtractionError, match=r"read remainder .* exceeds 1e-06"):
+            assert _closure_model(shift, seed_vec.coeffs)[1]["read_remainder"] > 1e-6
+            with pytest.raises(ExtractionError, match="no exact reader certifies"):
                 extract_model(space, shift)
             refused += 1
         else:
