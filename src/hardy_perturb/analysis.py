@@ -5,8 +5,8 @@ zeros, so essential normality is automatic and hyponormality reduces to the
 eigenvalues of that block.  One truncation artifact needs care: the
 truncated plain shift carries a spurious ``-1`` in the bottom-right corner
 of ``S*S`` (its last column loses the pushed-out coefficient), absent from
-the true operator.  That single entry is corrected and the correction is
-recorded in every report.
+the true operator.  That single entry is corrected when the formed window
+reaches it, and every report's note says whether it was.
 
 Only the leading window of ``[S*, S]`` that covers the finite block of
 ``S`` is formed: outside it the commutator is the plain shift's, which is
@@ -91,10 +91,11 @@ def self_commutator(shift: NShift, tol: ToleranceConfig | None = None) -> Commut
     comm = cols.conj().T @ cols - top @ top.conj().T
     if w == nw:
         comm[nw - 1, nw - 1] += 1.0
-    note = (
-        f"corner entry ({nw - 1}, {nw - 1}) raised by 1: the truncated plain "
-        "shift loses its last column, which is absent from the true operator"
-    )
+        note = (f"corner entry ({nw - 1}, {nw - 1}) raised by 1: the truncated plain "
+                "shift loses its last column, which is absent from the true operator")
+    else:
+        note = (f"no correction: the leading {w} x {w} window is formed, short of the "
+                f"truncation corner ({nw - 1}, {nw - 1})")
     herm_defect = float(np.abs(comm - comm.conj().T).max())
 
     mags = np.abs(comm)

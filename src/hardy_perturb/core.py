@@ -67,8 +67,9 @@ class ToleranceConfig:
 
     def __post_init__(self):
         for name in ("tau_rank", "tau_res", "tau_angle"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+            # An infinite threshold makes a verdict that cannot fail.
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and strictly positive")
         if self.tau_rank >= 1.0:
             raise ValueError("tau_rank must be < 1")
 

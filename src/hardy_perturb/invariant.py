@@ -20,7 +20,6 @@ import functools
 
 import numpy as np
 from numpy.polynomial import polynomial as P
-import scipy.linalg
 
 from .core import (
     DEFAULT_TOL,
@@ -386,13 +385,16 @@ def wandering_dimension(
     The invariance of ``M`` (restricted below the generator frontier) is a
     precondition, not an outcome: a non-invariant input raises, and so does
     a certified invariant one whose truncation leaves no wandering vector.
+    A subspace an exact reader certifies counts 1; any other is split into
+    ``P_M S M`` and ``M (-) S M`` in ``M.basis`` coordinates, uncached.
     """
     tol = tol or DEFAULT_TOL
     if M.dim == 0:
         raise PreconditionError("subspace must be nonzero")
     _require_invariant(M, shift, tol)
-    found = _recovery(M, shift, tol)
-    count = 1 if isinstance(found, SubspaceModel) else found[1].shape[1]
+    if _recovery(M, shift, tol) is not None:
+        return 1
+    count = _split(M.basis.conj().T @ (shift.S @ M.basis), tol.tau_rank)[1].shape[1]
     if count == 0 and M.invariant_certified:
         slack = 0 if M.frontier is None else M.working_order - M.frontier
         raise TruncationError(f"no wandering vector at working order {M.working_order}: {slack} "
@@ -410,14 +412,11 @@ def _require_invariant(M: Subspace, shift: NShift, tol: ToleranceConfig) -> None
             )
 
 
-def _recovery(
-    M: Subspace, shift: NShift, tol: ToleranceConfig
-) -> SubspaceModel | tuple[np.ndarray, np.ndarray]:
-    """``M``'s model by an exact reader, else its split ``(image, wander)``.
+def _recovery(M: Subspace, shift: NShift, tol: ToleranceConfig) -> SubspaceModel | None:
+    """``M``'s model by an exact reader, or ``None`` when neither certifies one.
 
     A Krylov closure of ``shift.S`` is read from its seed (:func:`_seed_model`),
-    any other basis by :func:`_exact_model`; else ``M`` splits into ``P_M S M``
-    and ``M (-) S M`` in ``M.basis`` coordinates.  The result is kept as
+    any other basis by :func:`_exact_model`.  The result is kept as
     ``M._wandering_memo`` (not a dataclass field) for this shift object and an
     equal ``tol``.
     """
@@ -429,8 +428,6 @@ def _recovery(
         found = _seed_model(shift, source[1].coeffs, tol)
     else:
         found = _exact_model(M, shift, tol)
-    if found is None:
-        found = _split(M.basis.conj().T @ (shift.S @ M.basis), tol.tau_rank)
     object.__setattr__(M, "_wandering_memo", (shift, tol, found))
     return found
 
@@ -572,7 +569,7 @@ def extract_model(
     tol = tol or DEFAULT_TOL
     _require_invariant(M, shift, tol)
     found = _recovery(M, shift, tol)
-    if not isinstance(found, SubspaceModel):
+    if found is None:
         raise ExtractionError("no exact reader certifies the subspace: a Krylov closure of the "
                               "shift is read from its seed, any other basis as a generator stack")
     return found
@@ -617,7 +614,7 @@ def _long_division(w: np.ndarray, divisor: np.ndarray) -> tuple[np.ndarray, np.n
 
     ``w = C quo + rem`` with ``C`` the convolution by ``divisor`` and ``rem`` on
     the rows below its degree: the rows from there on are upper triangular in
-    ``quo``, solved by one LAPACK ``ztrtrs`` call.
+    ``quo``, solved by one ``np.linalg.solve`` call.
     """
     w, k = np.asarray(w, dtype=np.complex128), divisor.size
     size = w.shape[0] - k + 1
@@ -625,7 +622,7 @@ def _long_division(w: np.ndarray, divisor: np.ndarray) -> tuple[np.ndarray, np.n
         return np.zeros((0,) + w.shape[1:], dtype=np.complex128), w.copy()
     conv = _convolution(divisor, size)
     top = w[k - 1 :].reshape(size, -1)
-    quo = scipy.linalg.lapack.ztrtrs(conv[k - 1 :], top, lower=0)[0].reshape(w[k - 1 :].shape)
+    quo = np.linalg.solve(conv[k - 1 :], top).reshape(w[k - 1 :].shape)
     return quo, w[: k - 1] - conv[: k - 1] @ quo
 
 

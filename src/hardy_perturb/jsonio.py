@@ -96,14 +96,16 @@ def load_config(
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
+    picked = {
+        "truncation": truncation if truncation is not None else raw.get("truncation", 128),
+        "seed": seed if seed is not None else raw.get("seed", os.environ.get(SEED_ENV_VAR, "0")),
+    }
+    for name, value in picked.items():
+        # int() would cut 64.9 to 64 and read true as 1.
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
     try:
-        eff_trunc = truncation if truncation is not None else int(raw.get("truncation", 128))
-        if seed is not None:
-            eff_seed = seed
-        elif "seed" in raw:
-            eff_seed = int(raw["seed"])
-        else:
-            eff_seed = int(os.environ.get(SEED_ENV_VAR, "0"))
+        eff_trunc, eff_seed = int(picked["truncation"]), int(picked["seed"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"truncation and seed must be integers: {exc}") from exc
     if not isinstance(raw.get("tolerances", {}), dict):

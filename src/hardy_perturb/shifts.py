@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     OperatorMatrix,
@@ -140,9 +139,10 @@ def _relabeled(kernel: TridiagonalKernel, coeffs: np.ndarray, width: int, size: 
     relabeling ``f_m -> z^m`` reads it on the monomial basis.  ``f_m = z^m``
     for ``m >= n``, so the product differs from ``T`` only in the first ``n``
     columns, down to row ``n + deg``: a ``width`` covering that is exact.
-    Every window is solved by one LAPACK ``ztrtrs`` call, structural zeros
-    snapped.  Returns the leading ``size > width`` windows of the products
-    and of the ``T``.
+    Every window is solved by one ``np.linalg.solve`` call, structural zeros
+    snapped: LU pivots where ``|b_m| > |a_m|`` and leaves roundoff where the
+    exact entry is zero.  Returns the leading ``size > width`` windows of the
+    products and of the ``T``.
     """
     count = len(coeffs)
     t = np.zeros((count, size * size), dtype=np.complex128)
@@ -151,7 +151,7 @@ def _relabeled(kernel: TridiagonalKernel, coeffs: np.ndarray, width: int, size: 
     t = t.reshape(count, size, size)
     g = f_basis_matrix(kernel, width)
     rhs = (t[:, :width, :width] @ g).transpose(1, 0, 2).reshape(width, count * width)
-    x = scipy.linalg.lapack.ztrtrs(g, rhs, lower=1)[0].reshape(width, count, width)
+    x = np.linalg.solve(g, rhs).reshape(width, count, width)
     x = x.transpose(1, 0, 2)
     # Outside the window the product is T, so this is max(1, its max_abs()).
     scale = np.maximum(np.abs(x).max(axis=(1, 2)), np.abs(t).max(axis=(1, 2), initial=1.0))

@@ -289,12 +289,12 @@ def rank_report(a, tol=DEFAULT_TOL):
 def relabeled_window(kernel, symbol, width, nw):
     """``G^{-1} T G`` on the leading ``width`` window, one member at a time.
 
-    The library's former per-member relabeling: one ``ztrtrs`` call per
-    window, structural zeros snapped, Toeplitz outside the window.
+    The library's former per-member relabeling: one ``np.linalg.solve`` call
+    per window, structural zeros snapped, Toeplitz outside the window.
     """
     t = OperatorMatrix.toeplitz(symbol, nw)
     g = f_basis_matrix(kernel, width)
-    x = np.ascontiguousarray(scipy.linalg.lapack.ztrtrs(g, t.window(width) @ g, lower=1)[0])
+    x = np.linalg.solve(g, t.window(width) @ g)
     scale = max(1.0, t.max_abs(), float(np.abs(x).max()))
     x[np.abs(x) < 1e-14 * scale] = 0.0
     return OperatorMatrix(x, t.symbol, nw)

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from hardy_perturb import (
+    NShift,
+    OperatorMatrix,
     TridiagonalKernel,
     essential_normality_witness,
     self_commutator,
+    shift_from_columns,
     shift_from_kernel,
 )
 from hardy_perturb.errors import TruncationError
@@ -113,6 +116,19 @@ class TestEssentialNormality:
             shift = shift_from_kernel(TridiagonalKernel(n, (1.0,) * n, b), NW)
             ok, k = essential_normality_witness(shift)
             assert ok and k <= 2 * n + 2
+
+
+def test_mask_note_says_whether_the_corner_was_raised():
+    # A small block forms only a leading window: the corner is never reached.
+    windowed = shift_from_columns(1, [[0, 0, 1]], 64)
+    rep = self_commutator(windowed)
+    assert rep.mask_note.startswith("no correction: the leading 5 x 5 window")
+    # The same operator as a dense block forms the whole matrix and raises the corner.
+    dense = NShift(1, OperatorMatrix(windowed.S.entries, size=64), windowed.F)
+    full = self_commutator(dense)
+    assert full.mask_note.startswith("corner entry (63, 63) raised by 1")
+    assert full.block_size == rep.block_size and np.array_equal(full.block, rep.block)
+    assert full.essentially_normal and rep.essentially_normal
 
 
 def test_report_json_round_trips():

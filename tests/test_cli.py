@@ -55,6 +55,11 @@ BAD_VALUES = {
     "seed-vector-not-a-list": (["subspace", "extract"], {"seed_vector": 5}),
     "phi-not-a-list": (["commutant", "element"], {"phi": 5}),
     "m-max-not-a-number": (["shift", "powers"], {"m_max": "abc"}),
+    "tau-res-infinite": (["analyze", "normality"], {"tolerances": {"tau_res": float("inf")}}),
+    "tau-angle-infinite": (["subspace", "extract"], {"tolerances": {"tau_angle": float("inf")}}),
+    "truncation-fractional": (["shift", "verify"], {"truncation": 64.9}),
+    "seed-bool": (["shift", "verify"], {"seed": True}),
+    "seed-fractional": (["shift", "verify"], {"seed": 2.5}),
 }
 
 BROKEN_SUPPORT = {
@@ -473,6 +478,13 @@ class TestConfigHandling:
         write(cfg, {"input": TWO_PERTURBATION["input"], "truncation": 64})
         result = invoke(runner, ["shift", "verify", "--config", str(cfg)])
         assert json.loads(result.output)["seed"] == 777
+
+    @pytest.mark.parametrize("value", [64, "64", 64.0], ids=["int", "string", "float"])
+    def test_integral_truncation_and_seed_are_read(self, runner, tmp_path, value):
+        cfg = tmp_path / "cfg.json"
+        write(cfg, {"input": TWO_PERTURBATION["input"], "truncation": value, "seed": value})
+        doc = json.loads(invoke(runner, ["shift", "verify", "--config", str(cfg)]).output)
+        assert doc["truncation"] == doc["seed"] == 64
 
     def test_report_written_to_out(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -301,6 +301,13 @@ class TestToleranceConfig:
         with pytest.raises(ValueError):
             ToleranceConfig(tau_rank=1.5)
 
+    @pytest.mark.parametrize("field", ["tau_res", "tau_angle"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_thresholds_are_finite(self, field, value):
+        # tau_res = inf would pass every residual check, however large.
+        with pytest.raises(ValueError, match="finite"):
+            ToleranceConfig(**{field: value})
+
 
 def test_band_spread_of_plain_shift():
     assert band_spread(multiplication_by_z_matrix(8)) == (1, 0)

@@ -21,7 +21,7 @@ from hardy_perturb import (
     wandering_dimension,
 )
 from hardy_perturb import TridiagonalKernel, TruncatedVector, core, invariant, numerical_rank
-from hardy_perturb.core import DEFAULT_TOL, Subspace, ToleranceConfig, subspace_difference
+from hardy_perturb.core import DEFAULT_TOL, Subspace, ToleranceConfig
 from hardy_perturb.shifts import gram_columns
 from hardy_perturb.jsonio import model_from_payload
 from hardy_perturb.errors import (
@@ -404,32 +404,42 @@ class TestRangeSideStructure:
         monkeypatch.setattr(invariant, "_split", counted)
         return sizes
 
+    @staticmethod
+    def count_readings(monkeypatch):
+        """Record every call of ``invariant._exact_model`` (patched to decline)."""
+        calls = []
+        monkeypatch.setattr(invariant, "_exact_model", lambda *args: calls.append(args))
+        return calls
+
     def test_another_shift_object_recomputes(self, monkeypatch):
         _, shift, space = self.split_space(monkeypatch)
         twin = shift_from_kernel(TridiagonalKernel(1, (1.0,), (0.7,)), NW)
-        other = shift_from_kernel(TridiagonalKernel(1, (1.0,), (-0.2,)), NW)
-        sizes = self.count_splits(monkeypatch)
-        wandering_dimension(space, shift)
-        wandering_dimension(space, twin)
-        assert len(sizes) == 2
-        # The split under another operator is that operator's, not the memo.
-        image, wander = invariant._recovery(space, other, DEFAULT_TOL)
-        assert len(sizes) == 3
-        assert image.shape == (space.dim, space.dim - 1) and wander.shape == (space.dim, 1)
-        split = Subspace(space.basis @ wander)
-        want = subspace_difference(space, other)
-        assert principal_angles(split, want).max(initial=0.0) < 1e-12
-        assert split.dim == want.dim
-        assert principal_angles(split, subspace_difference(space, shift)).max() > 1e-3
+        calls = self.count_readings(monkeypatch)
+        assert wandering_dimension(space, shift) == 1
+        assert wandering_dimension(space, shift) == 1
+        assert len(calls) == 1
+        assert wandering_dimension(space, twin) == 1
+        assert len(calls) == 2 and calls[0][1] is shift and calls[1][1] is twin
 
     def test_another_tolerance_recomputes(self, monkeypatch):
         _, shift, space = self.split_space(monkeypatch)
-        sizes = self.count_splits(monkeypatch)
+        calls = self.count_readings(monkeypatch)
         wandering_dimension(space, shift, ToleranceConfig())
         wandering_dimension(space, shift, ToleranceConfig())
-        assert len(sizes) == 1
+        assert len(calls) == 1
         wandering_dimension(space, shift, ToleranceConfig(tau_rank=1e-10))
-        assert len(sizes) == 2
+        assert [c[2] for c in calls] == [ToleranceConfig(), ToleranceConfig(tau_rank=1e-10)]
+
+    def test_a_refused_extraction_splits_nothing(self, monkeypatch):
+        _, shift, space = self.split_space(monkeypatch)
+        sizes = self.count_splits(monkeypatch)
+        with pytest.raises(ExtractionError, match="no exact reader"):
+            extract_model(space, shift)
+        assert sizes == []
+        # The split is wandering_dimension's alone, taken on every call.
+        assert wandering_dimension(space, shift) == 1
+        assert wandering_dimension(space, shift) == 1
+        assert sizes == [space.dim, space.dim]
 
     def test_exact_recovery_is_shared_with_extraction(self, monkeypatch):
         _, shift, space = self.round_trip_space()

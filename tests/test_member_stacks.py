@@ -1,8 +1,8 @@
 """Commutant members built in stacks against the member-by-member oracle.
 
 The library builds the members of one kernel together: the window solves of
-one width share a LAPACK call, and the commutators, lifts and escapes run on
-stacked windows.  ``dense_oracle.member_by_member`` and
+one width share a ``np.linalg.solve`` call, and the commutators, lifts and
+escapes run on stacked windows.  ``dense_oracle.member_by_member`` and
 ``dense_oracle.hyperinvariance_member_by_member`` build one member at a time;
 the stacked results must be bit-identical to theirs.  Inputs are seeded
 random kernels (n = 1..6, ``b`` in the disc of radius 0.9, some with general
@@ -13,7 +13,6 @@ import json
 
 import numpy as np
 import pytest
-import scipy.linalg
 from click.testing import CliRunner
 
 import dense_oracle as oracle
@@ -151,11 +150,10 @@ def test_many_trials_are_stacked_in_bounded_chunks(monkeypatch):
 # ---------------------------------------------------------------- stacking --
 
 def _count_solves(monkeypatch):
-    """Record the columns of every ztrtrs call and every stacked relabeling."""
+    """Record the columns of every ``np.linalg.solve`` call and every stacked relabeling."""
     solves, stacks = [], []
-    real_trtrs, real_relabeled = scipy.linalg.lapack.ztrtrs, shifts._relabeled
-    monkeypatch.setattr(scipy.linalg.lapack, "ztrtrs",
-                        lambda g, b, **kw: solves.append(b.shape) or real_trtrs(g, b, **kw))
+    real_solve, real_relabeled = np.linalg.solve, shifts._relabeled
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(b.shape) or real_solve(a, b))
 
     def relabeled(kernel, coeffs, width, size):
         stacks.append((kernel.n, len(coeffs), width))
@@ -174,7 +172,7 @@ def test_commutant_suite_solves_each_width_of_a_kernel_once(monkeypatch):
     solves, stacks = _count_solves(monkeypatch)
     rows = suite.check_commutant_suite(128, DEFAULT_TOL, 0)
     assert all(row["passed"] for row in rows)
-    # Exactly one ztrtrs per relabeling.
+    # Exactly one solve per relabeling.
     assert len(solves) == len(stacks)
     # One shift per kernel, each a stack of one at width n + 2.
     members = [s for s in stacks if s[1:] != (1, s[0] + 2)]
